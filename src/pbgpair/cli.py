@@ -114,7 +114,7 @@ def _cmd_poles(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _apply_overrides(parse_run_file(args.config), args)
     values = sweep_mod.parse_values(args.param, args.values)
-    sweep_mod.run_sweep(spec, args.param, values, args.output)
+    sweep_mod.run_sweep(spec, args.param, values, args.output, n_modes=args.modes)
     return EXIT_OK
 
 

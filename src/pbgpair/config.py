@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     DomainError,
@@ -105,6 +105,9 @@ def validate(config: SystemConfig, init: InitialState | None = None):
 
     Raises NormalizationError, InconsistentDetunings or DomainError.
     """
+    for f in fields(config):
+        if not math.isfinite(getattr(config, f.name)):
+            raise DomainError(f"{f.name} must be finite, got {getattr(config, f.name)}")
     if config.beta <= 0:
         raise DomainError(f"beta must be positive, got {config.beta}")
     if config.gamma1 < 0 or config.gamma2 < 0:
@@ -120,7 +123,7 @@ def validate(config: SystemConfig, init: InitialState | None = None):
             f"({config.omega1c} - {config.omega2c} != {config.omega12})"
         )
     if init is not None:
-        if abs(init.norm_sq - 1.0) > NORM_TOL:
+        if not abs(init.norm_sq - 1.0) <= NORM_TOL:
             raise NormalizationError(
                 f"initial amplitudes have norm^2 = {init.norm_sq!r}, expected 1"
             )
@@ -210,6 +213,8 @@ def parse_run_file(path) -> RunSpec:
                     values[key] = float(val)
                 except ValueError:
                     raise ParseError(f"could not parse number {val!r} for {key!r}", lineno) from None
+                if not math.isfinite(values[key]):
+                    raise ParseError(f"{key} must be finite, got {val!r}", lineno)
             else:
                 raise ParseError(f"unknown key {key!r}", lineno)
 

@@ -52,10 +52,6 @@ class SingularSystem(NumericalError):
     """The transform-domain linear system is singular (x is a pole)."""
 
 
-class ConvergenceError(NumericalError):
-    """Root polishing stagnated on a candidate that passes the residual test."""
-
-
 class DegeneratePole(NumericalError):
     """Two poles coincide within merge tolerance; residue sums are ill-defined."""
 

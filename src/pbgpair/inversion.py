@@ -19,7 +19,6 @@ strongest guard against a wrong sheet or a missed pole.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import kernel, transform
 from .config import AmplitudeTrajectory
@@ -60,8 +59,9 @@ def residue_numerators(record, config, init):
 
     The exchange poles carry only the antisymmetric combinations; the
     symmetric-sector poles carry the 2x2 adjugate applied to the symmetric
-    initial data.  Components 2 and 4 are residues in the shifted frame of
-    those amplitudes.
+    initial data; with identical transitions the 'u+'/'u-' poles carry
+    u1 +/- u2 alone.  Components 2 and 4 are residues in the shifted frame
+    of those amplitudes.
     """
     a10, a20, a30, a40 = init.as_tuple()
     if record.kind == "v1":
@@ -70,6 +70,10 @@ def residue_numerators(record, config, init):
     if record.kind == "v2":
         v = 0.5 * (a20 - a40)
         return np.array([0.0, v, 0.0, -v], dtype=complex)
+    if record.kind in ("u+", "u-"):
+        sign = 1.0 if record.kind == "u+" else -1.0
+        u = 0.25 * (a10 + a30 + sign * (a20 + a40))
+        return np.array([u, sign * u, u, sign * u], dtype=complex)
     if record.kind != "u":
         return np.zeros(4, dtype=complex)
     x0 = record.x
@@ -81,38 +85,6 @@ def residue_numerators(record, config, init):
     n1 = 0.5 * (f2 * u10 - 2 * g * c * u20)
     n2 = 0.5 * (f1 * u20 - 2 * g * c * u10)
     return np.array([n1, n2, n1, n2], dtype=complex)
-
-
-def residue_weight_fd(record, config, step=1e-6):
-    """Denominator slope reciprocal by central differences with one
-    Richardson refinement; the dual route against the analytic weight."""
-    if record.kind in ("v1", "v2"):
-        return 1.0 + 0j  # linear factor, slope exactly 1
-
-    def deriv(h):
-        from .poles import delta_sheet
-
-        return (delta_sheet(record.x + h, config) - delta_sheet(record.x - h, config)) / (2 * h)
-
-    d1 = deriv(step)
-    d2 = deriv(step / 2)
-    return 1.0 / complex((4 * d2 - d1) / 3)
-
-
-def residue_by_limit(record, config, init, eps=1e-5):
-    """Residues via lim (x - x0) A_i(x) on a shrinking ring around x0."""
-    x0 = record.x
-
-    def ring(r):
-        ang = np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
-        xs = x0 + r * ang
-        g = kernel.beta_prime_sheet(xs, config.omega1c, config.beta)
-        sol = transform.solve_system(xs, config, init, g)
-        return np.mean((xs - x0)[:, None] * sol, axis=0)
-
-    r1 = ring(eps)
-    r2 = ring(eps / 2)
-    return (4 * r2 - r1) / 3
 
 
 def residue_sum(t, poles: PoleSet, config, init):
@@ -142,16 +114,19 @@ def cut_discontinuity(q, config, init):
 
     At x = i*omega1c - q^2 the two boundary values correspond to the two
     signs of sqrt(-i x - omega1c) = -/+ e^{i pi/4} q; returns
-    (below - above) as shape (len(q), 4).
+    (below - above) as shape (len(q), 4).  Only the symmetric sector
+    depends on the kernel, so the exchange poles drop out exactly, also
+    when one of them sits on the branch point.
     """
     q = np.asarray(q, dtype=float)
     x = 1j * config.omega1c - q * q
     s_top = np.exp(0.25j * np.pi) * q
     b32 = config.beta ** 1.5
     g_top = b32 / (1j * s_top)
-    sol_top = transform.solve_system(x, config, init, g_top)
-    sol_bot = transform.solve_system(x, config, init, -g_top)
-    return sol_bot - sol_top
+    top = transform.u_sector(x, config, init, g_top)
+    bot = transform.u_sector(x, config, init, -g_top)
+    du1, du2 = 0.5 * (bot[0] - top[0]), 0.5 * (bot[1] - top[1])
+    return np.stack([du1, du2, du1, du2], axis=-1)
 
 
 class CutIntegrator:
@@ -197,7 +172,7 @@ class CutIntegrator:
                 self._add_panel(mid, b)
         errs = self._panel_errors(t_min)
         self.error_estimate = float(np.sum(errs))
-        if self.error_estimate > CUT_FAIL_TOL:
+        if not self.error_estimate <= CUT_FAIL_TOL:
             raise QuadratureError(
                 f"cut integral error estimate {self.error_estimate:.3g} exceeds {CUT_FAIL_TOL}"
             )
@@ -232,46 +207,6 @@ class CutIntegrator:
         total[:, 1] *= shift
         total[:, 3] *= shift
         return total
-
-
-def branch_cut_integral(t: float, config, init):
-    """Reference cut integral at a single time, via QUADPACK panels.
-
-    Integrates the branch difference in the q = sqrt(u) variable with
-    scipy's adaptive Gauss-Kronrod rule component by component; raises
-    QuadratureError when the error estimate exceeds tolerance.
-    """
-    if t < 0:
-        raise DomainError("cut integral requires t >= 0")
-    if t > 0:
-        q_max = np.sqrt(EXP_FLOOR / t)
-    else:
-        # undamped: the branch difference has an integrable ~q^-4 tail
-        q_max = 2000.0 * max(1.0, config.beta ** 0.75)
-    breaks = [0.0] + [b for b in (1.0, 8.0, 50.0, 400.0) if b < q_max] + [q_max]
-    out = np.zeros(4, dtype=complex)
-    err_total = 0.0
-    for i in range(4):
-        for part in (np.real, np.imag):
-
-            def f(qv):
-                d = cut_discontinuity(np.array([qv]), config, init)[0, i]
-                return part(d * 2 * qv * np.exp(-qv * qv * t))
-
-            val = 0.0
-            for a, b in zip(breaks[:-1], breaks[1:]):
-                v, err = quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=300)
-                val += v
-                err_total = max(err_total, err)
-            out[i] += val if part is np.real else 1j * val
-    if err_total > CUT_FAIL_TOL:
-        raise QuadratureError(f"cut integral error estimate {err_total:.3g}")
-    pref = np.exp(1j * config.omega1c * t) / (2j * np.pi)
-    out *= pref
-    shift = np.exp(-1j * config.omega12 * t)
-    out[1] *= shift
-    out[3] *= shift
-    return out
 
 
 def amplitudes_analytic(times, config, init, poles: PoleSet | None = None,

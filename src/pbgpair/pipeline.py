@@ -8,6 +8,7 @@ import numpy as np
 
 from . import bath, inversion, negativity
 from .config import RunSpec, validate
+from .errors import DomainError
 
 log = logging.getLogger("pbgpair")
 
@@ -43,6 +44,9 @@ def run_spec(spec: RunSpec, n_modes: int = DEFAULT_MODES):
     horizon (also written to the run log).
     """
     validate(spec.config, spec.init)
+    if not (0 < spec.t_max < np.inf and 0 < spec.dt_out < np.inf):
+        raise DomainError(f"t_max and dt_out must be positive and finite, "
+                          f"got {spec.t_max}, {spec.dt_out}")
     deviation = None
     if spec.engine == "oracle":
         traj = oracle_trajectory(spec.config, spec.init, spec.t_max, spec.dt_out,

@@ -1,25 +1,43 @@
-"""Dressed-state pole location and classification.
+"""Dressed-state pole location and classification, all in closed form.
 
 Two families of roots are collected into one :class:`PoleSet`:
 
-* the dressed-level table: roots of the classification functions
-  G1/G2/H1/H2 (exchange-split level factors, their prefactors, and the
-  band-edge interference factor 1 + 2*beta').  These are what the pole
-  report lists and what the regression tables quote.
+* the dressed-level table: roots x = i*y of the classification functions
+  G1/H1, at y = gamma1, omega12 + gamma2, -gamma1, omega12 - gamma2 (the
+  exchange-split level factors and their prefactors) and
+  y = omega1c - 4*beta^3 (the band-edge interference factor 1 + 2*beta').
+  These are what the pole report lists and the regression tables quote.
 
 * the dynamic poles of the transform amplitudes on the inversion sheet:
-  the two field-decoupled exchange poles at x = i*gamma1 and
-  x = i*(gamma2 + omega12), the photon-atom bound roots of the symmetric
-  2x2 determinant Delta(x) on the imaginary axis above the branch point,
-  and its complex (decaying) roots in the lower half plane.  Residue sums
-  use these and only these.
+  the exchange poles x = i*gamma1 and x = i*(gamma2 + omega12), and the
+  roots of the symmetric determinant Delta.  With S = sqrt(-i x - omega1c),
+  arg S in (-3pi/4, pi/4] on the sheet, and b = beta^{3/2},
 
-A dynamic pole that lands on a table root (the exchange poles always do)
-is merged into a single record.  Classification: table rows follow the
-dressed-energy rule (below the band edge -> ``localized``, otherwise
-``bandpass``); dynamic-only rows are ``localized`` when purely imaginary
-(they then sit above the branch point) and ``propagating`` when complex
-with a negative real part.
+      -S^2 Delta = (S^3 + a1 S - 2b)(S^3 + a2 S - 2b) - 4 b^2 cos^2(eta),
+      a1 = omega1c + gamma1,  a2 = omega1c - omega12 + gamma2
+
+  (John & Quang's band-edge reduction, PRA 50, 1764 (1994), for both
+  transitions).  The ``u`` poles are its roots on the sheet bar the branch
+  point S = 0, polished by Newton steps in S, at x = i (S^2 + omega1c):
+  S > 0 is a bound state above the branch point, any other S a decaying
+  pole.  Residue sums use these and only these.
+
+A ``u`` pole on an exchange pole is a simple pole of another sector, and
+both are kept.  With identical transitions (a1 = a2) the sextic factors
+into the cubics P -/+ 2 b cos(eta), P = S^3 + a1 S - 2b, whose roots are
+the poles of u1 + u2 and u1 - u2 ('u+' and 'u-' records, weight
+1/(f +/- 2 beta' cos eta)' with f = x + i gamma1 + 2 beta').  At
+cos^2 eta = 1 one combination is dark: its denominator is x + i gamma1,
+a pole at x = -i gamma1 below the branch point with weight 1, like the
+exchange poles.  At cos(eta) = 0 the cubics coincide and each root is a
+simple pole of both combinations.  Otherwise roots closer than
+DOUBLE_ROOT_TOL (nearly identical, nearly orthogonal transitions) cannot
+be told from a double root and raise DegeneratePole.
+
+A dynamic pole on a table root (the exchange poles always are) is merged
+into one record.  Table rows are ``localized`` below the band edge and
+``bandpass`` otherwise; dynamic-only rows are ``localized`` on the
+imaginary axis and ``propagating`` off it.
 """
 
 from __future__ import annotations
@@ -29,12 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import ConvergenceError, DegeneratePole
+from .errors import DegeneratePole
 
 MERGE_TOL = 1e-8
-BISECT_TOL = 1e-10
 AXIS_TOL = 1e-9
-RESIDUAL_TOL = 1e-9
+BRANCH_TOL = 1e-6  # |S| at or below: the branch point (x within 1e-12 of it)
+DOUBLE_ROOT_TOL = 1e-6  # in S; np.roots resolves a near-double pair to ~1e-8
+POLISH_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -42,10 +61,11 @@ class PoleRecord:
     """One root: location, family tag, class label and structural weight.
 
     ``weight`` is the reciprocal slope of the relevant denominator at the
-    root (1/Delta' for symmetric-sector poles, 1 for the exchange poles,
-    1/G_tag' for table-only rows).  ``dynamic`` marks roots that are true
-    singularities of the transform amplitudes; only those enter residue
-    sums.  ``kind`` is one of 'v1', 'v2', 'u', 'table'.
+    root (1/Delta' for symmetric-sector poles, 1/(f +/- 2 beta' cos eta)'
+    for the split sector of identical transitions, 1 for the exchange
+    poles, 1/G_tag' for table-only rows).  ``dynamic`` marks roots that are
+    true singularities of the transform amplitudes; only those enter
+    residue sums.  ``kind`` is one of 'v1', 'v2', 'u', 'u+', 'u-', 'table'.
     """
 
     tag: str
@@ -86,252 +106,98 @@ class PoleSet:
         return out
 
 
-def _grid_span(config) -> float:
-    return 5.0 * max(
-        config.gamma1, config.gamma2, abs(config.omega1c), abs(config.omega2c), 1.0
-    )
-
-
-def _bisect(fun, lo, hi, tol=BISECT_TOL):
-    flo, fhi = fun(lo), fun(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("root not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if fmid == 0.0 or (hi - lo) < tol:
-            return mid
-        if flo * fmid < 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _axis_roots(fun, lo, hi, n=4001):
-    """Sign-change bracketing on [lo, hi] followed by bisection."""
-    ys = np.linspace(lo, hi, n)
-    vals = np.array([fun(y) for y in ys])
-    roots = []
-    sign = np.sign(vals)
-    hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in hits:
-        roots.append(_bisect(fun, ys[i], ys[i + 1]))
-    roots.extend(ys[np.nonzero(sign == 0)[0]])
-    return roots
-
-
-def _dedup(values, tol=MERGE_TOL):
-    out = []
-    for v in values:
-        if all(abs(v - u) > tol for u in out):
-            out.append(v)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dressed-level table (classification functions)
-
 def _table_roots(config):
-    """Imaginary-axis roots of the classification factors, with tags.
-
-    Returns a list of (tag, y) with x = i*y.  The linear level factors are
-    real on the axis; the interference factor 1 + 2*beta' is real below
-    the branch point only, which is the only place it can vanish.
-    """
-    span = _grid_span(config)
-    b = config.beta
-    found = []
-    factor_specs = [
-        ("G1", lambda y: config.gamma1 - y),                      # G prefactor
-        ("H1", lambda y: config.omega12 + config.gamma2 - y),     # H prefactor
-        ("H1", lambda y: -y - config.gamma1),                     # lower exchange level 1
-        ("H1", lambda y: config.omega12 - config.gamma2 - y),     # lower exchange level 2
+    """(tag, x) of the imaginary-axis roots of the classification factors."""
+    levels = [
+        ("G1", config.gamma1),                            # G prefactor
+        ("H1", config.omega12 + config.gamma2),           # H prefactor
+        ("H1", -config.gamma1),                           # lower exchange level 1
+        ("H1", config.omega12 - config.gamma2),           # lower exchange level 2
+        ("H1", config.omega1c - 4.0 * config.beta ** 3),  # 1 + 2 beta' = 0
     ]
-    for tag, fun in factor_specs:
-        for y in _axis_roots(fun, -span, span):
-            found.append((tag, y))
-    # interference factor: 1 - 2 beta^{3/2} / sqrt(omega1c - y) for y < omega1c
-    edge = config.omega1c
-
-    def interference(y):
-        return 1.0 - 2.0 * b ** 1.5 / np.sqrt(edge - y)
-
-    lo = -span
-    hi = edge - max(1e-12, 1e-12 * abs(edge))
-    if lo < hi:
-        for y in _axis_roots(interference, lo, hi):
-            found.append(("H1", y))
-    return found
-
-
-# ---------------------------------------------------------------------------
-# dynamic poles of the transform amplitudes (inversion sheet)
-
-def _sheet_gamma(x, config):
-    return kernel.beta_prime_sheet(x, config.omega1c, config.beta)
-
-
-def delta_sheet(x, config):
-    """Symmetric-sector determinant Delta(x) on the inversion sheet."""
-    x = np.asarray(x, dtype=complex)
-    g = _sheet_gamma(x, config)
-    f1 = x + 1j * config.gamma1 + 2 * g
-    f2 = x - 1j * config.omega12 + 1j * config.gamma2 + 2 * g
-    return f1 * f2 - 4 * g * g * config.cos_eta ** 2
-
-
-def delta_sheet_deriv(x, config):
-    """Analytic d(Delta)/dx on the inversion sheet."""
-    x = np.asarray(x, dtype=complex)
-    g = _sheet_gamma(x, config)
-    gp = -g / (2 * (x - 1j * config.omega1c))
-    f1 = x + 1j * config.gamma1 + 2 * g
-    f2 = x - 1j * config.omega12 + 1j * config.gamma2 + 2 * g
-    return (1 + 2 * gp) * (f1 + f2) - 8 * g * gp * config.cos_eta ** 2
-
-
-def _bound_roots(config):
-    """Pure-imaginary roots of Delta above the branch point.
-
-    On x = i*y with y > omega1c the sheet kernel is -i*gbar with
-    gbar = beta^{3/2}/sqrt(y - omega1c), and Delta(iy) = -ell(y) with the
-    real function ell below; its sign changes give the bound states.
-    """
-    span = _grid_span(config)
-    edge = config.omega1c
-    b32 = config.beta ** 1.5
-    c2 = config.cos_eta ** 2
-
-    def ell_s(s):
-        # s = sqrt(y - edge): bound roots cluster near the edge for strong
-        # exchange, where this variable keeps them resolvable
-        gbar = b32 / s
-        y = edge + s * s
-        return (y + config.gamma1 - 2 * gbar) * (
-            y + config.gamma2 - config.omega12 - 2 * gbar
-        ) - 4 * gbar * gbar * c2
-
-    s_hi = np.sqrt(max(span, 8.0 * config.beta ** 3 + 4.0))
-    roots = []
-    for s in _axis_roots(ell_s, 1e-7, s_hi, n=8000):
-        y = edge + s * s
-        x = complex(0.0, y)
-        # polish on the sheet determinant (exact bound roots are its zeros)
-        for _ in range(60):
-            dx = delta_sheet(x, config) / delta_sheet_deriv(x, config)
-            x -= dx
-            if abs(dx) < 1e-14 * (1 + abs(x)):
-                break
-        if abs(x.real) > 1e-10 or x.imag <= edge:
-            x = complex(0.0, y)  # keep the bisected value if polishing strays
-        else:
-            x = complex(0.0, x.imag)
-        roots.append(x)
-    return _dedup(roots)
-
-
-def _complex_roots(config):
-    """Damped Newton on Delta over a seed grid in the left half plane."""
-    span = _grid_span(config)
-    edge = config.omega1c
-    re = np.linspace(-span, -span / 80.0, 40)
-    im_lo = np.linspace(-span, edge - max(1e-6, 1e-8 * span), 40)
-    seeds = [(r + 1j * i) for r in re for i in im_lo]
-    im_hi = np.linspace(edge + max(1e-6, 1e-8 * span), span, 16)
-    seeds += [(r + 1j * i) for r in np.linspace(-span, -span / 32.0, 16) for i in im_hi]
-    # bare exchange levels, nudged into the decaying half plane
-    for y in (-config.gamma1, config.omega12 - config.gamma2):
-        seeds.append(-0.05 * max(1.0, config.beta) + 1j * y)
-    z = np.array(seeds, dtype=complex)
-
-    scale = 1.0 + span
-    last_step = np.full(z.shape, np.inf)
-    for _ in range(100):
-        f = delta_sheet(z, config)
-        df = delta_sheet_deriv(z, config)
-        step = np.where(df != 0, f / np.where(df == 0, 1, df), 0.1 * scale)
-        mag = np.abs(step)
-        cap = 0.5 * (1.0 + np.abs(z))
-        step = np.where(mag > cap, step * cap / np.where(mag == 0, 1, mag), step)
-        z = z - step
-        last_step = np.abs(step)
-        bad = ~np.isfinite(z)
-        if np.any(bad):
-            z[bad] = -0.1 - 0.1j
-    f = np.abs(delta_sheet(z, config))
-    fscale = np.abs(delta_sheet(1.0 + 0j, config)) + scale ** 2
-    ok = np.isfinite(f) & (f < RESIDUAL_TOL * fscale)
-    stagnant = ok & (last_step > 1e-7 * (1.0 + np.abs(z)))
-    if np.any(stagnant):
-        zb = z[stagnant][0]
-        raise ConvergenceError(
-            f"Newton stagnated near x={zb:.6g} with residual {f[stagnant][0]:.3g}"
-        )
-    roots = []
-    for zi in z[ok]:
-        if zi.real > -1e-10:
-            continue  # decaying poles only; axis roots come from bisection
-        if abs(zi.imag - edge) < 1e-7 and zi.real < 0:
-            continue  # on the branch cut, not a pole of the sheet
-        roots.append(complex(zi))
-    return _dedup(roots)
+    return [(tag, complex(0.0, y)) for tag, y in levels]
 
 
 def _table_weight(tag, x, config):
-    """Reciprocal slope of the tagged classification function at x.
+    """Reciprocal slope of G1/H1 = i * prefactor * lower1 * lower2 *
+    (1 + 2 beta') at its root x, by the product rule (principal kernel).
 
-    The step is taken along the imaginary axis: the roots sit there and the
-    principal kernel is continuous along it but not across it.
+    Factors within MERGE_TOL of zero count as zero; the weight is 0 at a
+    double root (slope 0) and at the branch point (slope unbounded).
     """
-    from .transform import spectral_functions
-
-    h = 1e-6j * (1.0 + abs(x))
-    idx = {"G1": 0, "G2": 1, "H1": 2, "H2": 3}[tag]
-    fp = spectral_functions(x + h, config)[idx]
-    fm = spectral_functions(x - h, config)[idx]
-    deriv = (fp - fm) / (2 * h)
-    if deriv == 0:
+    w = x - 1j * config.omega1c
+    if w == 0:
         return 0j
-    return 1.0 / deriv
+    g = kernel.beta_prime(x, config.omega1c, config.beta)
+    ix = 1j * x
+    pre = config.gamma1 if tag == "G1" else config.omega12 + config.gamma2
+    factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 + 2 * g]
+    factors = [f if abs(f) > MERGE_TOL else 0j for f in factors]
+    slopes = [1j, 1j, 1j, -g / w]
+    deriv = 1j * sum(slopes[k] * np.prod(factors[:k] + factors[k + 1:]) for k in range(4))
+    return 0j if deriv == 0 else complex(1.0 / deriv)
+
+
+def _sheet_roots(coeffs):
+    """Roots S of a polynomial that lie on the inversion sheet, bar S = 0,
+    Newton-polished in S, and the polynomial's derivative there."""
+    s = np.roots(coeffs)
+    arg = np.angle(s)
+    s = s[(arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi) & (np.abs(s) > BRANCH_TOL)]
+    close = np.abs(s[:, None] - s[None, :]) + np.eye(s.size) < DOUBLE_ROOT_TOL
+    if close.any():
+        raise DegeneratePole(f"double root of the symmetric determinant at "
+                             f"S={s[close.any(axis=1)][0]:.9g} (exceptional point)")
+    deriv = np.polyder(coeffs)
+    for _ in range(POLISH_STEPS):
+        s = s - np.polyval(coeffs, s) / np.polyval(deriv, s)
+    return s, np.polyval(deriv, s)
+
+
+def _snap(x):
+    return complex(0.0, x.imag) if abs(x.real) <= AXIS_TOL else complex(x)
+
+
+def _u_poles(config):
+    """(kind, x, weight) of the symmetric-sector poles.
+
+    Weights follow from dS/dx = -i/(2S) without touching the kernel near
+    its branch point: Delta = -Q(S)/S^2 has slope i Q'(S)/(2 S^3) at a
+    root, and f +/- 2 beta' cos eta = (i/S) C(S) has slope C'(S)/(2 S^2).
+    """
+    b = config.beta ** 1.5
+    a1 = config.omega1c + config.gamma1
+    a2 = config.omega1c - config.omega12 + config.gamma2
+    c = config.cos_eta
+    if a1 != a2:
+        s, dq = _sheet_roots([1.0, 0.0, a1 + a2, -4.0 * b, a1 * a2, -2.0 * b * (a1 + a2),
+                              4.0 * b * b * (1.0 - c * c)])
+        return [("u", _snap(1j * (si * si + config.omega1c)), complex(-2j * si ** 3 / d))
+                for si, d in zip(s, dq)]
+    out = []
+    for kind, sign in (("u+", 1.0), ("u-", -1.0)):
+        k = 1.0 + sign * c
+        if k == 0.0:  # dark: f - 2 beta' |cos eta| = x + i gamma1 has no kernel
+            out.append((kind, complex(0.0, -config.gamma1), 1.0 + 0j))
+            continue
+        s, dc = _sheet_roots([1.0, 0.0, a1, -2.0 * b * k])
+        out += [(kind, _snap(1j * (si * si + config.omega1c)), complex(2 * si * si / d))
+                for si, d in zip(s, dc)]
+    return out
 
 
 def find_poles(config) -> PoleSet:
     """Locate, merge and classify all table and dynamic roots.
 
-    Raises DegeneratePole when two dynamic poles sit closer than the merge
-    tolerance, and ConvergenceError when Newton stalls on a candidate the
-    residual test accepts.
+    Raises DegeneratePole at a (near-)double root of the symmetric
+    determinant that the sectors do not split.
     """
     edge = config.omega1c
-
-    table = []
-    for tag, y in _table_roots(config):
-        table.append((tag, complex(0.0, y)))
-
-    dynamic = []
-    dynamic.append(("v1", complex(0.0, config.gamma1), 1.0 + 0j))
-    dynamic.append(("v2", complex(0.0, config.gamma2 + config.omega12), 1.0 + 0j))
-    for x in _bound_roots(config) + _complex_roots(config):
-        dynamic.append(("u", x, 1.0 / complex(delta_sheet_deriv(x, config))))
-
-    # v1 and v2 live in disjoint amplitude sectors, so their coincidence is
-    # harmless; any clash involving a symmetric-sector root is a true double
-    # pole of some amplitude.
-    for i in range(len(dynamic)):
-        for j in range(i + 1, len(dynamic)):
-            ki, xi, _ = dynamic[i]
-            kj, xj, _ = dynamic[j]
-            if {ki, kj} == {"v1", "v2"}:
-                continue
-            if abs(xi - xj) < MERGE_TOL:
-                raise DegeneratePole(
-                    f"poles {xi:.9g} ({ki}) and {xj:.9g} ({kj}) coincide within {MERGE_TOL}"
-                )
+    table = _table_roots(config)
+    dynamic = [
+        ("v1", complex(0.0, config.gamma1), 1.0 + 0j),
+        ("v2", complex(0.0, config.gamma2 + config.omega12), 1.0 + 0j),
+    ] + _u_poles(config)
 
     records = []
     used_table = set()
@@ -344,12 +210,9 @@ def find_poles(config) -> PoleSet:
         if tag is not None:
             klass = "localized" if x.imag + edge < 0 else "bandpass"
         else:
-            tag = "G1" if kind in ("v1", "u") else "H1"
-            if abs(x.real) <= AXIS_TOL:
-                klass = "localized"
-            else:
-                klass = "propagating"
-        records.append(PoleRecord(tag, x, klass, complex(weight), True, kind))
+            tag = "H1" if kind == "v2" else "G1"
+            klass = "localized" if x.real == 0.0 else "propagating"
+        records.append(PoleRecord(tag, x, klass, weight, True, kind))
 
     for k, (tag, x) in enumerate(table):
         if k in used_table:
@@ -357,9 +220,7 @@ def find_poles(config) -> PoleSet:
         if any(abs(x - r.x) < MERGE_TOL for r in records):
             continue
         klass = "localized" if x.imag + edge < 0 else "bandpass"
-        records.append(
-            PoleRecord(tag, x, klass, complex(_table_weight(tag, x, config)), False, "table")
-        )
+        records.append(PoleRecord(tag, x, klass, _table_weight(tag, x, config), False, "table"))
 
     records.sort(key=lambda r: (-r.x.imag, r.x.real, r.tag))
     return PoleSet(records=tuple(records), config=config)

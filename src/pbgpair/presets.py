@@ -58,7 +58,9 @@ _PRESETS = {
         _series("fig5a", 1.5, PI / 2, -0.6, -1.0, "bright", 200.0),
         _series("fig5b", 6.0, PI / 2, -0.6, -1.0, "bright", 1200.0),
         _series("fig5c", 10.0, PI / 2, -0.6, -1.0, "bright", 4200.0),
-        # edge-position ladder at fixed exchange strength
+        # edge-position ladder at fixed exchange strength; fig7a and fig7b
+        # differ only in omega2c, which the bright orthogonal start never
+        # populates, so their series are identical (to 8.6e-16)
         _series("fig7a", 5.0, PI / 2, 0.6, 0.2, "bright", 500.0),
         _series("fig7b", 5.0, PI / 2, 0.6, -0.4, "bright", 500.0),
         _series("fig7c", 5.0, PI / 2, -0.6, -1.0, "bright", 500.0),

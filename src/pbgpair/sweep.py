@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import csvio, negativity
 from .config import RunSpec, validate
 from .errors import DomainError
-from .pipeline import run_spec
+from .pipeline import DEFAULT_MODES, run_spec
 
 SWEEP_PARAMS = ("gamma", "eta", "omega1c_omega2c_pair")
 INTEGRAL_WINDOW = 500.0
@@ -25,7 +25,10 @@ def worker_count() -> int:
     cap = os.environ.get("THREADS")
     n = os.cpu_count() or 1
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise DomainError(f"THREADS must be an integer, got {cap!r}") from None
     return n
 
 
@@ -70,9 +73,9 @@ def value_label(parameter: str, value) -> str:
 
 
 def _run_one(args):
-    spec, parameter, value = args
+    spec, parameter, value, n_modes = args
     sub = apply_parameter(spec, parameter, value)
-    series, traj, _ = run_spec(sub)
+    series, traj, _ = run_spec(sub, n_modes=n_modes)
     hl = negativity.half_life(series.times, series.log_negativity)
     ien = negativity.integrated_en(series.times, series.log_negativity,
                                    min(INTEGRAL_WINDOW, sub.t_max))
@@ -80,12 +83,16 @@ def _run_one(args):
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
-def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
-    """Run every value, write per-value CSVs and the summary; returns rows."""
+def run_sweep(spec: RunSpec, parameter: str, values, out_dir,
+              n_modes: int = DEFAULT_MODES) -> list:
+    """Run every value, write per-value CSVs and the summary; returns rows.
+
+    ``n_modes`` sizes the oracle bath of engine=oracle|both runs.
+    """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [(spec, parameter, value) for value in values]
+    jobs = [(spec, parameter, value, n_modes) for value in values]
     if not jobs:
         csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
                            csvio.sweep_summary_csv([]))

@@ -83,6 +83,21 @@ def solve_system(x, config, init, gamma):
     return sol
 
 
+def u_sector(x, config, init, gamma):
+    """Symmetric combinations (u1, u2) = (A1 + A3, A2 + A4) at [x, x'],
+    the only part of the solution that depends on the kernel value gamma.
+    Vectorized over x / gamma."""
+    x = np.asarray(x, dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
+    c = config.cos_eta
+    a10, a20, a30, a40 = init.as_tuple()
+    u10, u20 = a10 + a30, a20 + a40
+    f1 = x + 1j * config.gamma1 + 2 * g
+    f2 = x - 1j * config.omega12 + 1j * config.gamma2 + 2 * g
+    delta = f1 * f2 - 4 * g * g * c * c
+    return (f2 * u10 - 2 * g * c * u20) / delta, (f1 * u20 - 2 * g * c * u10) / delta
+
+
 def uv_solution(x, config, init, gamma):
     """Closed-form solution via the exchange-symmetric decomposition.
 
@@ -90,20 +105,11 @@ def uv_solution(x, config, init, gamma):
     Vectorized over x / gamma.
     """
     x = np.asarray(x, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
     xp = x - 1j * config.omega12
-    c = config.cos_eta
     a10, a20, a30, a40 = init.as_tuple()
-    u10, v10 = a10 + a30, a10 - a30
-    u20, v20 = a20 + a40, a20 - a40
-
-    f1 = x + 1j * config.gamma1 + 2 * g
-    f2 = xp + 1j * config.gamma2 + 2 * g
-    delta = f1 * f2 - 4 * g * g * c * c
-    u1 = (f2 * u10 - 2 * g * c * u20) / delta
-    u2 = (f1 * u20 - 2 * g * c * u10) / delta
-    v1 = v10 / (x - 1j * config.gamma1)
-    v2 = v20 / (xp - 1j * config.gamma2)
+    u1, u2 = u_sector(x, config, init, gamma)
+    v1 = (a10 - a30) / (x - 1j * config.gamma1)
+    v2 = (a20 - a40) / (xp - 1j * config.gamma2)
     return 0.5 * np.stack(
         [u1 + v1, u2 + v2, u1 - v1, u2 - v2], axis=-1
     )

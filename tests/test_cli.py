@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pbgpair.cli import main
-from pbgpair.sweep import parse_values, apply_parameter
+from pbgpair.sweep import apply_parameter, parse_values, worker_count
 from pbgpair.config import parse_run_file
 from pbgpair.errors import DomainError
 
@@ -202,3 +202,44 @@ def test_fig5a_regression_plateau(tmp_path):
     k100 = int(np.searchsorted(t_vals, 100.0))
     assert en[0] == 1.0
     assert 0.05 < en[k100] < 0.09
+
+
+def test_sweep_passes_modes_to_the_oracle(tmp_path, monkeypatch):
+    monkeypatch.setenv("THREADS", "1")
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    single = tmp_path / "run.csv"
+    assert main(["run", cfgfile, "-o", str(single), "--engine", "oracle",
+                 "--tmax", "5", "--modes", "200"]) == 0
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfgfile, "--param", "gamma", "--values", "3",
+                 "-o", str(outdir), "--engine", "oracle", "--tmax", "5",
+                 "--modes", "200"]) == 0
+    assert (outdir / "gamma_3.csv").read_bytes() == single.read_bytes()
+
+
+def test_bad_threads_value_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("THREADS", "abc")
+    with pytest.raises(DomainError, match="THREADS"):
+        worker_count()
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    assert main(["sweep", cfgfile, "--param", "gamma", "--values", "3",
+                 "-o", str(tmp_path / "sweep"), "--tmax", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "THREADS" in err[0]
+
+
+@pytest.mark.parametrize("key,value", [("gamma1", "nan"), ("t_max", "inf")])
+def test_non_finite_run_file_value_exit_code(tmp_path, capsys, key, value):
+    text = "\n".join(f"{key} = {value}" if ln.startswith(key + " ") else ln
+                     for ln in SHORT_FILE.splitlines())
+    cfgfile = _write(tmp_path, "nf.cfg", text)
+    assert main(["run", cfgfile, "-o", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "finite" in err[0]
+
+
+@pytest.mark.parametrize("flag,value", [("--tmax", "inf"), ("--dt", "nan")])
+def test_non_finite_grid_override_exit_code(tmp_path, capsys, flag, value):
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    assert main(["run", cfgfile, "-o", str(tmp_path / "x.csv"), flag, value]) == 2
+    assert "finite" in capsys.readouterr().err

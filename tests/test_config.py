@@ -48,6 +48,15 @@ def test_domain_errors():
         validate(SystemConfig(6, 6, 0.4, 0.6, 0.2, math.pi, beta=0.0))
 
 
+def test_non_finite_values_rejected():
+    with pytest.raises(DomainError, match="gamma1"):
+        validate(SystemConfig(math.nan, 6, 0.4, 0.6, 0.2, math.pi))
+    with pytest.raises(DomainError, match="omega1c"):
+        validate(SystemConfig(6, 6, 0.4, math.inf, 0.2, math.pi))
+    with pytest.raises(NormalizationError):
+        validate(PAPER_CFG, InitialState(math.nan, 0, 0, 0))
+
+
 def test_normalization_error():
     with pytest.raises(NormalizationError):
         validate(PAPER_CFG, InitialState(1, 0, 0.1, 0))
@@ -156,3 +165,11 @@ def test_parse_custom_requires_all_amplitudes(tmp_path):
 def test_parse_amplitudes_only_with_custom(tmp_path):
     with pytest.raises(ParseError, match="custom"):
         parse_run_file(_write(tmp_path, GOOD + "a1_re = 1\n"))
+
+
+@pytest.mark.parametrize("key,value", [("gamma1", "nan"), ("t_max", "inf"),
+                                       ("dt_out", "-inf")])
+def test_parse_non_finite_value(tmp_path, key, value):
+    text = GOOD.replace(f"{key} = ", f"{key} = {value} # was ")
+    with pytest.raises(ParseError, match="finite"):
+        parse_run_file(_write(tmp_path, text))

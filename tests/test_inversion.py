@@ -7,6 +7,7 @@ from pbgpair import bath, inversion
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DomainError
 from pbgpair.poles import find_poles
+from reference_routes import branch_cut_integral
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -16,9 +17,9 @@ FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
 def extrapolated_inversion_at_zero(config, init, poles):
     t1, t2 = 2e-5, 1e-5
     s1 = inversion.residue_sum(t1, poles, config, init) \
-        + inversion.branch_cut_integral(t1, config, init)
+        + branch_cut_integral(t1, config, init)
     s2 = inversion.residue_sum(t2, poles, config, init) \
-        + inversion.branch_cut_integral(t2, config, init)
+        + branch_cut_integral(t2, config, init)
     return 2 * s2 - s1
 
 
@@ -28,7 +29,7 @@ def test_completeness_small_time_scaling():
     target = np.array(init.as_tuple())
     for t in (1e-4, 1e-6):
         total = inversion.residue_sum(t, poles, FIG2B, init) \
-            + inversion.branch_cut_integral(t, FIG2B, init)
+            + branch_cut_integral(t, FIG2B, init)
         # departure from the initial data is the physical gamma*t drift
         assert np.max(np.abs(total - target)) < 2.0 * FIG2B.gamma1 * t
 
@@ -57,7 +58,7 @@ def test_completeness_exact_time_zero():
     init = preset_initial("bright")
     poles = find_poles(config)
     total = inversion.residue_sum(0.0, poles, config, init) \
-        + inversion.branch_cut_integral(0.0, config, init)
+        + branch_cut_integral(0.0, config, init)
     assert np.max(np.abs(total - np.array(init.as_tuple()))) < 1e-9
 
 
@@ -120,7 +121,7 @@ def test_cut_integrator_matches_reference_quadrature():
     cut = inversion.CutIntegrator(config, init, t_min=0.5)
     for t in (0.5, 3.0, 12.0):
         fast = cut.evaluate(np.array([t]))[0]
-        ref = inversion.branch_cut_integral(t, config, init)
+        ref = branch_cut_integral(t, config, init)
         assert np.max(np.abs(fast - ref)) < 1e-9
 
 
@@ -160,3 +161,14 @@ def test_localized_pole_signal_has_constant_envelope():
     single = np.abs(np.exp(times * dyn[0].x) *
                     (inversion.residue_numerators(dyn[0], FIG2B, init) * dyn[0].weight)[0])
     assert single.max() - single.min() < 1e-12
+
+
+def test_exchange_pole_on_the_branch_point():
+    # gamma1 = omega1c puts x = i*gamma1 on the branch point; the exchange
+    # pole does not jump across the cut, so the cut integrand stays finite
+    config = SystemConfig(gamma1=1.0, gamma2=1.0, omega12=0.4, omega1c=1.0,
+                          omega2c=0.6, eta=1.0)
+    init = InitialState(1, 0, 0, 0)
+    traj = inversion.amplitudes_analytic(np.array([1e-5, 2e-5]), config, init)
+    limit = 2 * traj.amps[0] - traj.amps[1]
+    assert np.max(np.abs(limit - np.array(init.as_tuple()))) < 1e-6

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pbgpair import inversion
+from hypothesis import given, settings, strategies as st
+
+from pbgpair import bath, inversion
+from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DegeneratePole
-from pbgpair.poles import find_poles
+from pbgpair.poles import MERGE_TOL, find_poles
+from reference_routes import residue_by_limit, residue_weight_fd
 
 PI = math.pi
 
@@ -14,6 +18,30 @@ PI = math.pi
 def cfg(gamma, eta, w1c, w2c):
     return SystemConfig(gamma1=gamma, gamma2=gamma, omega12=w1c - w2c,
                         omega1c=w1c, omega2c=w2c, eta=eta)
+
+
+def completeness(config, init):
+    """|A(0+) - A(0)|, the t -> 0+ limit Richardson-extrapolated from the
+    analytic engine at t = 1e-5 and 2e-5."""
+    traj = inversion.amplitudes_analytic(np.array([1e-5, 2e-5]), config, init)
+    limit = 2 * traj.amps[0] - traj.amps[1]
+    return float(np.max(np.abs(limit - np.array(init.as_tuple()))))
+
+
+def engine_deviation(config, init, n_modes=800, t_max=10.0):
+    """Largest amplitude difference between the discretised-bath oracle and
+    the analytic engine over [0, t_max] (horizon 50 at 800 modes)."""
+    b = bath.build_bath(config, n_modes=n_modes)
+    oracle = bath.integrate(config, init, b, t_max=t_max, dt_out=0.5)
+    analytic = inversion.amplitudes_analytic(oracle.times, config, init)
+    return float(np.max(np.abs(oracle.amps - analytic.amps)))
+
+
+# identical transitions, both levels above the edge: cos^2 eta = 1 makes a
+# symmetric combination dark (a root of Delta at x = -3i, below the branch
+# point); cos eta = 0 makes Delta the square of one sector factor
+DARK = {eta: cfg(3, eta, 0.5, 0.5) for eta in (0.0, PI)}
+ORTHOGONAL = cfg(3, PI / 2, 0.5, 0.5)
 
 
 QUOTED = [
@@ -62,7 +90,7 @@ def test_residue_weight_dual_route():
     config = cfg(6, PI, 0.6, 0.2)
     ps = find_poles(config)
     for r in ps.dynamic():
-        fd = inversion.residue_weight_fd(r, config)
+        fd = residue_weight_fd(r, config)
         assert abs(fd - r.weight) <= 1e-8 * max(1.0, abs(r.weight))
 
 
@@ -75,7 +103,7 @@ def test_residues_match_limit_route():
         ps = find_poles(config)
         for r in ps.dynamic():
             direct = inversion.residue_numerators(r, config, init) * r.weight
-            limit = inversion.residue_by_limit(r, config, init)
+            limit = residue_by_limit(r, config, init)
             assert np.max(np.abs(direct - limit)) < 1e-8
 
 
@@ -86,17 +114,21 @@ def test_table_rows_have_zero_dynamic_residue():
     for r in ps.records:
         if r.dynamic:
             continue
-        limit = inversion.residue_by_limit(r, config, init)
+        limit = residue_by_limit(r, config, init)
         assert np.max(np.abs(limit)) < 1e-7
 
 
-def test_degenerate_pole_detected():
-    # engineered so the symmetric-sector bound root lands exactly on the
-    # exchange pole at x = 2i: (4 - 2g)^2 = 4g^2 at g = 1, i.e. w1c = 1
+def test_coincident_poles_of_separate_sectors_invert():
+    # the symmetric-sector bound root lands exactly on the exchange poles at
+    # x = 2i: (4 - 2g)^2 = 4g^2 at g = 1, i.e. w1c = 1.  A1 = (u1 + v1)/2 is
+    # then a sum of two simple poles, not a double pole
     config = SystemConfig(gamma1=2, gamma2=2, omega12=0.0, omega1c=1.0,
                           omega2c=1.0, eta=PI)
-    with pytest.raises(DegeneratePole):
-        find_poles(config)
+    at_2i = sorted(r.kind for r in find_poles(config).dynamic() if abs(r.x - 2j) < 1e-12)
+    assert at_2i == ["u-", "v1", "v2"]
+    init = preset_initial("unentangled")
+    assert completeness(config, init) <= 1e-6
+    assert engine_deviation(config, init) <= 5e-3
 
 
 def test_exchange_poles_always_present():
@@ -106,3 +138,92 @@ def test_exchange_poles_always_present():
     assert kinds["v1"].x == pytest.approx(3j, abs=1e-12)
     assert kinds["v2"].x == pytest.approx(1j * (3 + 0.4), abs=1e-12)
     assert kinds["v1"].weight == 1.0
+
+
+@pytest.mark.parametrize("eta", [0.0, PI])
+def test_dark_pair_is_complete_and_matches_oracle(eta):
+    config = DARK[eta]
+    dark = [r for r in find_poles(config).dynamic() if abs(r.x + 3j) < 1e-12]
+    # u1 - u2 is dark for parallel dipoles, u1 + u2 for anti-parallel ones
+    assert [(r.kind, r.klass) for r in dark] == [("u-" if eta == 0.0 else "u+", "localized")]
+    init = preset_initial("unentangled")  # populates the dark combination
+    assert completeness(config, init) <= 1e-6
+    assert engine_deviation(config, init) <= 5e-3
+
+
+@pytest.mark.parametrize("eta", [1e-5, PI - 1e-5])
+def test_nearly_parallel_pair_drops_the_branch_point_root(eta):
+    # sin^2 eta = 1e-10 moves the spurious root S = 0 to |S| ~ 1e-10, where
+    # x = i (S^2 + omega1c) rounds onto the branch point itself
+    config = cfg(3, eta, 0.5, 0.5)
+    assert completeness(config, preset_initial("unentangled")) <= 1e-6
+
+
+def test_identical_orthogonal_pair_splits_sectors():
+    # Delta = f^2: every root is double, yet a simple pole of u1 + u2 and
+    # of u1 - u2 each
+    sym = [r for r in find_poles(ORTHOGONAL).dynamic() if r.kind.startswith("u")]
+    assert sorted(r.kind for r in sym) == ["u+", "u+", "u-", "u-"]
+    assert sym[0].x == sym[1].x
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    init = InitialState(*(v / np.linalg.norm(v)))
+    assert completeness(ORTHOGONAL, init) <= 1e-6
+    assert engine_deviation(ORTHOGONAL, preset_initial("bright")) <= 5e-3
+
+
+@pytest.mark.parametrize("config", [DARK[0.0], DARK[PI], ORTHOGONAL,
+                                    cfg(2, PI, 1.0, 1.0), cfg(6, PI / 2, -0.6, -1.0)])
+def test_weights_and_residues_match_reference_routes(config):
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    dyn = find_poles(config).dynamic()
+    for r in dyn:
+        fd = residue_weight_fd(r, config)
+        assert abs(fd - r.weight) <= 1e-8 * max(1.0, abs(r.weight))
+        # the limit route sees every pole sitting at r.x at once
+        direct = sum(inversion.residue_numerators(q, config, init) * q.weight
+                     for q in dyn if abs(q.x - r.x) < MERGE_TOL)
+        limit = residue_by_limit(r, config, init)
+        assert np.max(np.abs(direct - limit)) < 1e-8
+
+
+def test_near_double_root_raises_degenerate_pole(tmp_path):
+    # nearly identical transitions (gamma2 - gamma1 = 1e-13) with orthogonal
+    # dipoles: Delta has root pairs 1e-13 apart, which cannot be told from
+    # the double roots of the identical pair and are not split by sector
+    config = SystemConfig(gamma1=3.0, gamma2=3.0000000000001, omega12=0.0,
+                          omega1c=0.5, omega2c=0.5, eta=PI / 2)
+    with pytest.raises(DegeneratePole):
+        find_poles(config)
+    run_file = tmp_path / "near.cfg"
+    run_file.write_text("gamma1 = 3\ngamma2 = 3.0000000000001\nomega12 = 0\n"
+                        "omega1c = 0.5\nomega2c = 0.5\neta_degrees = 90\n"
+                        "initial = bright\nt_max = 5\ndt_out = 0.5\n")
+    assert main(["poles", str(run_file), "-o", str(tmp_path / "p.csv")]) == 4
+
+
+@st.composite
+def configs_and_states(draw):
+    """Valid configurations with draws forced onto cos^2 eta in {0, 1},
+    omega12 = 0 and gamma1 = gamma2, plus a random normalised state."""
+    gamma1 = draw(st.floats(0.1, 10.0))
+    w1c = draw(st.floats(-2.0, 1.5))
+    if draw(st.booleans()):
+        gamma2, w12 = gamma1, 0.0
+    else:
+        gamma2, w12 = draw(st.floats(0.1, 10.0)), draw(st.floats(-1.0, 1.0))
+    eta = draw(st.one_of(st.sampled_from([0.0, PI / 2, PI]), st.floats(0.0, PI)))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    v = parts[:4] + 1j * parts[4:]
+    if np.linalg.norm(v) < 0.1:
+        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    config = SystemConfig(gamma1=gamma1, gamma2=gamma2, omega12=w12, omega1c=w1c,
+                          omega2c=w1c - w12, eta=eta)
+    return config, InitialState(*(v / np.linalg.norm(v)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(configs_and_states())
+def test_completeness_property(case):
+    config, init = case
+    assert completeness(config, init) <= 1e-6
