@@ -17,12 +17,9 @@ family cannot produce Gamma12^2 < Gamma11 * Gamma22.
 The amplitude equations are integrated in the co-rotating mode variables
 C_n = B^a_n e^{-i(omega_n - omega13) t}, D_n = B^b_n e^{-i(omega_n -
 omega23) t}, an exact substitution that leaves a linear autonomous
-Hermitian system.  The default propagation diagonalizes that generator
-once and applies the exact unitary evolution (machine-level norm
-conservation); a fixed-step fourth-order exponential integrator with a
-graded startup mesh is kept as an independent cross-check of the
-propagation and is limited by stage-sampling aliasing of the stiff tail
-cells at the ~1e-6 norm level.
+Hermitian system.  Propagation diagonalizes that generator once per
+coupled block and applies the exact unitary evolution, so the norm is
+conserved to machine precision.
 """
 
 from __future__ import annotations
@@ -41,13 +38,14 @@ from .errors import (
 )
 
 RESOLVENT_TOL = 1e-3
-NORM_DRIFT_TOL = 1e-8   # per unit beta*t, default (exact-unitary) path
-RK4_NORM_TOL = 1e-6     # stepper path: stiff-tail aliasing floor
+NORM_DRIFT_TOL = 1e-8   # per unit beta*t
 # The tail cutoff sets a kernel deficit ~ (2/pi)/TAIL_U_FACTOR that shifts
 # bound-state frequencies; 2^16 keeps the t=50 phase error well under the
 # engine-agreement budget at a cost of ~240 extra modes.
 TAIL_U_FACTOR = 65536.0
 TAIL_RATIO = 1.045
+DENSE_WINDOW = 50.0     # default densely sampled window above the edge, in beta
+SIN_ETA_FLOOR = 1e-12  # sin(pi) in floats is ~1.2e-16; treat as exactly dark
 
 
 @dataclass
@@ -81,6 +79,20 @@ class DiscreteBath:
         return np.sum(self.g ** 2 / den, axis=-1)
 
 
+def _tail_count(u_max, beta) -> int:
+    """Number of geometric tail cells from u_max up to TAIL_U_FACTOR sqrt(beta)."""
+    return int(np.ceil(np.log(TAIL_U_FACTOR * np.sqrt(beta) / u_max) / np.log(TAIL_RATIO)))
+
+
+def block_dim(config, n_modes: int) -> int:
+    """Dimension of the largest block ``integrate`` diagonalizes for the
+    default ``build_bath(config, n_modes)``, worked out without building it."""
+    n = n_modes + _tail_count(np.sqrt(DENSE_WINDOW * config.beta), config.beta)
+    if config.cos_eta == 0.0:
+        return 2 + n
+    return 4 + n * (2 if abs(config.sin_eta) > SIN_ETA_FLOOR else 1)
+
+
 def build_bath(config, n_modes: int = 4000, omega_max: float | None = None,
                tail: bool = True) -> DiscreteBath:
     """Discretize the band-edge continuum for the given configuration.
@@ -93,7 +105,7 @@ def build_bath(config, n_modes: int = 4000, omega_max: float | None = None,
     if n_modes < 100:
         raise DomainError(f"n_modes must be at least 100, got {n_modes}")
     beta = config.beta
-    nu_max = 50.0 * beta if omega_max is None else float(omega_max)
+    nu_max = DENSE_WINDOW * beta if omega_max is None else float(omega_max)
     if nu_max <= 20.0 * beta:
         raise DomainError("omega_max must exceed the band edge by more than 20 beta")
     weight = 2.0 * beta ** 1.5 / np.pi  # exact integral of J over a unit u-cell
@@ -105,8 +117,7 @@ def build_bath(config, n_modes: int = 4000, omega_max: float | None = None,
     g2 = np.full(n_modes, weight * du)
 
     if tail:
-        u_top = TAIL_U_FACTOR * np.sqrt(beta)
-        n_tail = int(np.ceil(np.log(u_top / u_max) / np.log(TAIL_RATIO)))
+        n_tail = _tail_count(u_max, beta)
         edges = u_max * TAIL_RATIO ** np.arange(n_tail + 1)
         e0, e1 = edges[:-1], edges[1:]
         # frequency at the J-weighted cell centroid keeps the first moment exact
@@ -127,52 +138,29 @@ def build_bath(config, n_modes: int = 4000, omega_max: float | None = None,
     return bath
 
 
-def _phi1(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    out[small] = 1 + zs / 2 + zs ** 2 / 6 + zs ** 3 / 24 + zs ** 4 / 120 + zs ** 5 / 720
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1) / zb
-    return out
-
-
-def _phi2(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    out[small] = 0.5 + zs / 6 + zs ** 2 / 24 + zs ** 3 / 120 + zs ** 4 / 720 + zs ** 5 / 5040
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1 - zb) / zb ** 2
-    return out
-
-
-def _etd_coeffs(z):
-    """Fourth-order exponential-integrator weights f1, f2, f3."""
-    f1 = np.empty_like(z)
-    f2 = np.empty_like(z)
-    f3 = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    f1[small] = 1 / 6 + zs / 6 + 3 * zs ** 2 / 40 + zs ** 3 / 45 + 5 * zs ** 4 / 1008
-    f2[small] = 1 / 6 + zs / 12 + zs ** 2 / 40 + zs ** 3 / 180 + zs ** 4 / 1008
-    f3[small] = 1 / 6 - zs ** 2 / 120 - zs ** 3 / 360 - zs ** 4 / 1680
-    zb = z[~small]
-    ez = np.exp(zb)
-    zb3 = zb ** 3
-    f1[~small] = (-4 - zb + ez * (4 - 3 * zb + zb ** 2)) / zb3
-    f2[~small] = (2 + zb + ez * (-2 + zb)) / zb3
-    f3[~small] = (-4 - 3 * zb - zb ** 2 + ez * (4 - zb)) / zb3
-    return f1, f2, f3
-
-
-def _integrate_eig(config, init, bath, t_max, dt_out, store_modes, horizon):
-    """Exact unitary propagation of the co-rotating autonomous system.
+def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.5,
+              store_modes: bool = False) -> AmplitudeTrajectory:
+    """Exact unitary propagation of the amplitude equations against the bath.
 
     Basis: [A1, A2 e^{i w12 t}, A3, A4 e^{i w12 t}, C_1..C_N, D_1..D_N]
-    with C/D the mode amplitudes referenced to the first transition.  In
-    this frame the generator is a constant real-symmetric matrix.
+    with C/D the co-rotating mode amplitudes referenced to the first
+    transition.  In this frame the generator is a constant real-symmetric
+    matrix, diagonalized once per coupled block; the norm is conserved to
+    machine precision.  With orthogonal dipoles the two transitions see
+    disjoint mode families and split into two blocks, a block whose
+    initial amplitudes vanish is skipped, and the second family exists
+    only when sin(eta) != 0.
+
+    Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
+    ``t_max`` exceeds the bath rephasing time and StepSizeError on norm
+    drift.
     """
+    horizon = bath.recurrence_time()
+    if t_max > horizon:
+        raise RecurrenceHorizonExceeded(
+            f"t_max={t_max:g} exceeds the bath recurrence time {horizon:g}; "
+            "increase n_modes or shorten the run"
+        )
     has_b = abs(config.sin_eta) > SIN_ETA_FLOOR
     n_m = bath.n_modes
     n_out = int(np.floor(t_max / dt_out + 1e-9))
@@ -180,26 +168,24 @@ def _integrate_eig(config, init, bath, t_max, dt_out, store_modes, horizon):
     delta = bath.nu - config.omega1c
     a0 = np.asarray(init.as_tuple(), dtype=complex)
 
-    def solve_block(atom_idx, gamma_ex, mode_groups):
-        """Propagate one coupled block; returns (atom amps, mode probs)."""
+    def solve_block(atom_idx, h_atom, mode_groups):
+        """Propagate one coupled block: the atomic generator ``h_atom`` and,
+        per mode family, the coupling factor of each atomic row.  Returns
+        (atom amplitudes, mode probabilities summed over families)."""
         na = len(atom_idx)
-        n = na + n_m * len(mode_groups)
-        h = np.zeros((n, n))
-        h[0, 1] = h[1, 0] = gamma_ex
-        if atom_idx[0] == 1:  # shifted-frame pair carries the -omega12 diagonal
-            h[0, 0] = h[1, 1] = -config.omega12
+        y0 = np.zeros(na + n_m * len(mode_groups), dtype=complex)
+        y0[:na] = a0[list(atom_idx)]
+        if not np.any(y0):
+            return np.zeros((times.size, na), dtype=complex), 0.0
+        h = np.zeros((y0.size, y0.size))
+        h[:na, :na] = h_atom
         for k, coupling in enumerate(mode_groups):
             sl = slice(na + k * n_m, na + (k + 1) * n_m)
             ii = np.arange(na + k * n_m, na + (k + 1) * n_m)
             h[ii, ii] = delta
-            for row, gfac in zip((0, 1), coupling):
-                h[row, sl] = bath.g * gfac
-                h[sl, row] = bath.g * gfac
+            h[:na, sl] = np.outer(coupling, bath.g)
+            h[sl, :na] = h[:na, sl].T
         w, v = np.linalg.eigh(h)
-        y0 = np.zeros(n, dtype=complex)
-        y0[:na] = a0[list(atom_idx)]
-        if not np.any(y0):
-            return np.zeros((times.size, na), dtype=complex), 0.0
         coef = v.T @ y0
         phases = np.exp(-1j * np.outer(times, w)) * coef
         atom = phases @ v[:na].T
@@ -215,274 +201,30 @@ def _integrate_eig(config, init, bath, t_max, dt_out, store_modes, horizon):
             raise StepSizeError(f"unitary propagation norm defect {drift:.3g}")
         return atom, probs
 
-    amps = np.zeros((times.size, 4), dtype=complex)
-    if config.cos_eta == 0.0:
-        # orthogonal dipoles: the two transitions see disjoint mode families
-        amps[:, [0, 2]], p1 = solve_block((0, 2), config.gamma1, [(1.0, 1.0)])
-        groups2 = [(config.sin_eta, config.sin_eta)] if has_b else []
-        amps[:, [1, 3]], p2 = solve_block((1, 3), config.gamma2, groups2)
+    g1, g2, w12 = config.gamma1, config.gamma2, config.omega12
+    c, s = config.cos_eta, config.sin_eta
+    if c == 0.0:
+        amps = np.zeros((times.size, 4), dtype=complex)
+        amps[:, [0, 2]], p1 = solve_block((0, 2), [[0.0, g1], [g1, 0.0]], [(1.0, 1.0)])
+        amps[:, [1, 3]], p2 = solve_block((1, 3), [[-w12, g2], [g2, -w12]],
+                                          [(s, s)] if has_b else [])
         probs = p1 + p2
     else:
-        # basis rows are (A1, A2-frame, A3, A4-frame)
-        groups = [(1.0, config.cos_eta, 1.0, config.cos_eta)]
-        if has_b:
-            groups.append((0.0, config.sin_eta, 0.0, config.sin_eta))
-        na = 4
-        n = na + n_m * len(groups)
-        h = np.zeros((n, n))
-        h[0, 2] = h[2, 0] = config.gamma1
-        h[1, 3] = h[3, 1] = config.gamma2
-        h[1, 1] = h[3, 3] = -config.omega12
-        for k, coupling in enumerate(groups):
-            sl = slice(na + k * n_m, na + (k + 1) * n_m)
-            ii = np.arange(na + k * n_m, na + (k + 1) * n_m)
-            h[ii, ii] = delta
-            for row in range(4):
-                if coupling[row]:
-                    h[row, sl] = bath.g * coupling[row]
-                    h[sl, row] = bath.g * coupling[row]
-        w, v = np.linalg.eigh(h)
-        y0 = np.zeros(n, dtype=complex)
-        y0[:4] = a0
-        coef = v.T @ y0
-        phases = np.exp(-1j * np.outer(times, w)) * coef
-        amps = phases @ v[:4].T
-        mode_amps = phases @ v[4:].T
-        probs = np.abs(mode_amps[:, :n_m]) ** 2
-        for k in range(1, len(groups)):
-            probs = probs + np.abs(mode_amps[:, k * n_m:(k + 1) * n_m]) ** 2
-        norms = np.sum(np.abs(phases) ** 2, axis=1)
-        drift = float(np.max(np.abs(norms - 1.0)))
-        if drift > NORM_DRIFT_TOL * max(1.0, t_max):
-            raise StepSizeError(f"unitary propagation norm defect {drift:.3g}")
+        # rows (A1, A2-frame, A3, A4-frame)
+        h_atom = [[0.0, 0.0, g1, 0.0], [0.0, -w12, 0.0, g2],
+                  [g1, 0.0, 0.0, 0.0], [0.0, g2, 0.0, -w12]]
+        groups = [(1.0, c, 1.0, c)] + ([(0.0, s, 0.0, s)] if has_b else [])
+        amps, probs = solve_block((0, 1, 2, 3), h_atom, groups)
 
-    shift = np.exp(-1j * config.omega12 * times)
+    shift = np.exp(-1j * w12 * times)
     amps[:, 1] *= shift
     amps[:, 3] *= shift
-    meta = {"engine": "oracle", "method": "eig", "horizon": horizon}
+    meta = {"engine": "oracle", "horizon": horizon}
     if store_modes:
         meta["mode_probs"] = probs
         meta["bath"] = bath
     field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
     return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
-
-
-def _startup_schedule(dt, max_span):
-    """Graded sub-steps for the switch-on transient.
-
-    Returns (steps, span) with sum(steps) == span * dt for an integer span
-    bounded by ``max_span`` regular steps.
-    """
-    blocks = [(512, 64), (256, 64), (64, 40), (16, 32), (8, 24), (4, 40), (2, 32)]
-    checkpoints = [3, 4, 5, 6, 7]  # block counts whose spans are 1, 3, 6, 16, 32 dt
-    spans = [1, 3, 6, 16, 32]
-    n_blocks, span = 0, 0
-    for nb, sp in zip(checkpoints, spans):
-        if sp <= max_span:
-            n_blocks, span = nb, sp
-    if n_blocks == 0:
-        return [dt], 1
-    steps = []
-    for div, count in blocks[:n_blocks]:
-        steps += [dt / div] * count
-    return steps, span
-
-
-SIN_ETA_FLOOR = 1e-12  # sin(pi) in floats is ~1.2e-16; treat as exactly dark
-
-
-class _Rhs:
-    """Nonlinear (coupling) part of the amplitude equations."""
-
-    def __init__(self, config, bath):
-        self.cfg = config
-        self.g = bath.g
-        self.ceta = config.cos_eta
-        self.seta = config.sin_eta
-        self.has_b = abs(self.seta) > SIN_ETA_FLOOR
-
-    def __call__(self, t, a, c, d):
-        cfg = self.cfg
-        sa = self.g @ c
-        sb = self.g @ d if self.has_b else 0.0
-        ph = np.exp(1j * cfg.omega12 * t)
-        drive2 = self.ceta * sa / ph + self.seta * sb
-        na = -1j * np.array([
-            cfg.gamma1 * a[2] + sa,
-            cfg.gamma2 * a[3] + drive2,
-            cfg.gamma1 * a[0] + sa,
-            cfg.gamma2 * a[1] + drive2,
-        ])
-        u_a = a[0] + a[2]
-        u_b = a[1] + a[3]
-        nc = (-1j) * self.g * (u_a + self.ceta * ph * u_b)
-        nd = (-1j) * self.g * (self.seta * u_b) if self.has_b else None
-        return na, nc, nd
-
-
-def integrate(config, init, bath: DiscreteBath, t_max: float, dt: float | None = None,
-              dt_out: float = 0.5, store_modes: bool = False,
-              method: str = "eig") -> AmplitudeTrajectory:
-    """Integrate the coupled amplitude equations against the discrete bath.
-
-    In the co-rotating mode variables the system is linear, autonomous and
-    Hermitian, so the default propagation diagonalizes it once and applies
-    the exact unitary evolution at each output time; the norm is then
-    conserved to machine precision.  ``method='rk4'`` instead runs the
-    fixed-step fourth-order scheme (exponential in the mode detunings)
-    with step ``dt``; its norm error is dominated by stage-sampling
-    aliasing of the stiff tail cells at the 1e-6 level, which is why it is
-    kept as a cross-check rather than the default.
-
-    Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
-    ``t_max`` exceeds the bath rephasing time and StepSizeError on norm
-    drift.
-    """
-    horizon = bath.recurrence_time()
-    if t_max > horizon:
-        raise RecurrenceHorizonExceeded(
-            f"t_max={t_max:g} exceeds the bath recurrence time {horizon:g}; "
-            "increase n_modes or shorten the run"
-        )
-    if method == "eig":
-        return _integrate_eig(config, init, bath, t_max, dt_out, store_modes, horizon)
-    if method != "rk4":
-        raise DomainError(f"method must be 'eig' or 'rk4', got {method!r}")
-    if dt is None:
-        scale = max(config.gamma1, config.gamma2, abs(config.omega1c),
-                    abs(config.omega2c), abs(config.omega12), config.beta)
-        dt = 0.004 / scale
-    n_sub = max(1, int(np.ceil(dt_out / dt)))
-    dt = dt_out / n_sub
-    n_out = int(np.floor(t_max / dt_out + 1e-9))
-
-    rhs = _Rhs(config, bath)
-    delta_a = bath.nu - config.omega1c
-    delta_b = bath.nu - config.omega2c if rhs.has_b else None
-
-    coeff_cache = {}
-
-    def coeffs(h):
-        """Exponential-integrator coefficient bundle for step size h.
-
-        Krogstad stage corrections (the phi2 terms in the third and fourth
-        stages) are required here: the plain Cox-Matthews stages lose two
-        orders on the stiff tail modes and the norm contract fails.
-        """
-        try:
-            return coeff_cache[h]
-        except KeyError:
-            pass
-        out = []
-        for delta in (delta_a, delta_b):
-            if delta is None:
-                out.append(None)
-                continue
-            z = -1j * delta * h
-            f1, f2, f3 = (h * f for f in _etd_coeffs(z))
-            out.append((
-                np.exp(z), np.exp(0.5 * z),
-                0.5 * h * _phi1(0.5 * z), h * _phi2(0.5 * z),
-                h * _phi1(z), h * _phi2(z),
-                f1, f2, f3,
-            ))
-        coeff_cache[h] = tuple(out)
-        return coeff_cache[h]
-
-    def stage2(co, y, n1):
-        if co is None:
-            return _ZERO
-        _, e2, p2, _, _, _, _, _, _ = co
-        return e2 * y + p2 * n1
-
-    def stage3(co, y, n1, n2):
-        if co is None:
-            return _ZERO
-        _, e2, p2, q2, _, _, _, _, _ = co
-        return e2 * y + p2 * n1 + q2 * (n2 - n1)
-
-    def stage4(co, y, n1, n3):
-        if co is None:
-            return _ZERO
-        e, _, _, _, p1, q1, _, _, _ = co
-        return e * y + p1 * n1 + 2 * q1 * (n3 - n1)
-
-    def final(co, y, n1, n2, n3, n4):
-        if co is None:
-            return _ZERO
-        e, _, _, _, _, _, f1, f2, f3 = co
-        return e * y + f1 * n1 + f2 * (n2 + n3) * 2 + f3 * n4
-
-    def step(h, t, a, c, d):
-        co_c, co_d = coeffs(h)
-        na1, nc1, nd1 = rhs(t, a, c, d)
-        na2, nc2, nd2 = rhs(t + 0.5 * h, a + 0.5 * h * na1,
-                            stage2(co_c, c, nc1), stage2(co_d, d, nd1))
-        na3, nc3, nd3 = rhs(t + 0.5 * h, a + 0.5 * h * na2,
-                            stage3(co_c, c, nc1, nc2), stage3(co_d, d, nd1, nd2))
-        na4, nc4, nd4 = rhs(t + h, a + h * na3,
-                            stage4(co_c, c, nc1, nc3), stage4(co_d, d, nd1, nd3))
-        a = a + h / 6 * (na1 + 2 * (na2 + na3) + na4)
-        c = final(co_c, c, nc1, nc2, nc3, nc4)
-        d = final(co_d, d, nd1, nd2, nd3, nd4)
-        return a, c, d
-
-    a = np.asarray(init.as_tuple(), dtype=complex)
-    c = np.zeros(bath.n_modes, dtype=complex)
-    d = np.zeros(bath.n_modes, dtype=complex) if rhs.has_b else _ZERO
-
-    times = np.arange(n_out + 1) * dt_out
-    amps = np.empty((n_out + 1, 4), dtype=complex)
-    amps[0] = a
-    modes = None
-    if store_modes:
-        modes = np.empty((n_out + 1, bath.n_modes), dtype=float)
-        modes[0] = 0.0
-
-    # The memory kernel has a sqrt kink at t=0; a graded startup mesh keeps
-    # that transient (and the stiff-cell ringing it launches) out of the
-    # norm budget.
-    startup, startup_span = _startup_schedule(dt, max_span=n_sub)
-
-    t = 0.0
-    first = True
-    for k_out in range(1, n_out + 1):
-        j = 0
-        while j < n_sub:
-            if first:
-                for h in startup:
-                    a, c, d = step(h, t, a, c, d)
-                    t += h
-                first = False
-                j += startup_span
-            else:
-                a, c, d = step(dt, t, a, c, d)
-                t += dt
-                j += 1
-        t = k_out * dt_out  # suppress accumulation of float rounding
-        amps[k_out] = a
-        if store_modes:
-            p = np.abs(c) ** 2
-            if rhs.has_b:
-                p = p + np.abs(d) ** 2
-            modes[k_out] = p
-        norm = np.sum(np.abs(a) ** 2) + np.sum(np.abs(c) ** 2)
-        if rhs.has_b:
-            norm += np.sum(np.abs(d) ** 2)
-        if abs(norm - 1.0) > RK4_NORM_TOL * max(1.0, t):
-            raise StepSizeError(
-                f"norm drifted to {norm!r} at t={t:g}; reduce dt"
-            )
-
-    field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
-    meta = {"engine": "oracle", "dt": dt, "horizon": horizon}
-    if store_modes:
-        meta["mode_probs"] = modes
-        meta["bath"] = bath
-    return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
-
-
-_ZERO = np.zeros(0, dtype=complex)
 
 
 def mode_spectrum(trajectory: AmplitudeTrajectory, bath: DiscreteBath, t: float):

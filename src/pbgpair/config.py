@@ -10,7 +10,6 @@ band edge, negative values placing a level inside the gap.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, fields
 
@@ -265,17 +264,3 @@ def parse_run_file(path) -> RunSpec:
         engine=engine or "analytic",
     )
 
-
-def phase_amplitudes(amps, t: float, omega12: float):
-    """Apply the optical phase pattern of the state expansion.
-
-    The physical state carries e^{i w13 t} on the A1/A3 components and
-    e^{i w23 t} on A2/A4.  Only the difference omega12 = w13 - w23 is a
-    model parameter; the common phase is a global one, so A1/A3 are
-    rotated by e^{i omega12 t} relative to A2/A4.  Entanglement measures
-    are invariant under this pattern (it is local), which the test suite
-    asserts.
-    """
-    ph = cmath.exp(1j * omega12 * t)
-    a1, a2, a3, a4 = amps
-    return (a1 * ph, a2, a3 * ph, a4)

@@ -84,16 +84,6 @@ def beta_prime_sheet(x, omega1c: float, beta: float = 1.0, branch: int = +1):
     return val if np.asarray(val).ndim else complex(val)
 
 
-def kernel_values(x, config):
-    """(Gamma11, Gamma22, Gamma12) at x for identical atoms.
-
-    Gamma11 = Gamma22 = beta'(x); the cross kernel carries the dipole
-    angle as Gamma12 = beta'(x) * cos(eta), exactly.
-    """
-    g = beta_prime(x, config.omega1c, config.beta)
-    return g, g, g * config.cos_eta
-
-
 def spectral_density(nu, config) -> float:
     """Band-edge spectral density as a function of nu = omega - omega_c.
 

@@ -1,100 +1,38 @@
-"""Two-atom reduced density matrix, partial transposition, negativity.
+"""Negativity and logarithmic negativity of the two-atom state.
 
-The joint state lives in the single-excitation sector, so after tracing
-the field the 9x9 two-qutrit matrix is a pure projector on the populated
-atomic components plus the one-photon weight collapsed onto the double
-ground state: the zero- and one-photon sectors are orthogonal under the
-field trace, which kills every cross coherence.  The field weight is
-taken from the norm deficit 1 - sum |A_i|^2 (exact by unitarity) rather
-than from discrete mode sums.
+The joint state lives in the single-excitation sector.  Tracing out the
+field leaves the two-qutrit state
 
-Basis ordering is row-major with the first atom major:
-index = 3*i + j over (a1, a2, a3) x (a4, a5, a6).
+    rho = |psi><psi| + p |a3 a6><a3 a6|,
+    psi = A1 |a1 a6> + A2 |a2 a6> + A3 |a3 a4> + A4 |a3 a5>,
+
+with the one-photon weight p = 1 - sum |A_i|^2 (exact by unitarity)
+collapsed onto the double ground state: the zero- and one-photon sectors
+are orthogonal under the field trace, which kills every cross coherence.
+
+Transposing the second atom moves the coherences A_i A_j^* (i in {1, 2},
+j in {3, 4}) into the block {|a3 a6>, |a1 a4>, |a1 a5>, |a2 a4>, |a2 a5>},
+an arrow matrix with p on its corner and zeros on the rest of its
+diagonal.  Its one negative eigenvalue solves lambda (lambda - p) = X Y
+with X = |A1|^2 + |A2|^2 and Y = |A3|^2 + |A4|^2; every other eigenvalue
+of the partial transpose is non-negative.  The negativity (Vidal &
+Werner, PRA 65, 032314 (2002)) is therefore
+
+    N = (sqrt(p^2 + 4XY) - p) / 2 = 2XY / (p + sqrt(p^2 + 4XY)),
+
+evaluated in the second form, which does not cancel when p -> 1 and XY
+is small, and E_N = log2(1 + 2N).  N depends on the |A_i| alone, so the
+optical phase pattern of the state expansion (a local unitary) drops out.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import AmplitudeTrajectory, phase_amplitudes
+from .config import AmplitudeTrajectory
 from .errors import NormError
 
-# populated product states: |a1 a6>, |a2 a6>, |a3 a4>, |a3 a5>, |a3 a6>
-_IDX = (2, 5, 6, 7, 8)
 NORM_SLACK = 1e-9
-EIG_CLAMP = -1e-12
-
-
-def reduced_density_matrix(amps, t: float = 0.0, config=None) -> np.ndarray:
-    """9x9 two-atom density matrix from the four amplitudes at time t.
-
-    When ``config`` is given the optical phase pattern of the state
-    expansion is applied (it is a local unitary, so entanglement measures
-    do not depend on it; keeping it makes the matrix itself faithful).
-    """
-    a = [complex(v) for v in amps]
-    norm = sum(abs(v) ** 2 for v in a)
-    if norm > 1.0 + NORM_SLACK:
-        raise NormError(f"amplitude norm {norm!r} exceeds 1")
-    if config is not None:
-        a = list(phase_amplitudes(a, t, config.omega12))
-    rho = np.zeros((9, 9), dtype=complex)
-    vec = np.zeros(9, dtype=complex)
-    for value, k in zip(a, _IDX):
-        vec[k] = value
-    rho += np.outer(vec, vec.conj())
-    rho[8, 8] += 1.0 - norm
-    return rho
-
-
-def partial_transpose_B(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose over the second atom: <i j|r^G|k l> = <i l|r|k j>."""
-    r = np.asarray(rho, dtype=complex).reshape(3, 3, 3, 3)
-    return r.transpose(0, 3, 2, 1).reshape(9, 9)
-
-
-def log_negativity(rho: np.ndarray):
-    """(N, E_N) of a two-atom density matrix.
-
-    N is the absolute sum of negative eigenvalues of the partial
-    transpose; eigenvalues above -1e-12 are clamped so floating-point
-    jitter never registers as entanglement.  E_N = log2(1 + 2N).
-    """
-    lam = np.linalg.eigvalsh(partial_transpose_B(rho))
-    neg = lam[lam < EIG_CLAMP]
-    n = float(-np.sum(neg))
-    return n, float(np.log2(1.0 + 2.0 * n))
-
-
-def negativity_series(trajectory: AmplitudeTrajectory, config):
-    """(times, N, E_N) along a trajectory, vectorized over the grid.
-
-    The density matrices are assembled in a batch and diagonalized with a
-    single stacked Hermitian eigensolve.
-    """
-    amps = np.asarray(trajectory.amps, dtype=complex)
-    times = np.asarray(trajectory.times, dtype=float)
-    norm = np.sum(np.abs(amps) ** 2, axis=1)
-    if np.any(norm > 1.0 + NORM_SLACK):
-        k = int(np.argmax(norm))
-        raise NormError(f"amplitude norm {norm[k]!r} exceeds 1 at t={times[k]:g}")
-    phased = amps.copy()
-    ph = np.exp(1j * config.omega12 * times)
-    phased[:, 0] *= ph
-    phased[:, 2] *= ph
-
-    vec = np.zeros((times.size, 9), dtype=complex)
-    for col, k in zip(range(4), _IDX):
-        vec[:, k] = phased[:, col]
-    rho = vec[:, :, None] * vec[:, None, :].conj()
-    rho[:, 8, 8] += 1.0 - norm
-
-    rho_pt = rho.reshape(-1, 3, 3, 3, 3).transpose(0, 1, 4, 3, 2).reshape(-1, 9, 9)
-    lam = np.linalg.eigvalsh(rho_pt)
-    neg = np.where(lam < EIG_CLAMP, lam, 0.0)
-    n_vals = -np.sum(neg, axis=1)
-    en = np.log2(1.0 + 2.0 * n_vals)
-    return times, n_vals, en
 
 
 class EntanglementSeries:
@@ -107,9 +45,25 @@ class EntanglementSeries:
         self.trajectory = trajectory
 
 
-def entanglement_series(trajectory: AmplitudeTrajectory, config) -> EntanglementSeries:
-    """Negativity and E_N at every trajectory point."""
-    times, n_vals, en = negativity_series(trajectory, config)
+def entanglement_series(trajectory: AmplitudeTrajectory) -> EntanglementSeries:
+    """Negativity and E_N at every trajectory point.
+
+    Raises NormError where the amplitudes exceed unit total probability by
+    more than NORM_SLACK.  Within that slack the field weight p is clipped
+    at 0: it is a probability, and a negative value is rounding only.
+    """
+    amps = np.asarray(trajectory.amps, dtype=complex)
+    times = np.asarray(trajectory.times, dtype=float)
+    prob = np.abs(amps) ** 2
+    norm = np.sum(prob, axis=1)
+    if np.any(norm > 1.0 + NORM_SLACK):
+        k = int(np.argmax(norm))
+        raise NormError(f"amplitude norm {norm[k]!r} exceeds 1 at t={times[k]:g}")
+    p = np.maximum(1.0 - norm, 0.0)
+    xy = (prob[:, 0] + prob[:, 1]) * (prob[:, 2] + prob[:, 3])
+    den = p + np.sqrt(p * p + 4.0 * xy)
+    n_vals = np.divide(2.0 * xy, den, out=np.zeros_like(xy), where=xy > 0.0)
+    en = np.log1p(2.0 * n_vals) / np.log(2.0)
     return EntanglementSeries(times, n_vals, en, trajectory=trajectory)
 
 

@@ -17,10 +17,13 @@ Two families of roots are collected into one :class:`PoleSet`:
       a1 = omega1c + gamma1,  a2 = omega1c - omega12 + gamma2
 
   (John & Quang's band-edge reduction, PRA 50, 1764 (1994), for both
-  transitions).  The ``u`` poles are its roots on the sheet bar the branch
-  point S = 0, polished by Newton steps in S, at x = i (S^2 + omega1c):
-  S > 0 is a bound state above the branch point, any other S a decaying
-  pole.  Residue sums use these and only these.
+  transitions).  The ``u`` poles are its roots on the sheet, polished by
+  Newton steps in S, at x = i (S^2 + omega1c): S > 0 is a bound state
+  above the branch point, any other S a decaying pole.  Roots at the
+  branch point S ~ 0 whose residue is negligible are dropped (the root
+  S = 0 itself at cos^2 eta = 1 is no pole); a cluster there, the
+  quasi-dark pole of transitions that differ by rounding, is kept.
+  Residue sums use these and only these.
 
 A ``u`` pole on an exchange pole is a simple pole of another sector, and
 both are kept.  With identical transitions (a1 = a2) the sextic factors
@@ -51,7 +54,8 @@ from .errors import DegeneratePole
 
 MERGE_TOL = 1e-8
 AXIS_TOL = 1e-9
-BRANCH_TOL = 1e-6  # |S| at or below: the branch point (x within 1e-12 of it)
+BRANCH_TOL = 1e-6  # |S| at or below: a root at the branch point (x within 1e-12 of it)
+RESIDUE_FLOOR = 1e-15  # |S|^2 / |P'(S)| at or below: such a root carries no residue
 DOUBLE_ROOT_TOL = 1e-6  # in S; np.roots resolves a near-double pair to ~1e-8
 POLISH_STEPS = 2
 
@@ -139,16 +143,26 @@ def _table_weight(tag, x, config):
 
 
 def _sheet_roots(coeffs):
-    """Roots S of a polynomial that lie on the inversion sheet, bar S = 0,
-    Newton-polished in S, and the polynomial's derivative there."""
+    """Roots S of a polynomial that lie on the inversion sheet, Newton-polished
+    in S, and the polynomial's derivative there.
+
+    A root within BRANCH_TOL of the branch point S = 0 is dropped when its
+    residue, of order |S|^2 / |P'(S)|, is below RESIDUE_FLOOR: the
+    structural root S = 0 of the sextic at cos^2 eta = 1 and the roots that
+    a nearly parallel pair moves off it.  A cluster of roots there (the
+    quasi-dark pole of nearly identical transitions) carries an O(1)
+    residue and is kept.
+    """
     s = np.roots(coeffs)
+    deriv = np.polyder(coeffs)
     arg = np.angle(s)
-    s = s[(arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi) & (np.abs(s) > BRANCH_TOL)]
+    s = s[(arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi)]
+    negligible = np.abs(s) ** 2 <= RESIDUE_FLOOR * np.abs(np.polyval(deriv, s))
+    s = s[~((np.abs(s) <= BRANCH_TOL) & negligible)]
     close = np.abs(s[:, None] - s[None, :]) + np.eye(s.size) < DOUBLE_ROOT_TOL
     if close.any():
         raise DegeneratePole(f"double root of the symmetric determinant at "
                              f"S={s[close.any(axis=1)][0]:.9g} (exceptional point)")
-    deriv = np.polyder(coeffs)
     for _ in range(POLISH_STEPS):
         s = s - np.polyval(coeffs, s) / np.polyval(deriv, s)
     return s, np.polyval(deriv, s)

@@ -18,31 +18,16 @@ x' = i*gamma2, while the u's obey a 2x2 system with determinant
 
     Delta(x) = (x + i g1 + 2G)(x' + i g2 + 2G) - 4 G^2 cos^2(eta).
 
-The closed form below is used to cross-check the matrix solve and to form
-residues; the two routes must agree to machine precision.
+Only the u-sector depends on the kernel, and ``u_sector`` gives it in
+closed form for the branch-cut jump; the tests check it and the 4x4 solve
+against each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import kernel
 from .errors import SingularSystem
-
-SINGULAR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TransformAmplitudes:
-    """Values of A1(x), A2(x'), A3(x), A4(x') and the shared denominator."""
-
-    a1x: complex
-    a2x: complex
-    a3x: complex
-    a4x: complex
-    denom: complex
 
 
 def system_matrix(x, config, gamma):
@@ -92,116 +77,10 @@ def u_sector(x, config, init, gamma):
     c = config.cos_eta
     a10, a20, a30, a40 = init.as_tuple()
     u10, u20 = a10 + a30, a20 + a40
-    f1 = x + 1j * config.gamma1 + 2 * g
-    f2 = x - 1j * config.omega12 + 1j * config.gamma2 + 2 * g
-    delta = f1 * f2 - 4 * g * g * c * c
+    h1 = x + 1j * config.gamma1
+    h2 = x - 1j * config.omega12 + 1j * config.gamma2
+    f1, f2 = h1 + 2 * g, h2 + 2 * g
+    # f1 f2 - 4 g^2 cos^2(eta) without the cancellation of the g^2 terms
+    delta = h1 * h2 + 2 * g * (h1 + h2) + 4 * g * g * (1.0 - c * c)
     return (f2 * u10 - 2 * g * c * u20) / delta, (f1 * u20 - 2 * g * c * u10) / delta
 
-
-def uv_solution(x, config, init, gamma):
-    """Closed-form solution via the exchange-symmetric decomposition.
-
-    Returns (a1, a2, a3, a4) at [x, x', x, x'] like :func:`solve_system`.
-    Vectorized over x / gamma.
-    """
-    x = np.asarray(x, dtype=complex)
-    xp = x - 1j * config.omega12
-    a10, a20, a30, a40 = init.as_tuple()
-    u1, u2 = u_sector(x, config, init, gamma)
-    v1 = (a10 - a30) / (x - 1j * config.gamma1)
-    v2 = (a20 - a40) / (xp - 1j * config.gamma2)
-    return 0.5 * np.stack(
-        [u1 + v1, u2 + v2, u1 - v1, u2 - v2], axis=-1
-    )
-
-
-def denominator(x, config, gamma):
-    """D(x) = (x - i gamma1) * Delta(x), the common denominator of A1/A3."""
-    x = np.asarray(x, dtype=complex)
-    g = np.asarray(gamma, dtype=complex)
-    xp = x - 1j * config.omega12
-    f1 = x + 1j * config.gamma1 + 2 * g
-    f2 = xp + 1j * config.gamma2 + 2 * g
-    delta = f1 * f2 - 4 * g * g * config.cos_eta ** 2
-    return (x - 1j * config.gamma1) * delta
-
-
-def transform_amplitudes(x, config, init) -> TransformAmplitudes:
-    """Transform-domain amplitudes at a single point x (principal kernel).
-
-    Raises SingularSystem when x is a pole of the system and propagates
-    BranchPointError from the kernel.
-    """
-    g = kernel.beta_prime(x, config.omega1c, config.beta)
-    m = system_matrix(complex(x), config, g)
-    scale = np.max(np.abs(m))
-    det = np.linalg.det(m)
-    if abs(det) < SINGULAR_TOL * scale ** 4:
-        raise SingularSystem(f"transform-domain system is singular at x={x}")
-    sol = np.linalg.solve(m, np.asarray(init.as_tuple(), dtype=complex))
-    return TransformAmplitudes(
-        a1x=complex(sol[0]),
-        a2x=complex(sol[1]),
-        a3x=complex(sol[2]),
-        a4x=complex(sol[3]),
-        denom=complex(denominator(complex(x), config, g)),
-    )
-
-
-def printed_closed_form(x, config, init):
-    """Transcribed closed-form amplitudes, kept only as a cross-check.
-
-    This is the published single-denominator form reproduced verbatim.  It
-    is NOT trusted: against the direct linear solve it agrees only on the
-    A1 component when the other three initial amplitudes vanish.  The
-    identified defects: the a3(0) coefficient of A1/A3 carries the
-    interference term with the wrong sign (-2 Gamma12^2 where +2 Gamma12^2
-    reproduces the solve), the exchange-antisymmetric part of A2/A4 is
-    divided by (x - i gamma1) instead of (x' - i gamma2), and one bracket
-    mixes gamma1 into the second-transition factor.  The regression test
-    anchors the agreeing component and logs the measured discrepancies of
-    the rest.
-    """
-    g11, g22, g12 = kernel.kernel_values(x, config)
-    a10, a20, a30, a40 = init.as_tuple()
-    xp = x - 1j * config.omega12
-    ig1, ig2 = 1j * config.gamma1, 1j * config.gamma2
-    d = (x - ig1) * ((x + ig1 + 2 * g11) * (xp + ig2 + 2 * g22) - 4 * g12 ** 2)
-    a1 = (g12 * (x - ig1) * (a20 + a40) - 2 * g12 ** 2 * (a10 + a30)
-          - a30 * (ig1 + g11) * (xp + ig1 + 2 * g22)
-          + a10 * (x + g11) * (xp + ig2 + 2 * g22)) / d
-    a2 = (2 * g12 ** 2 * (a20 + a40) - g22 * (xp - ig2) * (a10 + a30)
-          + (x + ig1 + 2 * g11) * (a20 * (xp + g22) - a40 * (ig2 + g22))) / d
-    a3 = (g12 * (x - ig1) * (a20 + a40) - 2 * g12 ** 2 * (a10 + a30)
-          - a10 * (ig1 + g11) * (xp + ig1 + 2 * g22)
-          + a30 * (x + g11) * (xp + ig2 + 2 * g22)) / d
-    a4 = (2 * g12 ** 2 * (a20 + a40) - g22 * (xp - ig2) * (a10 + a30)
-          - (x + ig1 + 2 * g11) * (a20 * (ig2 + g22) - a40 * (xp + g22))) / d
-    return np.array([a1, a2, a3, a4])
-
-
-def spectral_functions(x, config):
-    """Classification functions (G1, G2, H1, H2) at x.
-
-    Factored dressed-level form: a linear prefactor times the two
-    exchange-split level factors times the band-edge interference factor
-    (1 +/- 2 beta'), with beta' the principal kernel.  Their roots are the
-    dressed-state table reported by the pole finder; the inversion itself
-    uses the transform denominator, not these functions.
-    """
-    x = np.asarray(x, dtype=complex)
-    g = kernel.beta_prime(x, config.omega1c, config.beta)
-    ix = 1j * x
-    lower1 = ix - config.gamma1                      # root x = -i gamma1
-    lower2 = ix + config.omega12 - config.gamma2     # root x = -i (gamma2 - omega12)
-    pre_g = ix + config.gamma1                       # root x = +i gamma1
-    pre_h = ix + config.omega12 + config.gamma2      # root x = +i (gamma2 + omega12)
-    core1 = lower1 * lower2 * (1 + 2 * g)
-    core2 = lower1 * lower2 * (1 - 2 * g)
-    g1 = 1j * pre_g * core1
-    g2 = -1j * pre_g * core2
-    h1 = 1j * pre_h * core1
-    h2 = -1j * pre_h * core2
-    if np.asarray(g1).ndim:
-        return g1, g2, h1, h2
-    return complex(g1), complex(g2), complex(h1), complex(h2)

@@ -243,3 +243,15 @@ def test_non_finite_grid_override_exit_code(tmp_path, capsys, flag, value):
     cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
     assert main(["run", cfgfile, "-o", str(tmp_path / "x.csv"), flag, value]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--tmax", "1e15", "--dt", "1"],                                   # output grid
+    ["--engine", "oracle", "--modes", "1000000"],                      # oracle block
+    ["--engine", "oracle", "--modes", "200", "--tmax", "10", "--dt", "1e-4"],  # propagation
+])
+def test_size_budget_exit_code(tmp_path, capsys, extra):
+    assert main(["preset", "fig2a", "-o", str(tmp_path / "x.csv")] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "budget" in err[0]
+    assert not (tmp_path / "x.csv").exists()

@@ -6,7 +6,6 @@ from pbgpair.config import (
     InitialState,
     SystemConfig,
     parse_run_file,
-    phase_amplitudes,
     preset_initial,
     validate,
 )
@@ -17,6 +16,7 @@ from pbgpair.errors import (
     ParseError,
     UnknownPreset,
 )
+from reference_routes import phase_amplitudes
 
 PAPER_CFG = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
                          omega2c=0.2, eta=math.pi)

