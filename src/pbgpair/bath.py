@@ -17,9 +17,14 @@ family cannot produce Gamma12^2 < Gamma11 * Gamma22.
 The amplitude equations are integrated in the co-rotating mode variables
 C_n = B^a_n e^{-i(omega_n - omega13) t}, D_n = B^b_n e^{-i(omega_n -
 omega23) t}, an exact substitution that leaves a linear autonomous
-Hermitian system.  Propagation diagonalizes that generator once per
-coupled block and applies the exact unitary evolution, so the norm is
-conserved to machine precision.
+Hermitian system.  Propagation is its exact unitary evolution, built from
+the generator's structure instead of the generator: the exchange-
+antisymmetric combinations see no modes, and the symmetric sector's
+eigenvalues are the roots of scalar secular equations, one per mode
+interval, found in memory linear in the number of modes (R.-C. Li 1993;
+Gu & Eisenstat 1994, the scheme of LAPACK dlaed4).  Unitarity shows as
+the atomic parts of the eigenvectors resolving the identity, which every
+run checks.
 """
 
 from __future__ import annotations
@@ -38,14 +43,20 @@ from .errors import (
 )
 
 RESOLVENT_TOL = 1e-3
-NORM_DRIFT_TOL = 1e-8   # per unit beta*t
+NORM_DRIFT_TOL = 1e-8   # on |sum_k a_k a_k^T - I| of the atomic eigenvector parts
 # The tail cutoff sets a kernel deficit ~ (2/pi)/TAIL_U_FACTOR that shifts
 # bound-state frequencies; 2^16 keeps the t=50 phase error well under the
 # engine-agreement budget at a cost of ~240 extra modes.
 TAIL_U_FACTOR = 65536.0
 TAIL_RATIO = 1.045
 DENSE_WINDOW = 50.0     # default densely sampled window above the edge, in beta
-SIN_ETA_FLOOR = 1e-12  # sin(pi) in floats is ~1.2e-16; treat as exactly dark
+# Below this |sin eta| the second mode family is dropped: its coupling
+# g sin(eta) changes the dynamics by O(sin^2 eta) < 1e-16, and the secular
+# branches (slopes up to 1/sin^2 eta) could not be located in double precision.
+SIN_ETA_FLOOR = 1e-8
+EPS = np.finfo(float).eps
+SECULAR_MAX_ITER = 100
+CHUNK_ELEMS = 1 << 20   # entries per (roots x modes) work array, 8 MB in float64
 
 
 @dataclass
@@ -85,8 +96,10 @@ def _tail_count(u_max, beta) -> int:
 
 
 def block_dim(config, n_modes: int) -> int:
-    """Dimension of the largest block ``integrate`` diagonalizes for the
-    default ``build_bath(config, n_modes)``, worked out without building it."""
+    """Dimension of the largest coupled block of the generator (atoms plus
+    modes) for the default ``build_bath(config, n_modes)``, worked out
+    without building it.  ``integrate`` never forms the block; its secular
+    root count and the cost of summing over the roots grow with it."""
     n = n_modes + _tail_count(np.sqrt(DENSE_WINDOW * config.beta), config.beta)
     if config.cos_eta == 0.0:
         return 2 + n
@@ -138,6 +151,283 @@ def build_bath(config, n_modes: int = 4000, omega_max: float | None = None,
     return bath
 
 
+def _evaluate(d, w, value, origin, tau):
+    """Secular function F(z) = mu(z) - sum_j w_j / (z - d_j) at z = d[origin] + tau.
+
+    Returns F, F', the share of s2 = sum_j w_j / (z - d_j)^2 from the
+    poles below z, s2 itself, mu'(z), a bound on the rounding error of F
+    and sigma(z) = sum_j w_j / (z - d_j).  The differences z - d_j are
+    formed as (d_j - d[origin]) - tau, which keeps them accurate to
+    relative rounding even beside the pole.
+    """
+    mu, mu_p = value(d[origin] + tau)
+    s1, s1lo, s2, s2lo = (np.empty(tau.size) for _ in range(4))
+    step = max(1, CHUNK_ELEMS // d.size)
+    for a in range(0, tau.size, step):
+        sl = slice(a, a + step)
+        r = d[None, :] - d[origin[sl], None]
+        r -= tau[sl, None]
+        np.reciprocal(r, out=r)          # 1 / (d_j - z)
+        lower = np.minimum(r, 0.0)       # the poles below z
+        s1[sl] = r @ w
+        s1lo[sl] = lower @ w
+        r *= r
+        lower *= lower
+        s2[sl] = r @ w
+        s2lo[sl] = lower @ w
+    # s1 - 2 s1lo = sum_j w_j / |d_j - z| bounds the rounding of the sum
+    err = EPS * (8.0 * (np.abs(mu) + s1 - 2.0 * s1lo) + 2.0 * np.abs(d[origin] + tau) * mu_p)
+    return mu + s1, mu_p + s2, s2lo, s2, mu_p, err, -s1
+
+
+def _secular_roots(d, w, value):
+    """All roots of F(z) = mu(z) - sum_j w_j / (z - d_j), one per pole interval.
+
+    ``d`` ascending and distinct, ``w`` positive, ``value(z)`` returns
+    mu(z) and mu'(z) > 0.  F then increases from -inf to +inf across each
+    of the n + 1 intervals (-inf, d_0), (d_0, d_1), ..., (d_{n-1}, +inf),
+    so each holds exactly one root.  A root is kept as its nearer pole
+    ``d[origin]`` and the offset ``tau`` from it, found by the two-pole
+    rational "middle way" iteration (R.-C. Li 1993; Gu & Eisenstat 1994,
+    the scheme of LAPACK dlaed4) inside a bisection bracket; only roots
+    not yet converged are iterated.  Returns (origin, tau, sigma, s2) with
+    sigma = sum_j w_j / (z - d_j) and s2 = sum_j w_j / (z - d_j)^2 at the
+    root.
+    """
+    n = d.size
+    k = np.arange(n + 1)                 # root k lies between d[k-1] and d[k]
+    origin = np.clip(k - 1, 0, n - 1)
+    tau, lo, hi = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    half = 0.5 * np.diff(d)
+    tau[1:n] = hi[1:n] = half
+    # the outer roots: step away from the outer poles until F changes sign
+    for kk, sign in ((0, -1.0), (n, 1.0)):
+        h, prev = (d[1] - d[0] if n > 1 else 1.0), 0.0
+        for _ in range(200):
+            f = _evaluate(d, w, value, origin[kk:kk + 1], np.array([sign * h]))[0][0]
+            if sign * f > 0.0:
+                break
+            h, prev = 4.0 * h, h
+        else:
+            raise StepSizeError("secular equation: no sign change beyond the outer poles")
+        tau[kk] = sign * h
+        lo[kk], hi[kk] = sorted((sign * prev, sign * h))
+
+    F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin, tau)
+    # an interior root above its interval's midpoint is measured from the upper pole
+    up = (k > 0) & (k < n) & (F < 0.0)
+    origin[up] += 1
+    tau[up] = lo[up] = -half[k[up] - 1]
+    hi[up] = 0.0
+
+    s2_root, sigma_root = np.empty(n + 1), np.empty(n + 1)
+    act = k
+    for _ in range(SECULAR_MAX_ITER):
+        kk, o, t = k[act], origin[act], tau[act]
+        lo[act] = np.where(F < 0.0, np.maximum(lo[act], t), lo[act])
+        hi[act] = np.where(F < 0.0, hi[act], np.minimum(hi[act], t))
+        with np.errstate(all="ignore"):
+            # offsets of the interval's ends from z; +-inf past the outer poles
+            dlo = np.where(kk > 0, d[np.maximum(kk - 1, 0)] - d[o] - t, -np.inf)
+            dhi = np.where(kk < n, d[np.minimum(kk, n - 1)] - d[o] - t, np.inf)
+            # model c + S_lo/(dlo - eta) + S_hi/(dhi - eta) matching F and F';
+            # mu' goes with the far end, as do the poles beyond it
+            psi = s2lo + np.where(o == kk - 1, 0.0, mu_p)
+            c = F - dlo * psi - dhi * (Fp - psi)
+            a = (dlo + dhi) * F - dlo * dhi * Fp
+            b = dlo * dhi * F
+            q = 0.5 * (a + np.copysign(np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0)), a))
+            eta = np.where((q / c > dlo) & (q / c < dhi), q / c, b / q)
+            # the outer intervals: a one-pole model at the single adjacent pole
+            one = np.where(kk == 0, dhi, dlo)
+            eta = np.where((kk == 0) | (kk == n), one * F / (F - one * Fp), eta)
+            new = t + eta
+        inside = (new > lo[act]) & (new < hi[act])
+        # F at rounding level: the last step polishes t at most
+        small = np.abs(F) <= err
+        new = np.where(inside, new, np.where(small, t, 0.5 * (lo[act] + hi[act])))
+        tau[act] = new
+        # sigma moved to the new tau to first order (sigma' = -s2)
+        s2_root[act], sigma_root[act] = s2, sigma - s2 * (new - t)
+        width = hi[act] - lo[act]
+        done = (small | (inside & (np.abs(eta) <= 4.0 * EPS * np.abs(new)))
+                | (width <= 4.0 * EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act]))))
+        act = act[~done]
+        if act.size == 0:
+            return origin, tau, sigma_root, s2_root
+        F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin[act], tau[act])
+    raise StepSizeError(f"secular equation: {act.size} roots unconverged after "
+                        f"{SECULAR_MAX_ITER} iterations")
+
+
+@dataclass
+class _Spectrum:
+    """Eigenpairs of the exchange-symmetric sector with their atomic parts.
+
+    Eigenvalue ``base + tau`` (``base`` its nearer pole); ``atom`` the
+    (u1, u2) parts of the normalised eigenvectors, one row each; ``proj``
+    the projector onto the atomic subspace they resolve; ``pinned``
+    (row, mode, amplitude) for an eigenvector that sits exactly on a mode
+    frequency, whose mode part is not of the resolvent form.
+    """
+
+    base: np.ndarray
+    tau: np.ndarray
+    atom: np.ndarray
+    proj: np.ndarray
+    pinned: tuple = ()
+
+    @classmethod
+    def join(cls, parts, proj, pinned=()):
+        if not parts:
+            return cls(np.zeros(0), np.zeros(0), np.zeros((0, 2)), proj)
+        base, tau, atom = (np.concatenate(x) for x in zip(*parts))
+        return cls(base, tau, atom, proj, pinned)
+
+
+def _arrowhead(d, w, h, kappa, vector):
+    """Roots of (z - h)/kappa = sum_j w_j / (z - d_j): eigenpairs of an
+    arrowhead with head h, whose atomic parts are vector(base, tau), scaled
+    to unit head component, over sqrt(1 + kappa s2)."""
+    origin, tau, _, s2 = _secular_roots(
+        d, w, lambda z: ((z - h) / kappa, np.full(np.shape(z), 1.0 / kappa)))
+    base = d[origin]
+    return base, tau, vector(base, tau) / np.sqrt(1.0 + kappa * s2)[:, None]
+
+
+def _negligible(h12, h22, w) -> bool:
+    """An atomic coupling below the rounding of the level it couples and of
+    the largest mode coupling."""
+    return abs(h12) <= EPS * max(abs(h22), np.sqrt(w.max()))
+
+
+def _split(delta, w, heads, kappas, vectors, u0) -> _Spectrum:
+    """The sector when h_u and Mc share the eigenvectors ``vectors``: one
+    arrowhead (z - head)/kappa = sigma(z) per vector that u0 populates, or
+    the exact eigenvalue ``head`` where kappa = 0 (no coupling to modes)."""
+    parts, proj = [], np.zeros((2, 2))
+    for h, kappa, e in zip(heads, kappas, vectors):
+        if e @ u0 == 0:
+            continue
+        proj += np.outer(e, e)
+        if kappa == 0.0:
+            parts.append((np.array([h]), np.zeros(1), e[None, :]))
+        else:
+            parts.append(_arrowhead(delta, w, h, kappa,
+                                    lambda base, tau, e=e: np.tile(e, (base.size, 1))))
+    return _Spectrum.join(parts, proj)
+
+
+def _parallel(delta, w, g, h22, h12, e, f) -> _Spectrum:
+    """Spectrum for parallel or anti-parallel dipoles (one mode family).
+
+    Mc = 4 e e^T: f sees no modes and couples only to e, with h12, so it
+    becomes one more pole h22 of weight h12^2/4 of the arrowhead on e.  On
+    a mode frequency that pole is deflated into the mode's.
+    """
+    parts, pinned = [], ()
+    d, wd, d_h = delta, w, h22
+    n = int(np.searchsorted(delta, h22))
+    near = [j for j in (n - 1, n) if 0 <= j < delta.size
+            and abs(delta[j] - h22) <= 4.0 * EPS * abs(h22)]
+    if near:
+        # mode j absorbs the pole; (h12 mode_j - 2 g_j f)/r stays at delta_j
+        j = near[0]
+        d_h, wd = delta[j], w.copy()
+        wd[j] += 0.25 * h12 * h12
+        r = np.sqrt(4.0 * w[j] + h12 * h12)
+        parts.append((delta[j:j + 1], np.zeros(1), -(2.0 * g[j] / r) * f[None, :]))
+        pinned = ((0, j, h12 / r),)
+    else:
+        d, wd = np.insert(delta, n, h22), np.insert(w, n, 0.25 * h12 * h12)
+    parts.append(_arrowhead(
+        d, wd, h22, 4.0, lambda base, tau: e + np.multiply.outer(h12 / ((base - d_h) + tau), f)))
+    return _Spectrum.join(parts, np.eye(2), pinned)
+
+
+def _branch(delta, w, h22, h, c, s, dp, dm, sign):
+    """Roots of sigma(z) = mu(z) on one branch of the pencil
+    det(z - h_u - mu Mc) = 0 (``sign`` +1: the larger mu; both branches
+    increase with z).
+
+    On e+- = (1, +-1)/sqrt2, Mc = diag(dp, dm) and z - h_u = m I + h X
+    with m = z - h22.  For the iteration the symmetric 2x2
+    D^-1/2 (z - h_u) D^-1/2 is diagonalised by one Jacobi rotation, whose
+    inputs P - R = -m cos eta / sin^2 eta and Q = h / (2 |sin eta|) are
+    free of cancellation.  The atomic parts come from the null vector of
+    z - h_u - sigma D at the root, whose diagonal is rebuilt from the
+    determinant condition instead of from the cancelling differences:
+    sigma is smooth where a branch is steep (slope up to 1/sin^2 eta), and
+    near-degenerate branches (small h and cos eta) stay resolved.
+    """
+    q = h / (2.0 * abs(s))
+
+    def pencil(z):
+        m = z - h22
+        zeta = m * c / (s * s) / (2.0 * q)     # (R - P) / 2Q
+        t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.hypot(1.0, zeta))
+        l1, l2 = m / dp - t * q, m / dm + t * q    # on (1, -t) and (t, 1), scaled by D^-1/2
+        first = (l1 >= l2) == (sign > 0)
+        v1, v2 = np.where(first, 1.0, t), np.where(first, -t, 1.0)
+        mu_p = (v1 * v1 / dp + v2 * v2 / dm) / (v1 * v1 + v2 * v2)
+        return np.where(first, l1, l2), mu_p
+
+    origin, tau, sigma, s2 = _secular_roots(delta, w, pencil)
+    base = delta[origin]
+    # z - h_u - sigma D = [[X, h], [h, Y]] at the root: Y - X = 4 sigma cos eta
+    # and X Y = h^2, so X is a root of X^2 + 2 p X - h^2 (p = 2 sigma cos eta),
+    # the one nearer the directly computed (cancelling) m - sigma dp
+    p = 2.0 * sigma * c
+    x1 = -p - np.copysign(np.hypot(p, h), p)
+    x2 = -h * h / x1
+    direct = ((base - h22) + tau) - sigma * dp
+    first = np.abs(direct - x1) <= np.abs(direct - x2)
+    X, Y = np.where(first, x1, x2), -np.where(first, x2, x1)
+    y1 = np.where(np.abs(X) >= np.abs(Y), h, Y)
+    y2 = np.where(np.abs(X) >= np.abs(Y), -X, -h)
+    mu_p = (y1 * y1 + y2 * y2) / (dp * y1 * y1 + dm * y2 * y2)    # |x|^2 / x^T Mc x
+    x = np.stack([y1 + y2, y1 - y2], axis=1)
+    x /= np.hypot(x[:, 0], x[:, 1])[:, None]
+    return base, tau, x * np.sqrt(mu_p / (mu_p + s2))[:, None]
+
+
+def _symmetric_spectrum(config, bath: DiscreteBath, u0) -> _Spectrum:
+    """Eigenpairs of the exchange-symmetric sector that u0 populates.
+
+    In u = (A1 + A3, A2 + A4)/sqrt2 the sector is h_u = diag(gamma1,
+    gamma2 - omega12) coupled to the modes through Mc = 2 [[1, cos eta],
+    [cos eta, 1]], so its eigenvalues solve det(z - h_u - sigma(z) Mc) = 0
+    with sigma(z) = sum_n g_n^2 / (z - delta_n).  Where h_u and Mc share
+    eigenvectors (orthogonal dipoles, or h12 = (gamma1 - h2)/2 = 0) the
+    sector splits into two arrowheads, of which one that u0 does not
+    populate is not solved; parallel dipoles give one arrowhead with an
+    extra pole, any other angle two pencil branches.
+    """
+    delta = bath.nu - config.omega1c
+    w = bath.g ** 2
+    g1, h2 = config.gamma1, config.gamma2 - config.omega12
+    h22, h12 = 0.5 * (g1 + h2), 0.5 * (g1 - h2)
+    c, s = config.cos_eta, config.sin_eta
+    if not np.any(u0):
+        return _Spectrum.join([], np.zeros((2, 2)))
+    if c == 0.0:
+        return _split(delta, w, (g1, h2), (2.0, 2.0), np.eye(2), u0)
+    if abs(s) <= SIN_ETA_FLOOR:
+        # Mc = 4 e e^T with e = (1, +-1)/sqrt2, and f = (1, -+1)/sqrt2 sees no modes
+        e, f = np.array([[1.0, np.sign(c)], [1.0, -np.sign(c)]]) / np.sqrt(2.0)
+        if _negligible(h12, h22, w):
+            return _split(delta, w, (h22, h22), (4.0, 0.0), (e, f), u0)
+        return _parallel(delta, w, bath.g, h22, h12, e, f)
+    # Mc = diag(dp, dm) on e+- = (1, +-1)/sqrt2; 1 -+ cos eta from sin^2 eta where it cancels
+    dp = 2.0 * (1.0 + c) if c >= 0.0 else 2.0 * s * s / (1.0 - c)
+    dm = 2.0 * (1.0 - c) if c <= 0.0 else 2.0 * s * s / (1.0 + c)
+    if _negligible(h12, h22, w):
+        return _split(delta, w, (h22, h22), (dp, dm),
+                      np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), u0)
+    return _Spectrum.join([_branch(delta, w, h22, -h12, c, s, dp, dm, sign)
+                           for sign in (1.0, -1.0)], np.eye(2))
+
+
 def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.5,
               store_modes: bool = False) -> AmplitudeTrajectory:
     """Exact unitary propagation of the amplitude equations against the bath.
@@ -145,15 +435,20 @@ def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.
     Basis: [A1, A2 e^{i w12 t}, A3, A4 e^{i w12 t}, C_1..C_N, D_1..D_N]
     with C/D the co-rotating mode amplitudes referenced to the first
     transition.  In this frame the generator is a constant real-symmetric
-    matrix, diagonalized once per coupled block; the norm is conserved to
-    machine precision.  With orthogonal dipoles the two transitions see
-    disjoint mode families and split into two blocks, a block whose
-    initial amplitudes vanish is skipped, and the second family exists
-    only when sin(eta) != 0.
+    matrix, which is never formed.  The exchange-antisymmetric
+    combinations A1 - A3 and A2 - A4 see no modes and evolve as
+    e^{i gamma1 t} and e^{i (omega12 + gamma2) t}.  The symmetric sector's
+    eigenvalues are the roots of a scalar secular equation, one per mode
+    interval and branch (``_symmetric_spectrum``), each found in O(N) work
+    per iteration; the atomic amplitudes are sums over those eigenpairs.
+    A part of the sector whose initial amplitudes vanish is not solved,
+    and the mode probabilities are computed only with ``store_modes``.
 
     Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
-    ``t_max`` exceeds the bath rephasing time and StepSizeError on norm
-    drift.
+    ``t_max`` exceeds the bath rephasing time, and StepSizeError when the
+    atomic parts a_k of the eigenvectors fail to resolve the identity:
+    the Frobenius norm of sum_k a_k a_k^T - I (``weight_defect`` in
+    ``meta``, with ``n_roots`` and ``horizon``) above NORM_DRIFT_TOL.
     """
     horizon = bath.recurrence_time()
     if t_max > horizon:
@@ -161,70 +456,66 @@ def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.
             f"t_max={t_max:g} exceeds the bath recurrence time {horizon:g}; "
             "increase n_modes or shorten the run"
         )
-    has_b = abs(config.sin_eta) > SIN_ETA_FLOOR
-    n_m = bath.n_modes
     n_out = int(np.floor(t_max / dt_out + 1e-9))
     times = np.arange(n_out + 1) * dt_out
-    delta = bath.nu - config.omega1c
     a0 = np.asarray(init.as_tuple(), dtype=complex)
+    u0 = (a0[:2] + a0[2:]) / np.sqrt(2.0)
+    v0 = (a0[:2] - a0[2:]) / np.sqrt(2.0)
 
-    def solve_block(atom_idx, h_atom, mode_groups):
-        """Propagate one coupled block: the atomic generator ``h_atom`` and,
-        per mode family, the coupling factor of each atomic row.  Returns
-        (atom amplitudes, mode probabilities summed over families)."""
-        na = len(atom_idx)
-        y0 = np.zeros(na + n_m * len(mode_groups), dtype=complex)
-        y0[:na] = a0[list(atom_idx)]
-        if not np.any(y0):
-            return np.zeros((times.size, na), dtype=complex), 0.0
-        h = np.zeros((y0.size, y0.size))
-        h[:na, :na] = h_atom
-        for k, coupling in enumerate(mode_groups):
-            sl = slice(na + k * n_m, na + (k + 1) * n_m)
-            ii = np.arange(na + k * n_m, na + (k + 1) * n_m)
-            h[ii, ii] = delta
-            h[:na, sl] = np.outer(coupling, bath.g)
-            h[sl, :na] = h[:na, sl].T
-        w, v = np.linalg.eigh(h)
-        coef = v.T @ y0
-        phases = np.exp(-1j * np.outer(times, w)) * coef
-        atom = phases @ v[:na].T
-        probs = 0.0
-        if mode_groups:
-            mode_amps = phases @ v[na:].T
-            probs = np.abs(mode_amps[:, :n_m]) ** 2
-            for k in range(1, len(mode_groups)):
-                probs = probs + np.abs(mode_amps[:, k * n_m:(k + 1) * n_m]) ** 2
-        norms = np.sum(np.abs(phases) ** 2, axis=1)
-        drift = float(np.max(np.abs(norms - np.sum(np.abs(y0) ** 2))))
-        if drift > NORM_DRIFT_TOL * max(1.0, t_max):
-            raise StepSizeError(f"unitary propagation norm defect {drift:.3g}")
-        return atom, probs
+    sp = _symmetric_spectrum(config, bath, u0)
+    weight_defect = float(np.linalg.norm(sp.atom.T @ sp.atom - sp.proj))
+    if not weight_defect <= NORM_DRIFT_TOL:
+        raise StepSizeError(f"secular spectrum misses unit atomic weight by {weight_defect:.3g}")
 
     g1, g2, w12 = config.gamma1, config.gamma2, config.omega12
-    c, s = config.cos_eta, config.sin_eta
-    if c == 0.0:
-        amps = np.zeros((times.size, 4), dtype=complex)
-        amps[:, [0, 2]], p1 = solve_block((0, 2), [[0.0, g1], [g1, 0.0]], [(1.0, 1.0)])
-        amps[:, [1, 3]], p2 = solve_block((1, 3), [[-w12, g2], [g2, -w12]],
-                                          [(s, s)] if has_b else [])
-        probs = p1 + p2
-    else:
-        # rows (A1, A2-frame, A3, A4-frame)
-        h_atom = [[0.0, 0.0, g1, 0.0], [0.0, -w12, 0.0, g2],
-                  [g1, 0.0, 0.0, 0.0], [0.0, g2, 0.0, -w12]]
-        groups = [(1.0, c, 1.0, c)] + ([(0.0, s, 0.0, s)] if has_b else [])
-        amps, probs = solve_block((0, 1, 2, 3), h_atom, groups)
+    coef = sp.atom @ u0
+    u = np.zeros((times.size, 2), dtype=complex)
+    step = max(1, CHUNK_ELEMS // times.size)
+    for a in range(0, sp.tau.size, step):
+        sl = slice(a, a + step)
+        u += (np.exp(-1j * np.outer(times, sp.base[sl] + sp.tau[sl])) * coef[sl]) @ sp.atom[sl]
+    v = v0 * np.exp(1j * np.outer(times, [g1, w12 + g2]))
 
     shift = np.exp(-1j * w12 * times)
+    amps = np.empty((times.size, 4), dtype=complex)
+    amps[:, :2] = (u + v) / np.sqrt(2.0)
+    amps[:, 2:] = (u - v) / np.sqrt(2.0)
     amps[:, 1] *= shift
     amps[:, 3] *= shift
-    meta = {"engine": "oracle", "horizon": horizon}
+    meta = {"engine": "oracle", "horizon": horizon, "weight_defect": weight_defect,
+            "n_roots": int(sp.tau.size)}
     if store_modes:
-        meta["mode_probs"] = probs
+        c, s = config.cos_eta, config.sin_eta
+        if abs(s) <= SIN_ETA_FLOOR:
+            c, s = np.sign(c), 0.0
+        meta["mode_probs"] = _mode_probs(sp, coef, times, bath.nu - config.omega1c, bath.g, c, s)
         meta["bath"] = bath
     field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
     return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
+
+
+def _mode_probs(sp: _Spectrum, coef, times, delta, g, c, s):
+    """|C_n(t)|^2 + |D_n(t)|^2 on the output grid.
+
+    Eigenvector k has the mode parts sqrt2 g_n (a_k1 + c a_k2, s a_k2) /
+    (lambda_k - delta_n) in the two families (a_k its atomic part), except
+    a pinned eigenvector, whose mode part is given.
+    """
+    scale = np.sqrt(2.0) * g
+    families = [sp.atom[:, 0] + c * sp.atom[:, 1]] + ([s * sp.atom[:, 1]] if s else [])
+    live = np.flatnonzero(np.any([f != 0.0 for f in families], axis=0))
+    amps = [np.zeros((times.size, g.size), dtype=complex) for _ in families]
+    step = max(1, CHUNK_ELEMS // max(g.size, times.size))
+    for a in range(0, live.size, step):
+        k = live[a:a + step]
+        ph = np.exp(-1j * np.outer(times, sp.base[k] + sp.tau[k])) * coef[k]
+        cauchy = 1.0 / ((sp.base[k, None] - delta) + sp.tau[k, None])
+        for f, amp in zip(families, amps):
+            amp += (ph * f[k]) @ cauchy
+    for row, j, part in sp.pinned:
+        lam = sp.base[row] + sp.tau[row]
+        amps[0][:, j] += np.exp(-1j * lam * times) * (coef[row] * part / scale[j])
+    return sum(np.abs(amp * scale) ** 2 for amp in amps)
 
 
 def mode_spectrum(trajectory: AmplitudeTrajectory, bath: DiscreteBath, t: float):

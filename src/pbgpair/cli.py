@@ -3,15 +3,21 @@
 Verbs: ``run`` (key-value config file), ``preset`` (named scenario),
 ``poles`` (dressed-state table), ``sweep`` (parameter ladder).  Exit
 codes: 0 success, 2 usage/validation, 3 I/O, 4 numerical failure (the
-message names the failing operation).  THREADS caps sweep workers.
+message names the failing operation; numpy's LinAlgError and a
+FloatingPointError count as numerical failures).  THREADS caps sweep
+workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
+import traceback
 from dataclasses import replace
+
+from numpy.linalg import LinAlgError
 
 from . import csvio, sweep as sweep_mod
 from .config import parse_run_file, RunSpec
@@ -118,6 +124,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _stage(exc) -> str:
+    """``module.function`` of the innermost frame of this package that
+    ``exc`` passed through."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    frames = [f for f in traceback.extract_tb(exc.__traceback__)
+              if os.path.dirname(os.path.abspath(f.filename)) == here]
+    if not frames:
+        return "an unknown stage"
+    module = os.path.splitext(os.path.basename(frames[-1].filename))[0]
+    return f"{module}.{frames[-1].name}"
+
+
 _COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "poles": _cmd_poles,
              "sweep": _cmd_sweep}
 
@@ -142,6 +160,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"pbgpair {command}: numerical failure in {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return EXIT_NUMERIC
+    except (LinAlgError, FloatingPointError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"pbgpair {command}: numerical failure in {_stage(exc)}: "
+              f"{type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_NUMERIC
     except PbgpairError as exc:
         print(f"pbgpair {command}: {exc}", file=sys.stderr)

@@ -14,10 +14,10 @@ log = logging.getLogger("pbgpair")
 
 DEFAULT_MODES = 4000
 # Size budget, checked before anything is allocated.  An analytic run peaks
-# at about 1 kB per output point (114 MB at 100,000 points); the oracle
-# diagonalizes a dense float64 block (8 dim^2 bytes, held about three times
-# by eigh) and propagates it into complex (points x dim) arrays, also held
-# about three times.
+# at about 1 kB per output point (114 MB at 100,000 points).  The oracle
+# never forms its (dim x dim) generator: it finds one secular root per mode
+# interval in chunks of bounded memory (time ~ dim^2 per iteration) and sums
+# e^{-i lambda t} over the roots at every output point (time ~ points x dim).
 MAX_POINTS = 1_000_000
 MAX_BLOCK_DIM = 12_000
 MAX_PROPAGATION_SIZE = 25_000_000
@@ -50,7 +50,10 @@ def oracle_trajectory(config, init, t_max, dt_out, n_modes=DEFAULT_MODES,
     if size > MAX_PROPAGATION_SIZE:
         raise DomainError(f"oracle propagation array of {size} entries exceeds the "
                           f"budget of {MAX_PROPAGATION_SIZE}; raise dt_out or lower t_max")
-    return bath.integrate(config, init, b, t_max=t_max, dt_out=dt_out)
+    traj = bath.integrate(config, init, b, t_max=t_max, dt_out=dt_out)
+    log.info("oracle: %d secular roots, spectral weight defect %.3g, horizon %.6g",
+             traj.meta["n_roots"], traj.meta["weight_defect"], horizon)
+    return traj
 
 
 def run_spec(spec: RunSpec, n_modes: int = DEFAULT_MODES):

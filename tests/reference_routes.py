@@ -24,9 +24,10 @@ classification functions ``spectral_functions``, the kernel triple
 ``printed_closed_form`` (known to be wrong), against
 :func:`pbgpair.transform.solve_system` and the pole table.
 
-Oracle propagation: ``integrate_rk4``, a fixed-step fourth-order
-exponential integrator, against the exact unitary propagation of
-:func:`pbgpair.bath.integrate`.
+Oracle propagation: ``integrate_dense``, the exact unitary propagation
+by a dense ``eigh`` of each coupled block, and ``integrate_rk4``, a
+fixed-step fourth-order exponential integrator, both against the
+secular-equation spectrum of :func:`pbgpair.bath.integrate`.
 """
 
 import cmath
@@ -36,10 +37,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from pbgpair import kernel, transform
-from pbgpair.bath import SIN_ETA_FLOOR
+from pbgpair.bath import NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath
 from pbgpair.config import AmplitudeTrajectory
-from pbgpair.errors import (DomainError, NormError, QuadratureError, SingularSystem,
-                            StepSizeError)
+from pbgpair.errors import (DomainError, NormError, QuadratureError,
+                            RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
 from pbgpair.inversion import CUT_FAIL_TOL, EXP_FLOOR, cut_discontinuity
 from pbgpair.negativity import NORM_SLACK
 
@@ -357,6 +358,95 @@ def spectral_functions(x, config):
     if np.asarray(g1).ndim:
         return g1, g2, h1, h2
     return complex(g1), complex(g2), complex(h1), complex(h2)
+
+
+def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
+                    dt_out: float = 0.5, store_modes: bool = False) -> AmplitudeTrajectory:
+    """Exact unitary propagation by a dense ``eigh`` of each coupled block.
+
+    Basis: [A1, A2 e^{i w12 t}, A3, A4 e^{i w12 t}, C_1..C_N, D_1..D_N]
+    with C/D the co-rotating mode amplitudes referenced to the first
+    transition.  In this frame the generator is a constant real-symmetric
+    matrix, diagonalized once per coupled block; the norm is conserved to
+    machine precision.  With orthogonal dipoles the two transitions see
+    disjoint mode families and split into two blocks, a block whose
+    initial amplitudes vanish is skipped, and the second family exists
+    only when sin(eta) != 0.
+
+    Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
+    ``t_max`` exceeds the bath rephasing time and StepSizeError on norm
+    drift.
+    """
+    horizon = bath.recurrence_time()
+    if t_max > horizon:
+        raise RecurrenceHorizonExceeded(
+            f"t_max={t_max:g} exceeds the bath recurrence time {horizon:g}; "
+            "increase n_modes or shorten the run"
+        )
+    has_b = abs(config.sin_eta) > SIN_ETA_FLOOR
+    n_m = bath.n_modes
+    n_out = int(np.floor(t_max / dt_out + 1e-9))
+    times = np.arange(n_out + 1) * dt_out
+    delta = bath.nu - config.omega1c
+    a0 = np.asarray(init.as_tuple(), dtype=complex)
+
+    def solve_block(atom_idx, h_atom, mode_groups):
+        """Propagate one coupled block: the atomic generator ``h_atom`` and,
+        per mode family, the coupling factor of each atomic row.  Returns
+        (atom amplitudes, mode probabilities summed over families)."""
+        na = len(atom_idx)
+        y0 = np.zeros(na + n_m * len(mode_groups), dtype=complex)
+        y0[:na] = a0[list(atom_idx)]
+        if not np.any(y0):
+            return np.zeros((times.size, na), dtype=complex), 0.0
+        h = np.zeros((y0.size, y0.size))
+        h[:na, :na] = h_atom
+        for k, coupling in enumerate(mode_groups):
+            sl = slice(na + k * n_m, na + (k + 1) * n_m)
+            ii = np.arange(na + k * n_m, na + (k + 1) * n_m)
+            h[ii, ii] = delta
+            h[:na, sl] = np.outer(coupling, bath.g)
+            h[sl, :na] = h[:na, sl].T
+        w, v = np.linalg.eigh(h)
+        coef = v.T @ y0
+        phases = np.exp(-1j * np.outer(times, w)) * coef
+        atom = phases @ v[:na].T
+        probs = 0.0
+        if mode_groups:
+            mode_amps = phases @ v[na:].T
+            probs = np.abs(mode_amps[:, :n_m]) ** 2
+            for k in range(1, len(mode_groups)):
+                probs = probs + np.abs(mode_amps[:, k * n_m:(k + 1) * n_m]) ** 2
+        norms = np.sum(np.abs(phases) ** 2, axis=1)
+        drift = float(np.max(np.abs(norms - np.sum(np.abs(y0) ** 2))))
+        if drift > NORM_DRIFT_TOL * max(1.0, t_max):
+            raise StepSizeError(f"unitary propagation norm defect {drift:.3g}")
+        return atom, probs
+
+    g1, g2, w12 = config.gamma1, config.gamma2, config.omega12
+    c, s = config.cos_eta, config.sin_eta
+    if c == 0.0:
+        amps = np.zeros((times.size, 4), dtype=complex)
+        amps[:, [0, 2]], p1 = solve_block((0, 2), [[0.0, g1], [g1, 0.0]], [(1.0, 1.0)])
+        amps[:, [1, 3]], p2 = solve_block((1, 3), [[-w12, g2], [g2, -w12]],
+                                          [(s, s)] if has_b else [])
+        probs = p1 + p2
+    else:
+        # rows (A1, A2-frame, A3, A4-frame)
+        h_atom = [[0.0, 0.0, g1, 0.0], [0.0, -w12, 0.0, g2],
+                  [g1, 0.0, 0.0, 0.0], [0.0, g2, 0.0, -w12]]
+        groups = [(1.0, c, 1.0, c)] + ([(0.0, s, 0.0, s)] if has_b else [])
+        amps, probs = solve_block((0, 1, 2, 3), h_atom, groups)
+
+    shift = np.exp(-1j * w12 * times)
+    amps[:, 1] *= shift
+    amps[:, 3] *= shift
+    meta = {"engine": "oracle", "horizon": horizon}
+    if store_modes:
+        meta["mode_probs"] = probs
+        meta["bath"] = bath
+    field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
+    return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
 
 
 def _phi1(z):

@@ -1,9 +1,12 @@
+import logging
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pbgpair import bath, kernel
+from pbgpair import bath, kernel, pipeline
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import (
     DiscretizationError,
@@ -11,7 +14,7 @@ from pbgpair.errors import (
     RecurrenceHorizonExceeded,
     StepSizeError,
 )
-from reference_routes import integrate_rk4
+from reference_routes import integrate_dense, integrate_rk4
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -153,3 +156,145 @@ def test_deep_gap_spectrum_line_positions():
     tr2 = bath.integrate(config2, init, b2, t_max=40.0, dt_out=2.0, store_modes=True)
     nu2, p2 = bath.mode_spectrum(tr2, b2, 40.0)
     assert p2[nu2 < 1.0].sum() > 0.4 * p2.sum()
+
+
+def _h22_on_a_mode():
+    """Anti-parallel config whose uncoupled level (gamma1 + gamma2 - omega12)/2
+    equals a mode frequency delta_j of the 300-mode bath exactly."""
+    b = bath.build_bath(FIG2B, n_modes=300)
+    delta = b.nu - FIG2B.omega1c
+    for j in np.flatnonzero(delta > 0.5):
+        g2 = 2.0 * delta[j] + 0.4 - 1.0
+        for k in range(-4, 5):
+            g2k = g2 + k * np.spacing(g2)
+            if 0.5 * (1.0 + (g2k - 0.4)) == delta[j]:
+                return SystemConfig(gamma1=1.0, gamma2=g2k, omega12=0.4, omega1c=0.6,
+                                    omega2c=0.2, eta=PI)
+    raise AssertionError("no mode frequency is reachable exactly")
+
+
+SECULAR_CASES = {
+    "orthogonal": (SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6,
+                                omega2c=-1.0, eta=PI / 2), InitialState(1, 0, 0, 0)),
+    "anti-parallel": (FIG2B, preset_initial("unentangled")),
+    "parallel": (SystemConfig(gamma1=3, gamma2=5, omega12=0.4, omega1c=-0.6,
+                              omega2c=-1.0, eta=0.0), preset_initial("bright")),
+    "h12=0": (SystemConfig(gamma1=5.6, gamma2=6, omega12=0.4, omega1c=0.6,
+                           omega2c=0.2, eta=PI), preset_initial("unentangled")),
+    "h22 on a mode": (_h22_on_a_mode(), InitialState(0.6, 0.8, 0, 0)),
+    "eta=60": (SystemConfig(gamma1=3, gamma2=5, omega12=0.4, omega1c=-0.6,
+                            omega2c=-1.0, eta=PI / 3), preset_initial("bright")),
+    "eta=120": (SystemConfig(gamma1=3, gamma2=5, omega12=0.4, omega1c=-0.6,
+                             omega2c=-1.0, eta=2 * PI / 3), preset_initial("unentangled")),
+}
+
+
+@pytest.mark.parametrize("name", SECULAR_CASES)
+def test_secular_spectrum_matches_dense(name):
+    config, init = SECULAR_CASES[name]
+    b = bath.build_bath(config, n_modes=300)
+    tr = bath.integrate(config, init, b, t_max=15.0, dt_out=0.5, store_modes=True)
+    ref = integrate_dense(config, init, b, t_max=15.0, dt_out=0.5, store_modes=True)
+    assert np.max(np.abs(tr.amps - ref.amps)) <= 1e-5
+    assert np.max(np.abs(tr.meta["mode_probs"] - ref.meta["mode_probs"])) <= 1e-6
+    assert tr.meta["weight_defect"] <= 1e-12
+    if name == "orthogonal":
+        # the unpopulated (A2, A4) arrowhead is skipped and stays exactly zero
+        assert tr.meta["n_roots"] == b.n_modes + 1
+        assert np.max(np.abs(tr.amps[:, [1, 3]])) == 0.0
+    if name == "h22 on a mode":
+        assert len(bath._symmetric_spectrum(config, b, np.ones(2)).pinned) == 1
+
+
+@pytest.mark.parametrize("name", ["anti-parallel", "eta=120", "orthogonal"])
+def test_secular_roots_decimal_residual(name):
+    # Newton corrections of det(z - h_u - sigma(z) Mc) at 40 digits for the
+    # five eigenvalues of largest atomic weight
+    config, _ = SECULAR_CASES[name]
+    b = bath.build_bath(config, n_modes=300)
+    sp = bath._symmetric_spectrum(config, b, np.ones(2))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        delta = [Decimal(x) for x in b.nu - config.omega1c]
+        w = [Decimal(x) ** 2 for x in b.g]
+        c = Decimal(config.cos_eta)
+        h1, h2 = Decimal(config.gamma1), Decimal(config.gamma2 - config.omega12)
+        for k in np.argsort(np.sum(sp.atom ** 2, axis=1))[-5:]:
+            lam = Decimal(sp.base[k]) + Decimal(sp.tau[k])
+            sig = sum(wj / (lam - dj) for wj, dj in zip(w, delta))
+            dsig = -sum(wj / (lam - dj) ** 2 for wj, dj in zip(w, delta))
+            a1, a2 = lam - h1 - 2 * sig, lam - h2 - 2 * sig
+            det = a1 * a2 - 4 * c * c * sig * sig
+            ddet = (1 - 2 * dsig) * (a1 + a2) - 8 * c * c * sig * dsig
+            assert abs(det / ddet) <= Decimal("1e-15") * max(1, abs(lam))
+
+
+@st.composite
+def oracle_cases(draw):
+    """Random configurations in units of beta, with draws forced onto eta at
+    and next to {0, pi/2, pi}, gamma1 = gamma2 - omega12 up to a tiny
+    offset (near-degenerate pencil branches), beta = 1e-4, and a random
+    normalised state."""
+    beta = draw(st.one_of(st.just(1e-4), st.floats(1e-4, 10.0)))
+    gamma1 = beta * draw(st.floats(0.0, 10.0))
+    w12 = beta * draw(st.floats(-1.0, 1.0))
+    offset = beta * draw(st.sampled_from([0.0, 1e-16, -1e-12, 1e-8]))
+    gamma2 = gamma1 + w12 + offset if draw(st.booleans()) and gamma1 + w12 + offset >= 0 \
+        else beta * draw(st.floats(0.0, 10.0))
+    w1c = beta * draw(st.floats(-2.0, 1.5))
+    eta = draw(st.one_of(st.sampled_from([0.0, PI / 2, PI, 3e-8, PI / 2 - 2e-11, PI - 1e-6]),
+                         st.floats(0.0, PI)))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    v = parts[:4] + 1j * parts[4:]
+    if np.linalg.norm(v) < 0.1:
+        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    config = SystemConfig(gamma1=gamma1, gamma2=gamma2, omega12=w12, omega1c=w1c,
+                          omega2c=w1c - w12, eta=eta, beta=beta)
+    return config, InitialState(*(v / np.linalg.norm(v)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(oracle_cases())
+def test_weight_defect_property(case):
+    config, init = case
+    b = bath.build_bath(config, n_modes=100)
+    tr = bath.integrate(config, init, b, t_max=1.0 / config.beta, dt_out=0.5 / config.beta)
+    assert tr.meta["weight_defect"] <= 1e-8
+    assert np.max(np.abs(tr.field_prob)) <= 1.0 + 1e-12
+
+
+def test_lost_root_fails_completeness(monkeypatch):
+    # a root dropped from an arrowhead leaves its atomic weight unresolved
+    arrowhead = bath._arrowhead
+
+    def drop_heaviest(*args):
+        base, tau, atom = arrowhead(*args)
+        keep = np.arange(tau.size) != np.argmax(np.sum(atom ** 2, axis=1))
+        return base[keep], tau[keep], atom[keep]
+
+    monkeypatch.setattr(bath, "_arrowhead", drop_heaviest)
+    b = bath.build_bath(FIG2B, n_modes=150)
+    with pytest.raises(StepSizeError, match="atomic weight"):
+        bath.integrate(FIG2B, preset_initial("unentangled"), b, t_max=5.0)
+
+
+def test_mode_spectrum_matches_dense():
+    config, init = SECULAR_CASES["eta=120"]
+    b = bath.build_bath(config, n_modes=800)
+    tr = bath.integrate(config, init, b, t_max=20.0, dt_out=1.0, store_modes=True)
+    ref = integrate_dense(config, init, b, t_max=20.0, dt_out=1.0, store_modes=True)
+    for t in (5.0, 20.0):
+        nu, p = bath.mode_spectrum(tr, b, t)
+        nu_ref, p_ref = bath.mode_spectrum(ref, b, t)
+        assert np.array_equal(nu, nu_ref)
+        assert np.max(np.abs(p - p_ref)) <= 1e-6
+
+
+def test_oracle_reports_spectral_completeness(caplog):
+    with caplog.at_level(logging.INFO, logger="pbgpair"):
+        tr = pipeline.oracle_trajectory(FIG2B, preset_initial("unentangled"), 5.0, 0.5,
+                                        n_modes=150)
+    assert tr.meta["n_roots"] == bath.block_dim(FIG2B, 150) - 2
+    assert 0.0 <= tr.meta["weight_defect"] <= 1e-8
+    assert any("secular roots" in r.getMessage() and "weight defect" in r.getMessage()
+               for r in caplog.records)

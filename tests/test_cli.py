@@ -255,3 +255,17 @@ def test_size_budget_exit_code(tmp_path, capsys, extra):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "budget" in err[0]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
+                                   FloatingPointError("overflow encountered in exp")])
+def test_numpy_numerical_error_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("pbgpair.inversion.amplitudes_analytic", fail)
+    assert main(["preset", "fig2a", "-o", str(tmp_path / "x.csv")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert type(error).__name__ in err[0] and "pipeline.analytic_trajectory" in err[0]
+    assert not (tmp_path / "x.csv").exists()
