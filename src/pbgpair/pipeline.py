@@ -15,12 +15,21 @@ log = logging.getLogger("pbgpair")
 DEFAULT_MODES = 4000
 # Size budget, checked before anything is allocated.  An analytic run peaks
 # at about 1 kB per output point (114 MB at 100,000 points).  The oracle
-# never forms its (dim x dim) generator: it finds one secular root per mode
-# interval in chunks of bounded memory (time ~ dim^2 per iteration) and sums
-# e^{-i lambda t} over the roots at every output point (time ~ points x dim).
+# never forms its (dim x dim) generator: its memory is the CHUNK_ELEMS work
+# arrays of bath.py plus O(dim x CHEB_DEGREE) for the roots and the
+# far-field interpolants (a 93 MB process at dim 51,212).  Its work is the
+# far-field build, about dim^2 CHEB_DEGREE / PANEL pole-node terms per
+# secular equation (2.6 s at dim 51,212, 10 s at MAX_BLOCK_DIM: 21 s for the
+# two equations of orthogonal dipoles with both transitions populated), a
+# few passes of dim x 3 PANEL near-field terms, and the time sum, output
+# points x dim complex multiply-adds (MAX_PROPAGATION_SIZE; 0.5 s at
+# 3.3e8).  The oracle's output grid is a cross-check of a run's window and
+# is capped at MAX_ORACLE_POINTS, six times the longest preset grid (fig5c,
+# 8,401 points).
 MAX_POINTS = 1_000_000
-MAX_BLOCK_DIM = 12_000
-MAX_PROPAGATION_SIZE = 25_000_000
+MAX_BLOCK_DIM = 100_000
+MAX_PROPAGATION_SIZE = 1_000_000_000
+MAX_ORACLE_POINTS = 50_000
 
 
 def n_points(t_max: float, dt_out: float) -> int:
@@ -46,10 +55,15 @@ def oracle_trajectory(config, init, t_max, dt_out, n_modes=DEFAULT_MODES,
         log.info("oracle horizon %.6g limits the reference run to t=%.6g",
                  horizon, t_max)
     # past the horizon integrate() raises before allocating anything
-    size = n_points(min(t_max, horizon), dt_out) * bath.block_dim(config, n_modes)
+    points = n_points(min(t_max, horizon), dt_out)
+    if points > MAX_ORACLE_POINTS:
+        raise DomainError(f"oracle output grid of {points} points exceeds the budget of "
+                          f"{MAX_ORACLE_POINTS}; raise dt_out or lower t_max")
+    size = points * bath.block_dim(config, n_modes)
     if size > MAX_PROPAGATION_SIZE:
-        raise DomainError(f"oracle propagation array of {size} entries exceeds the "
-                          f"budget of {MAX_PROPAGATION_SIZE}; raise dt_out or lower t_max")
+        raise DomainError(f"oracle time sum of {size} terms (points x block dimension) "
+                          f"exceeds the budget of {MAX_PROPAGATION_SIZE}; raise dt_out or "
+                          "lower t_max")
     traj = bath.integrate(config, init, b, t_max=t_max, dt_out=dt_out)
     log.info("oracle: %d secular roots, spectral weight defect %.3g, horizon %.6g",
              traj.meta["n_roots"], traj.meta["weight_defect"], horizon)

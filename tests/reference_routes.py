@@ -27,7 +27,9 @@ classification functions ``spectral_functions``, the kernel triple
 Oracle propagation: ``integrate_dense``, the exact unitary propagation
 by a dense ``eigh`` of each coupled block, and ``integrate_rk4``, a
 fixed-step fourth-order exponential integrator, both against the
-secular-equation spectrum of :func:`pbgpair.bath.integrate`.
+secular-equation spectrum of :func:`pbgpair.bath.integrate`;
+``evaluate_direct``, the secular sums over every pole, against the
+near/far-field evaluation of the secular solver.
 """
 
 import cmath
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from pbgpair import kernel, transform
-from pbgpair.bath import NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath
+from pbgpair.bath import CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
@@ -358,6 +360,35 @@ def spectral_functions(x, config):
     if np.asarray(g1).ndim:
         return g1, g2, h1, h2
     return complex(g1), complex(g2), complex(h1), complex(h2)
+
+
+def evaluate_direct(d, w, value, origin, tau):
+    """Secular function F(z) = mu(z) - sum_j w_j / (z - d_j) at z = d[origin] + tau.
+
+    Returns F, F', the share of s2 = sum_j w_j / (z - d_j)^2 from the
+    poles below z, s2 itself, mu'(z), a bound on the rounding error of F
+    and sigma(z) = sum_j w_j / (z - d_j).  The differences z - d_j are
+    formed as (d_j - d[origin]) - tau, which keeps them accurate to
+    relative rounding even beside the pole.
+    """
+    mu, mu_p = value(d[origin] + tau)
+    s1, s1lo, s2, s2lo = (np.empty(tau.size) for _ in range(4))
+    step = max(1, CHUNK_ELEMS // d.size)
+    for a in range(0, tau.size, step):
+        sl = slice(a, a + step)
+        r = d[None, :] - d[origin[sl], None]
+        r -= tau[sl, None]
+        np.reciprocal(r, out=r)          # 1 / (d_j - z)
+        lower = np.minimum(r, 0.0)       # the poles below z
+        s1[sl] = r @ w
+        s1lo[sl] = lower @ w
+        r *= r
+        lower *= lower
+        s2[sl] = r @ w
+        s2lo[sl] = lower @ w
+    # s1 - 2 s1lo = sum_j w_j / |d_j - z| bounds the rounding of the sum
+    err = EPS * (8.0 * (np.abs(mu) + s1 - 2.0 * s1lo) + 2.0 * np.abs(d[origin] + tau) * mu_p)
+    return mu + s1, mu_p + s2, s2lo, s2, mu_p, err, -s1
 
 
 def integrate_dense(config, init, bath: DiscreteBath, t_max: float,

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -14,7 +15,8 @@ from pbgpair.errors import (
     RecurrenceHorizonExceeded,
     StepSizeError,
 )
-from reference_routes import integrate_dense, integrate_rk4
+from pbgpair.presets import get_preset
+from reference_routes import evaluate_direct, integrate_dense, integrate_rk4
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -298,3 +300,82 @@ def test_oracle_reports_spectral_completeness(caplog):
     assert 0.0 <= tr.meta["weight_defect"] <= 1e-8
     assert any("secular roots" in r.getMessage() and "weight defect" in r.getMessage()
                for r in caplog.records)
+
+
+@st.composite
+def pole_sets(draw):
+    """Ascending distinct poles with positive weights: a uniform-in-u bath
+    grid with its geometric tail, a set below one panel (all near field),
+    a grid with the extra h22 pole of ``_parallel``, or clusters at
+    spacing 1e-10 among scattered poles."""
+    kind = draw(st.sampled_from(["bath", "one panel", "h22", "clusters"]))
+    if kind in ("bath", "h22"):
+        w1c = draw(st.floats(-2.0, 1.5))
+        config = SystemConfig(gamma1=1.0, gamma2=1.0, omega12=0.4, omega1c=w1c,
+                              omega2c=w1c - 0.4, eta=PI)
+        b = bath.build_bath(config, n_modes=draw(st.integers(100, 700)))
+        d, w = b.nu - w1c, b.g ** 2
+        if kind == "h22":
+            k = draw(st.integers(0, d.size - 2))
+            h22 = d[k] + draw(st.floats(0.01, 0.99)) * (d[k + 1] - d[k])
+            d = np.insert(d, k + 1, h22)
+            w = np.insert(w, k + 1, 0.25 * draw(st.floats(1e-6, 10.0)) ** 2)
+        return d, w
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "one panel":
+        d = np.unique(rng.uniform(-5.0, 5.0, draw(st.integers(1, bath.PANEL - 1))))
+    else:
+        parts = [rng.uniform(-10.0, 10.0, draw(st.integers(50, 400)))]
+        for _ in range(draw(st.integers(1, 4))):
+            parts.append(rng.uniform(-10.0, 10.0) + 1e-10 * np.arange(draw(st.integers(2, 150))))
+        d = np.unique(np.concatenate(parts))
+    return d, rng.uniform(1e-4, 1.0, d.size) * 10.0 ** rng.integers(-6, 2, d.size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pole_sets(), st.floats(-3.0, 3.0), st.floats(0.1, 8.0))
+def test_far_field_matches_direct_sums(poles, h, kappa):
+    # F, F', s2lo and sigma at points across every pole interval (as offsets
+    # from the nearer pole, beside the pole too) and past the outer poles
+    d, w = poles
+    n = d.size
+    rng = np.random.default_rng(n)
+    value = lambda z: ((z - h) / kappa, np.full(np.shape(z), 1.0 / kappa))  # noqa: E731
+    # the gaps below and above each pole, 1 past the outer poles
+    below, above = np.concatenate([[1.0], np.diff(d)]), np.concatenate([np.diff(d), [1.0]])
+    origin = rng.integers(0, n, 400)
+    frac = np.concatenate([rng.uniform(-0.5, 0.5, 300), 1e-9 * rng.uniform(-1, 1, 100)])
+    tau = frac * np.where(frac < 0, below[origin], above[origin])
+    origin = np.concatenate([origin, [0, 0, n - 1, n - 1]])
+    tau = np.concatenate([tau, [-1e-3, -7.0, 1e-3, 7.0]])
+
+    F, Fp, s2lo, s2, _, _, sigma = bath._evaluate(d, w, value, origin, tau,
+                                                 bath._far_field(d, w))
+    _, Fp0, s2lo0, s2_0, _, err0, sigma0 = evaluate_direct(d, w, value, origin, tau)
+    # F against the correctly rounded sum of the same offset terms: beside a
+    # pole the direct dot products carry more than err of rounding
+    terms = w / ((d[None, :] - d[origin, None]) - tau[:, None])
+    exact = value(d[origin] + tau)[0] + np.array([math.fsum(row) for row in terms])
+    assert np.all(np.abs(F - exact) <= err0)
+    assert np.max(np.abs(Fp - Fp0) / Fp0) <= 1e-13
+    assert np.max(np.abs(s2 - s2_0) / s2_0) <= 1e-13
+    assert np.max(np.abs(s2lo - s2lo0) / np.where(s2lo0 > 0, s2lo0, 1.0)) <= 1e-13
+    # sigma sums terms of both signs: relative to sum_j w_j / |d_j - z|
+    assert np.max(np.abs(sigma - sigma0) / np.abs(terms).sum(axis=1)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_modes", [4000, 12000])
+def test_integrate_memory_peak(n_modes):
+    # every work array is bounded by CHUNK_ELEMS entries, a panel's rows or
+    # the blocked time grid; a (points x roots) phase array or a (roots x
+    # poles) evaluation would take 295 MB and 1.2 GB at 12,000 modes
+    p = get_preset("fig2b")
+    b = bath.build_bath(p.config, n_modes=n_modes)
+    t_max = p.dt_out * math.floor(min(p.t_max, b.recurrence_time()) / p.dt_out)
+    tracemalloc.start()
+    try:
+        bath.integrate(p.config, p.init, b, t_max=t_max, dt_out=p.dt_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import os
+import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pbgpair import bath
 from pbgpair.cli import main
 from pbgpair.sweep import apply_parameter, parse_values, worker_count
 from pbgpair.config import parse_run_file
@@ -269,3 +276,135 @@ def test_numpy_numerical_error_exit_code(tmp_path, monkeypatch, capsys, error):
     assert len(err) == 1 and "Traceback" not in err[0]
     assert type(error).__name__ in err[0] and "pipeline.analytic_trajectory" in err[0]
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_oracle_budget_accepts_12000_modes(tmp_path):
+    # block dimension 12,212, past the 12,000 once sized for a dense eigh
+    out = tmp_path / "fig2b.csv"
+    assert main(["preset", "fig2b", "--engine", "both", "--modes", "12000",
+                 "-o", str(out)]) == 0
+    assert out.exists()
+
+
+def test_oracle_cross_checks_fig2c_full_horizon(tmp_path, caplog):
+    # 51,000 modes put the horizon (3,204) past fig2c's t_max, so the
+    # engines are compared over the whole run
+    out = tmp_path / "fig2c.csv"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with caplog.at_level("INFO", logger="pbgpair"):
+            code = main(["preset", "fig2c", "--engine", "both", "--modes", "51000",
+                         "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wall = time.perf_counter() - start
+    assert code == 0
+    msg = [r.getMessage() for r in caplog.records if "deviation" in r.getMessage()][0]
+    assert float(msg.split("deviation")[1].split()[0]) <= 5e-3
+    assert msg.endswith("[0, 3200]")
+    assert wall < 60.0 and peak < 1e9
+
+
+def test_oracle_budget_refuses_before_building(tmp_path, capsys, monkeypatch):
+    # block dimension 10,000,212: refused before the bath is built
+    def build_bath(*args, **kwargs):
+        raise AssertionError("the bath was built")
+
+    monkeypatch.setattr(bath, "build_bath", build_bath)
+    out = tmp_path / "x.csv"
+    assert main(["preset", "fig2c", "--engine", "both", "--modes", "10000000",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "budget" in err[0]
+    assert not out.exists()
+
+
+def test_oracle_time_sum_budget_exit_code(tmp_path, capsys):
+    # 25,001 points x block dimension 40,212: past the time-sum budget
+    out = tmp_path / "x.csv"
+    assert main(["preset", "fig2a", "--engine", "oracle", "--modes", "40000",
+                 "--tmax", "2500", "--dt", "0.1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "time sum" in err[0] and "budget" in err[0]
+    assert not out.exists()
+
+
+@st.composite
+def run_files(draw):
+    """Run-file text and extra command-line arguments: a valid small run or
+    one fault (a NaN/inf or unparsable number, an unknown, duplicate or
+    missing key, a line without one '=', detunings that do not sum to
+    omega12, custom amplitudes of the wrong norm, a grid past the budget
+    or a non-positive one), run by a random engine on a bath of random
+    size, past the budget too.  Every accepted case is small."""
+    gamma = repr(draw(st.floats(0.0, 10.0)))
+    w1c, w2c = draw(st.floats(-3.0, 2.0)), draw(st.floats(-3.0, 2.0))
+    values = {"gamma1": gamma, "gamma2": gamma, "omega12": repr(w1c - w2c),
+              "omega1c": repr(w1c), "omega2c": repr(w2c),
+              "eta_degrees": repr(draw(st.floats(0.0, 180.0))),
+              "t_max": "20.0", "dt_out": "0.5"}
+    norm = 1.0
+    fault = draw(st.sampled_from([None, None, None, None, "value", "key", "duplicate",
+                                  "equals", "missing", "detuning", "norm", "grid"]))
+    if fault == "value":
+        values[draw(st.sampled_from(sorted(values)))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", ""]))
+    elif fault == "detuning":
+        values["omega12"] = repr(w1c - w2c + draw(st.sampled_from([1e-6, 0.5])))
+    elif fault == "norm":
+        norm = draw(st.sampled_from([1.0 + 1e-9, 0.5, 2.0, 0.0]))
+    elif fault == "grid":
+        values["t_max"], values["dt_out"] = draw(st.sampled_from(
+            [("1e15", "1.0"), ("1e7", "1e-3"), ("10.0", "1e-4"), ("0.0", "0.5"),
+             ("20.0", "-1.0")]))
+    lines = [f"{k} = {v}" for k, v in values.items()]
+    custom = norm != 1.0 or draw(st.booleans())
+    initial = "custom" if custom else draw(st.sampled_from(["bright", "unentangled"]))
+    lines.append(f"initial = {initial}")
+    if custom:
+        amps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+        size = np.linalg.norm(amps)
+        amps = amps * norm / size if size > 0.1 else np.eye(8)[0] * norm
+        lines += [f"a{i}_{part} = {float(amps[2 * (i - 1) + j])!r}"
+                  for i in (1, 2, 3, 4) for j, part in enumerate(("re", "im"))]
+    where = draw(st.integers(0, len(lines) - 1))
+    if fault == "missing":
+        lines.pop(where)
+    elif fault in ("key", "duplicate", "equals"):
+        lines.insert(where, {"key": "bogus = 1", "duplicate": lines[where],
+                             "equals": draw(st.sampled_from(["t_max", "a = b = c"]))}[fault])
+    engine = draw(st.sampled_from(["both", "oracle", "analytic"]))
+    modes = draw(st.sampled_from(["300", "100", "10000000", "50"]))
+    return "\n".join(lines) + "\n", ["--engine", engine, "--modes", modes]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(run_files(), st.sampled_from(["1", "2", "0", "-3", "abc", "", " 4", "1e3",
+                                     "99999999999"]))
+def test_exit_code_contract_property(case, threads):
+    text, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", cfg, "-o", os.path.join(tmp, "out.csv")] + extra)
+        written = os.path.exists(os.path.join(tmp, "out.csv"))
+    lines = err.getvalue().strip().splitlines()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert written == (code == 0)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("pbgpair run: ")
+    # THREADS only through worker_count, which starts no process
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("THREADS", threads)
+        try:
+            n = worker_count()
+        except DomainError as exc:
+            assert "THREADS" in str(exc)
+        else:
+            assert 1 <= n <= (os.cpu_count() or 1)
