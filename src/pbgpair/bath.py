@@ -226,12 +226,15 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
     """Secular function F(z) = mu(z) - sum_j w_j / (z - d_j) at z = d[origin] + tau.
 
     Returns F, F', the share of s2 = sum_j w_j / (z - d_j)^2 from the
-    poles below z, s2 itself, mu'(z), a bound on the rounding error of F
-    and sigma(z) = sum_j w_j / (z - d_j).  The near poles of each root's
-    panel are summed exactly, with the differences z - d_j formed as
-    (d_j - d[origin]) - tau, which keeps them accurate to relative
-    rounding even beside the pole; the far poles come from the panel's
-    Chebyshev interpolants (``far``).  A root outside its panel's
+    poles below z, s2 itself, mu'(z), an estimate of the rounding error of
+    F and sigma(z) = sum_j w_j / (z - d_j).  The estimate is not a bound
+    beside a pole, where one term dominates the sum: against ``math.fsum``
+    of the same terms the error of F exceeded it by up to 1.26 times here
+    and 1.7 times in the direct sum over every pole.  The near poles of
+    each root's panel are summed exactly, with the differences z - d_j
+    formed as (d_j - d[origin]) - tau, which keeps them accurate to
+    relative rounding even beside the pole; the far poles come from the
+    panel's Chebyshev interpolants (``far``).  A root outside its panel's
     interval (the outer roots) takes every pole as near.
     """
     mu, mu_p = value(d[origin] + tau)
@@ -273,7 +276,7 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
             sums[2, k] += r @ w[s:e]
             sums[3, k] += lower @ w[s:e]
     s1, s1lo, s2, s2lo = sums
-    # s1 - 2 s1lo = sum_j w_j / |d_j - z| bounds the rounding of the sum
+    # s1 - 2 s1lo = sum_j w_j / |d_j - z| scales the rounding of the sum
     err = EPS * (8.0 * (np.abs(mu) + s1 - 2.0 * s1lo) + 2.0 * np.abs(d[origin] + tau) * mu_p)
     return mu + s1, mu_p + s2, s2lo, s2, mu_p, err, -s1
 

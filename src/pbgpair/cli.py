@@ -11,6 +11,7 @@ workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -32,6 +33,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="pbgpair",

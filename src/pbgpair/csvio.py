@@ -7,9 +7,32 @@ import tempfile
 
 import numpy as np
 
+# rows formatted by one '%' call; bounds the transient Python floats
+BLOCK_ROWS = 1024
 
-def _fmt(x) -> str:
-    return format(float(x) + 0.0, ".12g")
+
+def _table(header: str, columns, text=()) -> str:
+    """``header`` and one CSV row per entry of the equal-length ``columns``.
+
+    The columns whose indices are in ``text`` hold strings, printed as they
+    are; the others are taken as floats and printed with '%.12g', after
+    adding 0.0, which prints -0 as 0.  Each block of ``BLOCK_ROWS`` rows is
+    one '%' call on the row template repeated over the block.
+    """
+    row = ",".join("%s" if j in text else "%.12g" for j in range(len(columns))) + "\n"
+    nums = [j for j in range(len(columns)) if j not in text]
+    table = np.stack([np.asarray(columns[j], dtype=float) for j in nums], axis=-1)
+    table += 0.0
+    if text:
+        values, table = table, np.empty((len(table), len(columns)), dtype=object)
+        table[:, nums] = values
+        for j in text:
+            table[:, j] = columns[j]
+    parts = [header + "\n"]
+    for a in range(0, len(table), BLOCK_ROWS):
+        block = table[a:a + BLOCK_ROWS]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def write_atomic(path, text: str):
@@ -29,44 +52,33 @@ def write_atomic(path, text: str):
 def entanglement_csv(series, trajectory) -> str:
     """t, N, E_N, field_prob, |A1|..|A4| — one row per output time."""
     amps = np.abs(np.asarray(trajectory.amps))
-    rows = ["t,N,E_N,field_prob,abs_A1,abs_A2,abs_A3,abs_A4"]
-    for k, t in enumerate(series.times):
-        rows.append(",".join([
-            _fmt(t), _fmt(series.negativity[k]), _fmt(series.log_negativity[k]),
-            _fmt(trajectory.field_prob[k]),
-            _fmt(amps[k, 0]), _fmt(amps[k, 1]), _fmt(amps[k, 2]), _fmt(amps[k, 3]),
-        ]))
-    return "\n".join(rows) + "\n"
+    return _table("t,N,E_N,field_prob,abs_A1,abs_A2,abs_A3,abs_A4",
+                  [series.times, series.negativity, series.log_negativity,
+                   trajectory.field_prob, *amps.T])
 
 
 def poles_csv(pole_set) -> str:
     """function_tag, re_x, im_x, class, residue_re, residue_im."""
-    rows = ["function_tag,re_x,im_x,class,residue_re,residue_im"]
-    for r in pole_set.records:
-        rows.append(",".join([
-            r.tag, _fmt(r.x.real), _fmt(r.x.imag), r.klass,
-            _fmt(r.weight.real), _fmt(r.weight.imag),
-        ]))
-    return "\n".join(rows) + "\n"
+    recs = pole_set.records
+    x = np.array([r.x for r in recs], dtype=complex)
+    w = np.array([r.weight for r in recs], dtype=complex)
+    return _table("function_tag,re_x,im_x,class,residue_re,residue_im",
+                  [[r.tag for r in recs], x.real, x.imag, [r.klass for r in recs],
+                   w.real, w.imag], text=(0, 3))
 
 
 def trajectory_csv(trajectory) -> str:
     """t, re/im of all four amplitudes, field_prob (oracle dump format)."""
     amps = np.asarray(trajectory.amps)
-    rows = ["t,re_a1,im_a1,re_a2,im_a2,re_a3,im_a3,re_a4,im_a4,field_prob"]
-    for k, t in enumerate(trajectory.times):
-        vals = [_fmt(t)]
-        for j in range(4):
-            vals += [_fmt(amps[k, j].real), _fmt(amps[k, j].imag)]
-        vals.append(_fmt(trajectory.field_prob[k]))
-        rows.append(",".join(vals))
-    return "\n".join(rows) + "\n"
+    reim = np.stack([amps.real, amps.imag], axis=-1).reshape(len(amps), 8)
+    return _table("t,re_a1,im_a1,re_a2,im_a2,re_a3,im_a3,re_a4,im_a4,field_prob",
+                  [trajectory.times, *reim.T, trajectory.field_prob])
 
 
 def sweep_summary_csv(entries) -> str:
     """value, E_N half-life, integrated E_N over the sweep window."""
-    rows = ["value,half_life,integrated_EN"]
-    for label, hl, idx in entries:
-        hl_txt = "inf" if np.isinf(hl) else _fmt(hl)
-        rows.append(f"{label},{hl_txt},{_fmt(idx)}")
-    return "\n".join(rows) + "\n"
+    hl = np.array([e[1] for e in entries], dtype=float)
+    # an infinite half-life of either sign prints as "inf"
+    return _table("value,half_life,integrated_EN",
+                  [[e[0] for e in entries], np.where(np.isinf(hl), np.inf, hl),
+                   [e[2] for e in entries]], text=(0,))

@@ -14,10 +14,12 @@ log = logging.getLogger("pbgpair")
 
 DEFAULT_MODES = 4000
 # Size budget, checked before anything is allocated.  An analytic run peaks
-# at about 1 kB per output point (114 MB at 100,000 points).  The oracle
-# never forms its (dim x dim) generator: its memory is the CHUNK_ELEMS work
-# arrays of bath.py plus O(dim x CHEB_DEGREE) for the roots and the
-# far-field interpolants (a 93 MB process at dim 51,212).  Its work is the
+# at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
+# fig2b and fig5c), and formatting its CSV at about 0.4 kB per point (42 MB
+# for the 11 MB text of fig2b).  The oracle never forms its (dim x dim)
+# generator: its memory is the CHUNK_ELEMS work arrays of bath.py plus
+# O(dim x CHEB_DEGREE) for the roots and the far-field interpolants (a
+# 93 MB process at dim 51,212).  Its work is the
 # far-field build, about dim^2 CHEB_DEGREE / PANEL pole-node terms per
 # secular equation (2.6 s at dim 51,212, 10 s at MAX_BLOCK_DIM: 21 s for the
 # two equations of orthogonal dipoles with both transitions populated), a

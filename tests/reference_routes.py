@@ -9,7 +9,15 @@ Inversion:
   kernel, and ``residue_weight_fd``: pole weights by central differences
   of it, against the closed-form weights of :func:`pbgpair.poles.find_poles`;
 * ``residue_by_limit``: residues as lim (x - x0) A(x) from the 4x4 solve,
-  against ``residue_numerators * weight``.
+  against ``residue_numerators * weight``;
+* ``cut_evaluate_by_panel``: the cut at every node of every panel, one
+  panel at a time, against the blocked live-node evaluation of
+  :meth:`pbgpair.inversion.CutIntegrator.evaluate`.
+
+CSV emission: ``entanglement_csv_by_field``, ``poles_csv_by_field``,
+``trajectory_csv_by_field`` and ``sweep_summary_csv_by_field``, one
+``format`` call per field (``format_field``), against the block-formatted
+tables of :mod:`pbgpair.csvio`.
 
 Negativity: the 9x9 two-atom density matrix (``reduced_density_matrix``,
 with the optical phase pattern of ``phase_amplitudes``), its partial
@@ -43,7 +51,7 @@ from pbgpair.bath import CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, Discre
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
-from pbgpair.inversion import CUT_FAIL_TOL, EXP_FLOOR, cut_discontinuity
+from pbgpair.inversion import _K_WEIGHTS, CUT_FAIL_TOL, EXP_FLOOR, cut_discontinuity
 from pbgpair.negativity import NORM_SLACK
 
 # populated product states: |a1 a6>, |a2 a6>, |a3 a4>, |a3 a5>, |a3 a6>
@@ -92,6 +100,25 @@ def branch_cut_integral(t: float, config, init):
     out[1] *= shift
     out[3] *= shift
     return out
+
+
+def cut_evaluate_by_panel(cut, t):
+    """Cut contribution of ``cut`` (a ``CutIntegrator``) at times t > 0.
+
+    Every node of every panel is damped by e^{-q^2 t}, one panel at a time
+    and in the order the panels were built.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pref = np.exp(1j * cut.config.omega1c * t) / (2j * np.pi)
+    total = np.zeros((t.size, 4), dtype=complex)
+    for qs, fv in zip(cut._nodes, cut._fvals):
+        damp = np.exp(-np.outer(t, qs * qs))
+        total += (damp * _K_WEIGHTS) @ fv
+    total *= pref[:, None]
+    shift = np.exp(-1j * cut.config.omega12 * t)
+    total[:, 1] *= shift
+    total[:, 3] *= shift
+    return total
 
 
 def delta_sheet(x, config):
@@ -366,8 +393,11 @@ def evaluate_direct(d, w, value, origin, tau):
     """Secular function F(z) = mu(z) - sum_j w_j / (z - d_j) at z = d[origin] + tau.
 
     Returns F, F', the share of s2 = sum_j w_j / (z - d_j)^2 from the
-    poles below z, s2 itself, mu'(z), a bound on the rounding error of F
-    and sigma(z) = sum_j w_j / (z - d_j).  The differences z - d_j are
+    poles below z, s2 itself, mu'(z), an estimate of the rounding error of
+    F and sigma(z) = sum_j w_j / (z - d_j).  The estimate is not a bound
+    beside a pole, where one term dominates the sum: against ``math.fsum``
+    of the same terms the error of F exceeded it by up to 1.7 times.  The
+    differences z - d_j are
     formed as (d_j - d[origin]) - tau, which keeps them accurate to
     relative rounding even beside the pole.
     """
@@ -386,7 +416,7 @@ def evaluate_direct(d, w, value, origin, tau):
         lower *= lower
         s2[sl] = r @ w
         s2lo[sl] = lower @ w
-    # s1 - 2 s1lo = sum_j w_j / |d_j - z| bounds the rounding of the sum
+    # s1 - 2 s1lo = sum_j w_j / |d_j - z| scales the rounding of the sum
     err = EPS * (8.0 * (np.abs(mu) + s1 - 2.0 * s1lo) + 2.0 * np.abs(d[origin] + tau) * mu_p)
     return mu + s1, mu_p + s2, s2lo, s2, mu_p, err, -s1
 
@@ -697,3 +727,50 @@ def integrate_rk4(config, init, bath, t_max: float, dt: float,
     field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
     return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob,
                                meta={"engine": "rk4", "dt": dt})
+
+
+def format_field(x) -> str:
+    return format(float(x) + 0.0, ".12g")
+
+
+def entanglement_csv_by_field(series, trajectory) -> str:
+    amps = np.abs(np.asarray(trajectory.amps))
+    rows = ["t,N,E_N,field_prob,abs_A1,abs_A2,abs_A3,abs_A4"]
+    for k, t in enumerate(series.times):
+        rows.append(",".join([
+            format_field(t), format_field(series.negativity[k]),
+            format_field(series.log_negativity[k]), format_field(trajectory.field_prob[k]),
+            format_field(amps[k, 0]), format_field(amps[k, 1]),
+            format_field(amps[k, 2]), format_field(amps[k, 3]),
+        ]))
+    return "\n".join(rows) + "\n"
+
+
+def poles_csv_by_field(pole_set) -> str:
+    rows = ["function_tag,re_x,im_x,class,residue_re,residue_im"]
+    for r in pole_set.records:
+        rows.append(",".join([
+            r.tag, format_field(r.x.real), format_field(r.x.imag), r.klass,
+            format_field(r.weight.real), format_field(r.weight.imag),
+        ]))
+    return "\n".join(rows) + "\n"
+
+
+def trajectory_csv_by_field(trajectory) -> str:
+    amps = np.asarray(trajectory.amps)
+    rows = ["t,re_a1,im_a1,re_a2,im_a2,re_a3,im_a3,re_a4,im_a4,field_prob"]
+    for k, t in enumerate(trajectory.times):
+        vals = [format_field(t)]
+        for j in range(4):
+            vals += [format_field(amps[k, j].real), format_field(amps[k, j].imag)]
+        vals.append(format_field(trajectory.field_prob[k]))
+        rows.append(",".join(vals))
+    return "\n".join(rows) + "\n"
+
+
+def sweep_summary_csv_by_field(entries) -> str:
+    rows = ["value,half_life,integrated_EN"]
+    for label, hl, idx in entries:
+        hl_txt = "inf" if np.isinf(hl) else format_field(hl)
+        rows.append(f"{label},{hl_txt},{format_field(idx)}")
+    return "\n".join(rows) + "\n"

@@ -14,6 +14,8 @@ from pbgpair.cli import main
 from pbgpair.sweep import apply_parameter, parse_values, worker_count
 from pbgpair.config import parse_run_file
 from pbgpair.errors import DomainError
+from pbgpair.pipeline import n_points
+from pbgpair.presets import get_preset
 
 FIG4B_FILE = """
 gamma1 = 6
@@ -93,6 +95,25 @@ def test_poles_verb_with_config(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["poles", cfgfile, "-o", str(out)]) == 0
     assert out.read_text().startswith("function_tag,")
+
+
+def test_successive_calls_share_no_state(tmp_path, caplog):
+    # the parser is built once per process; options of one call must not
+    # reach the next
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    logged = []
+    for argv, out in ((["--engine", "both", "--modes", "200", "--tmax", "5"], first),
+                      ([], second)):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="pbgpair"):
+            assert main(["preset", "fig2a", *argv, "-o", str(out)]) == 0
+        logged.append(any("engine=both" in r.getMessage() for r in caplog.records))
+    assert logged == [True, False]
+    p = get_preset("fig2a")
+    rows = second.read_text().strip().splitlines()[1:]
+    assert len(rows) == n_points(p.t_max, p.dt_out)
+    assert float(rows[-1].split(",")[0]) == p.t_max
+    assert float(first.read_text().strip().splitlines()[-1].split(",")[0]) == 5.0
 
 
 def test_engine_both_logs_deviation(tmp_path, caplog):

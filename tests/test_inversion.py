@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbgpair import bath, inversion
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DomainError
 from pbgpair.poles import find_poles
-from reference_routes import branch_cut_integral
+from pbgpair.presets import get_preset
+from reference_routes import branch_cut_integral, cut_evaluate_by_panel
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -123,6 +126,45 @@ def test_cut_integrator_matches_reference_quadrature():
         fast = cut.evaluate(np.array([t]))[0]
         ref = branch_cut_integral(t, config, init)
         assert np.max(np.abs(fast - ref)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 5.0),
+       st.sampled_from(["sorted", "shuffled", "single", "linear"]))
+def test_cut_evaluate_matches_per_panel_reference(seed, t_min, grid):
+    # blocks of live nodes against every node of every panel, for times
+    # from t_min to 1e4 t_min in any order
+    rng = np.random.default_rng(seed)
+    w1c = rng.uniform(-1.5, 1.5)
+    w12 = rng.uniform(0.0, 0.8)
+    config = SystemConfig(gamma1=rng.uniform(0.1, 8), gamma2=rng.uniform(0.1, 8),
+                          omega12=w12, omega1c=w1c, omega2c=w1c - w12,
+                          eta=rng.choice([0.0, PI / 2, PI, rng.uniform(0.0, PI)]))
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    init = InitialState(*(v / np.linalg.norm(v)))
+    cut = inversion.CutIntegrator(config, init, t_min=t_min)
+    n = int(rng.integers(2, 3000))
+    times = {"sorted": np.sort(t_min * 10.0 ** rng.uniform(0, 4, n)),
+             "shuffled": t_min * 10.0 ** rng.uniform(0, 4, n),
+             "single": np.array([t_min * 10.0 ** rng.uniform(0, 4)]),
+             "linear": np.linspace(t_min, 1e4 * t_min, n)}[grid]
+    times[rng.integers(times.size)] = t_min
+    ref = cut_evaluate_by_panel(cut, times)
+    assert np.all(np.abs(cut.evaluate(times) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_amplitudes_analytic_memory_peak():
+    # the cut is evaluated in blocks of EVAL_BLOCK_ELEMS damping factors
+    # (29.7 MB); a (points x panel nodes) damping array per panel peaks at 77 MB
+    p = get_preset("fig2b")
+    times = np.linspace(0.0, p.t_max, 100_001)
+    tracemalloc.start()
+    try:
+        inversion.amplitudes_analytic(times, p.config, p.init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6
 
 
 def test_amplitudes_analytic_grid_validation():
