@@ -56,6 +56,10 @@ class DegeneratePole(NumericalError):
     """Two poles coincide within merge tolerance; residue sums are ill-defined."""
 
 
+class CompletenessError(NumericalError):
+    """The t -> 0+ limit of the inversion misses the initial amplitudes."""
+
+
 class QuadratureError(NumericalError):
     """Adaptive quadrature could not reach the requested error estimate."""
 

@@ -23,7 +23,10 @@ Two families of roots are collected into one :class:`PoleSet`:
   branch point S ~ 0 whose residue is negligible are dropped (the root
   S = 0 itself at cos^2 eta = 1 is no pole); a cluster there, the
   quasi-dark pole of transitions that differ by rounding, is kept.
-  Residue sums use these and only these.
+  The residue sum of the previous analytic route uses these and only
+  these.  The closed form of :mod:`pbgpair.inversion` uses every root of
+  the sextic, on the sheet or not: the :class:`Sector` polynomials and
+  their roots come with the :class:`PoleSet`, from the same np.roots call.
 
 A ``u`` pole on an exchange pole is a simple pole of another sector, and
 both are kept.  With identical transitions (a1 = a2) the sextic factors
@@ -84,6 +87,7 @@ class PoleRecord:
 class PoleSet:
     records: tuple
     config: "object" = field(repr=False, default=None)
+    sectors: tuple = field(repr=False, default=(), compare=False)
 
     def dynamic(self):
         return [r for r in self.records if r.dynamic]
@@ -142,9 +146,70 @@ def _table_weight(tag, x, config):
     return 0j if deriv == 0 else complex(1.0 / deriv)
 
 
-def _sheet_roots(coeffs):
-    """Roots S of a polynomial that lie on the inversion sheet, Newton-polished
-    in S, and the polynomial's derivative there.
+@dataclass(frozen=True)
+class Sector:
+    """One factor of the symmetric determinant, a polynomial in S.
+
+    ``kind`` is 'u' for the sextic of distinct transitions and 'u+'/'u-'
+    for the cubics of identical ones; ``roots`` are all the roots of
+    ``coeffs`` as one np.roots call returns them.  A dark cubic
+    (1 +/- cos eta = 0) has no coefficients and no roots: its pole
+    x = -i gamma1 is not a root in S.
+    """
+
+    kind: str
+    coeffs: np.ndarray
+    roots: np.ndarray
+
+    @property
+    def dark(self):
+        return self.coeffs.size == 0
+
+
+def _sector(kind, coeffs):
+    coeffs = np.asarray(coeffs, dtype=float)
+    roots = np.roots(coeffs) if coeffs.size else np.zeros(0, dtype=complex)
+    return Sector(kind, coeffs, roots)
+
+
+def polish(coeffs, s):
+    """POLISH_STEPS Newton steps in S towards the roots of ``coeffs``.  A
+    point stays put where it is a root already, where the step would exceed
+    |S| (it would not polish) and where the derivative is zero or
+    subnormal."""
+    deriv = np.polyder(coeffs)
+    for _ in range(POLISH_STEPS):
+        p, d = np.polyval(coeffs, s), np.polyval(deriv, s)
+        ok = ((p != 0) & (np.abs(d) >= np.finfo(float).tiny)
+              & (np.abs(p) <= np.abs(d) * np.abs(s)))
+        s = s - np.divide(p, d, out=np.zeros_like(s), where=ok)
+    return s
+
+
+def sector_parameters(config):
+    """(a1, a2, b, cos eta) of the cubic factors S^3 + a_i S - 2b."""
+    return (config.omega1c + config.gamma1,
+            config.omega1c - config.omega12 + config.gamma2,
+            config.beta ** 1.5, config.cos_eta)
+
+
+def symmetric_sectors(config):
+    """The sextic of distinct transitions, or the two cubics P -/+ 2 b cos eta
+    of identical ones (a1 = a2), with all their roots."""
+    a1, a2, b, c = sector_parameters(config)
+    if a1 != a2:
+        return (_sector("u", [1.0, 0.0, a1 + a2, -4.0 * b, a1 * a2, -2.0 * b * (a1 + a2),
+                              4.0 * b * b * (1.0 - c * c)]),)
+    out = []
+    for kind, sign in (("u+", 1.0), ("u-", -1.0)):
+        k = 1.0 + sign * c
+        out.append(_sector(kind, [] if k == 0.0 else [1.0, 0.0, a1, -2.0 * b * k]))
+    return tuple(out)
+
+
+def _sheet_roots(sector):
+    """Roots S of a sector that lie on the inversion sheet, polished, and
+    the polynomial's derivative there.
 
     A root within BRANCH_TOL of the branch point S = 0 is dropped when its
     residue, of order |S|^2 / |P'(S)|, is below RESIDUE_FLOOR: the
@@ -153,18 +218,18 @@ def _sheet_roots(coeffs):
     quasi-dark pole of nearly identical transitions) carries an O(1)
     residue and is kept.
     """
-    s = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
+    s = sector.roots
+    deriv = np.polyder(sector.coeffs)
     arg = np.angle(s)
-    s = s[(arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi)]
+    keep = (arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi)
     negligible = np.abs(s) ** 2 <= RESIDUE_FLOOR * np.abs(np.polyval(deriv, s))
-    s = s[~((np.abs(s) <= BRANCH_TOL) & negligible)]
+    keep &= ~((np.abs(s) <= BRANCH_TOL) & negligible)
+    s = s[keep]
     close = np.abs(s[:, None] - s[None, :]) + np.eye(s.size) < DOUBLE_ROOT_TOL
     if close.any():
         raise DegeneratePole(f"double root of the symmetric determinant at "
                              f"S={s[close.any(axis=1)][0]:.9g} (exceptional point)")
-    for _ in range(POLISH_STEPS):
-        s = s - np.polyval(coeffs, s) / np.polyval(deriv, s)
+    s = polish(sector.coeffs, s)
     return s, np.polyval(deriv, s)
 
 
@@ -172,31 +237,22 @@ def _snap(x):
     return complex(0.0, x.imag) if abs(x.real) <= AXIS_TOL else complex(x)
 
 
-def _u_poles(config):
+def _u_poles(config, sectors):
     """(kind, x, weight) of the symmetric-sector poles.
 
     Weights follow from dS/dx = -i/(2S) without touching the kernel near
     its branch point: Delta = -Q(S)/S^2 has slope i Q'(S)/(2 S^3) at a
     root, and f +/- 2 beta' cos eta = (i/S) C(S) has slope C'(S)/(2 S^2).
     """
-    b = config.beta ** 1.5
-    a1 = config.omega1c + config.gamma1
-    a2 = config.omega1c - config.omega12 + config.gamma2
-    c = config.cos_eta
-    if a1 != a2:
-        s, dq = _sheet_roots([1.0, 0.0, a1 + a2, -4.0 * b, a1 * a2, -2.0 * b * (a1 + a2),
-                              4.0 * b * b * (1.0 - c * c)])
-        return [("u", _snap(1j * (si * si + config.omega1c)), complex(-2j * si ** 3 / d))
-                for si, d in zip(s, dq)]
     out = []
-    for kind, sign in (("u+", 1.0), ("u-", -1.0)):
-        k = 1.0 + sign * c
-        if k == 0.0:  # dark: f - 2 beta' |cos eta| = x + i gamma1 has no kernel
-            out.append((kind, complex(0.0, -config.gamma1), 1.0 + 0j))
+    for sec in sectors:
+        if sec.dark:  # f - 2 beta' |cos eta| = x + i gamma1 has no kernel
+            out.append((sec.kind, complex(0.0, -config.gamma1), 1.0 + 0j))
             continue
-        s, dc = _sheet_roots([1.0, 0.0, a1, -2.0 * b * k])
-        out += [(kind, _snap(1j * (si * si + config.omega1c)), complex(2 * si * si / d))
-                for si, d in zip(s, dc)]
+        s, d = _sheet_roots(sec)
+        num = -2j * s ** 3 if sec.kind == "u" else 2 * s * s
+        out += [(sec.kind, _snap(1j * (si * si + config.omega1c)), complex(ni / di))
+                for si, ni, di in zip(s, num, d)]
     return out
 
 
@@ -208,10 +264,11 @@ def find_poles(config) -> PoleSet:
     """
     edge = config.omega1c
     table = _table_roots(config)
+    sectors = symmetric_sectors(config)
     dynamic = [
         ("v1", complex(0.0, config.gamma1), 1.0 + 0j),
         ("v2", complex(0.0, config.gamma2 + config.omega12), 1.0 + 0j),
-    ] + _u_poles(config)
+    ] + _u_poles(config, sectors)
 
     records = []
     used_table = set()
@@ -237,4 +294,4 @@ def find_poles(config) -> PoleSet:
         records.append(PoleRecord(tag, x, klass, _table_weight(tag, x, config), False, "table"))
 
     records.sort(key=lambda r: (-r.x.imag, r.x.real, r.tag))
-    return PoleSet(records=tuple(records), config=config)
+    return PoleSet(records=tuple(records), config=config, sectors=sectors)

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import wofz
 
-from pbgpair import bath, inversion
+from pbgpair import bath, inversion, poles
+from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
-from pbgpair.errors import DomainError
+from pbgpair.errors import CompletenessError, DegeneratePole, DomainError
 from pbgpair.poles import find_poles
 from pbgpair.presets import get_preset
 from reference_routes import branch_cut_integral, cut_evaluate_by_panel
@@ -154,8 +158,8 @@ def test_cut_evaluate_matches_per_panel_reference(seed, t_min, grid):
 
 
 def test_amplitudes_analytic_memory_peak():
-    # the cut is evaluated in blocks of EVAL_BLOCK_ELEMS damping factors
-    # (29.7 MB); a (points x panel nodes) damping array per panel peaks at 77 MB
+    # w is evaluated in blocks of EVAL_BLOCK_ELEMS (times x roots) values
+    # (17.2 MB); unblocked, the (points x roots) arrays peak at 54.5 MB
     p = get_preset("fig2b")
     times = np.linspace(0.0, p.t_max, 100_001)
     tracemalloc.start()
@@ -214,3 +218,226 @@ def test_exchange_pole_on_the_branch_point():
     traj = inversion.amplitudes_analytic(np.array([1e-5, 2e-5]), config, init)
     limit = 2 * traj.amps[0] - traj.amps[1]
     assert np.max(np.abs(limit - np.array(init.as_tuple()))) < 1e-6
+
+
+# --- the closed form against the residue sum plus the cut integral --------
+
+SERIES_PRESETS = ("fig2a", "fig2b", "fig2c", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b",
+                  "fig5c", "fig7a", "fig7b", "fig7c", "fig7d")
+
+
+def cut_route(times, config, init, abs_tol=inversion.CUT_ABS_TOL):
+    """The previous engine: residues at the sheet poles plus the adaptive
+    Gauss-Kronrod cut integral, at times t > 0."""
+    poles = find_poles(config)
+    cut = inversion.CutIntegrator(config, init, t_min=float(times[0]), abs_tol=abs_tol)
+    return inversion.residue_sum(times, poles, config, init) + cut.evaluate(times)
+
+
+@pytest.mark.parametrize("name", SERIES_PRESETS)
+def test_closed_form_matches_cut_route_on_presets(name):
+    p = get_preset(name)
+    times = np.arange(1, int(p.t_max / p.dt_out + 1e-9) + 1) * p.dt_out
+    traj = inversion.amplitudes_analytic(times, p.config, p.init)
+    assert np.max(np.abs(traj.amps - cut_route(times, p.config, p.init))) <= 1e-9
+
+
+@st.composite
+def cross_check_cases(draw):
+    """Random configurations, half of them identical transitions (a1 = a2)
+    with cos eta in {0, +-1}, and a random normalised complex state."""
+    gamma1 = draw(st.floats(0.0, 10.0))
+    w1c = draw(st.floats(-2.0, 1.5))
+    if draw(st.booleans()):
+        gamma2, w12, eta = gamma1, 0.0, draw(st.sampled_from([0.0, PI / 2, PI]))
+    else:
+        gamma2, w12 = draw(st.floats(0.0, 10.0)), draw(st.floats(-1.0, 1.0))
+        eta = draw(st.floats(0.0, PI))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    v = parts[:4] + 1j * parts[4:]
+    if np.linalg.norm(v) < 0.1:
+        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    config = SystemConfig(gamma1=gamma1, gamma2=gamma2, omega12=w12, omega1c=w1c,
+                          omega2c=w1c - w12, eta=eta)
+    return config, InitialState(*(v / np.linalg.norm(v)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cross_check_cases())
+def test_closed_form_matches_cut_route_property(case):
+    config, init = case
+    times = np.array([0.05, 0.5, 2.0, 10.0, 50.0])
+    try:
+        find_poles(config)
+    except DegeneratePole:
+        with pytest.raises(DegeneratePole):
+            inversion.amplitudes_analytic(times, config, init)
+        return
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert traj.meta["completeness"] <= 1e-9
+    # the cut route is a reference only where it is complete itself: its
+    # pole finder drops a cluster of roots that np.roots returns as exact
+    # zeros (test_branch_cluster_below_root_resolution); near such a cluster
+    # its residues are off by up to 5.3e-9 (gamma1 = 6.1e-5, gamma2 = omega1c
+    # = eta = 0, against a 50-digit evaluation that the closed form meets to
+    # 1e-14)
+    early = cut_route(np.array([1e-5, 2e-5]), config, init, abs_tol=1e-12)
+    if np.max(np.abs(2 * early[0] - early[1] - np.array(init.as_tuple()))) <= 1e-6:
+        ref = cut_route(times, config, init, abs_tol=1e-12)
+        assert np.max(np.abs(traj.amps - ref)) <= 1e-8
+
+
+# identical transitions with a double root S = 3 b k / a1 < 0 of the cubic
+# S^3 + a1 S - 2 b k (k = 1 + cos eta = 1.5), off the sheet; gamma2 > 0 moves
+# it into the sextic as a pair about sqrt(gamma2) apart
+DOUBLE_A1 = -3.0 * 1.5 ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize("gamma2", [0.0, 1e-14, 1e-10, 1e-8, 1e-4])
+def test_double_root_off_the_sheet(gamma2):
+    config = SystemConfig(gamma1=0.0, gamma2=gamma2, omega12=0.0, omega1c=DOUBLE_A1,
+                          omega2c=DOUBLE_A1, eta=PI / 3)
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    times = np.linspace(0.5, 60.0, 120)
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert traj.meta["completeness"] <= 1e-9
+    assert np.max(np.abs(traj.amps - cut_route(times, config, init, abs_tol=1e-12))) <= 1e-10
+
+
+@pytest.mark.parametrize("omega1c", [-3.0, -3.0 + 1e-12, -3.0 - 1e-9])
+def test_orthogonal_double_root_off_the_sheet(omega1c):
+    # cos eta = 0: both cubics are S^3 - 3 S - 2 = (S + 1)^2 (S - 2) at omega1c = -3
+    config = SystemConfig(gamma1=0.0, gamma2=0.0, omega12=0.0, omega1c=omega1c,
+                          omega2c=omega1c, eta=PI / 2)
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    times = np.linspace(0.5, 60.0, 120)
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert traj.meta["completeness"] <= 1e-9
+    assert np.max(np.abs(traj.amps - cut_route(times, config, init, abs_tol=1e-12))) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma1", [1e-30, 2.3e-121, 1e-300, 2.2e-309])
+def test_branch_cluster_below_root_resolution(gamma1):
+    # parallel dipoles, gamma = omega1c = 0 and a1 = gamma1 tiny: the dark
+    # pole of identical transitions becomes sextic roots +-i sqrt(gamma1 / 2)
+    # beside S = 0, which np.roots returns as exact zeros; the closed form
+    # recovers them and stays continuous with the identical pair
+    init = preset_initial("unentangled")
+    times = np.linspace(0.0, 50.0, 101)
+    near = SystemConfig(gamma1=gamma1, gamma2=0.0, omega12=0.0, omega1c=0.0,
+                        omega2c=0.0, eta=0.0)
+    same = SystemConfig(gamma1=0.0, gamma2=0.0, omega12=0.0, omega1c=0.0,
+                        omega2c=0.0, eta=0.0)
+    traj = inversion.amplitudes_analytic(times, near, init)
+    assert traj.meta["completeness"] <= 1e-9
+    ref = inversion.amplitudes_analytic(times, same, init).amps
+    assert np.max(np.abs(traj.amps - ref)) <= 1e-12
+
+
+def test_pole_on_the_branch_cut():
+    # S^3 - 2 S - 4 = (S - 2)(S^2 + 2 S + 2): the root S = -1 - i lies on the
+    # sheet boundary, a pole at x = -2 - 2i on the cut itself, where the cut
+    # quadrature fails; w is entire, so the closed form is continuous there
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    times = np.array([1e-3, 0.1, 1.0, 30.0])
+    amps = []
+    for w1c in (-2.0, -2.0 + 1e-9, -2.0 - 1e-9):
+        config = SystemConfig(gamma1=0.0, gamma2=0.0, omega12=0.0, omega1c=w1c,
+                              omega2c=w1c, eta=0.0)
+        traj = inversion.amplitudes_analytic(times, config, init)
+        assert traj.meta["completeness"] <= 1e-9
+        amps.append(traj.amps)
+    assert np.max(np.abs(amps[1] - amps[0])) <= 1e-7
+    assert np.max(np.abs(amps[2] - amps[0])) <= 1e-7
+
+
+def test_near_double_root_on_the_sheet_still_raises():
+    config = SystemConfig(gamma1=3.0, gamma2=3.0000000000001, omega12=0.0,
+                          omega1c=0.5, omega2c=0.5, eta=PI / 2)
+    with pytest.raises(DegeneratePole):
+        inversion.amplitudes_analytic(np.array([0.0, 1.0]), config, preset_initial("bright"))
+
+
+def test_faddeeva_matches_wofz_in_the_upper_half_plane():
+    rng = np.random.default_rng(3)
+    r = 10.0 ** rng.uniform(-3, 8, 20000)
+    theta = rng.uniform(0.0, PI, r.size)
+    theta[:3000] = np.repeat([0.0, PI / 2, PI], 1000)
+    z = r * np.exp(1j * theta)
+    ref = wofz(z)
+    assert np.max(np.abs(inversion.faddeeva(z) - ref) / np.abs(ref)) <= 1e-12
+    assert inversion.faddeeva(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-13)
+
+
+def test_faddeeva_coefficients_follow_weideman():
+    # Weideman (1994), N = 32: the FFT of f = e^{-t^2} (L^2 + t^2) on
+    # t = L tan(theta/2), theta = k pi / M, k = -M + 1 .. M - 1, M = 2N
+    n = 32
+    m = 2 * n
+    big_l = np.sqrt(n / np.sqrt(2.0))
+    t = big_l * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t ** 2) * (big_l ** 2 + t ** 2)])
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    assert inversion._W_L == big_l
+    assert np.max(np.abs(inversion._W_COEFFS - a[n:0:-1])) <= 1e-15
+
+
+def test_faddeeva_reflection_in_the_lower_half_plane():
+    # w(z) = 2 e^{-z^2} - w(-z), the form taken for roots on the sheet
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-6, 6, 5000) - 1j * rng.uniform(0, 6, 5000)
+    z = z[np.abs(np.exp(-z * z)) < 1e300]
+    ref = wofz(z)
+    got = 2.0 * np.exp(-z * z) - inversion.faddeeva(-z)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [
+    FIG2B, get_preset("fig5c").config,
+    SystemConfig(gamma1=3, gamma2=3, omega12=0.0, omega1c=0.5, omega2c=0.5, eta=0.0),
+    SystemConfig(gamma1=3, gamma2=3, omega12=0.0, omega1c=0.5, omega2c=0.5, eta=PI / 2),
+    SystemConfig(gamma1=0.0, gamma2=0.0, omega12=1e-16, omega1c=0.0, omega2c=-1e-16, eta=0.0),
+    SystemConfig(gamma1=0.0, gamma2=0.0, omega12=0.0, omega1c=-3.0, omega2c=-3.0, eta=PI / 2),
+])
+def test_amplitudes_finite_up_to_late_times(config):
+    # bound states keep |e^{x t}| = 1, decaying poles underflow to 0, and
+    # nothing overflows or warns out to t = 1e12
+    times = np.concatenate([[0.0], np.logspace(-6, 12, 4000)])
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = inversion.amplitudes_analytic(times, config, init)
+    assert np.all(np.isfinite(traj.amps))
+    assert np.all(np.sum(np.abs(traj.amps) ** 2, axis=1) <= 1.0 + 1e-9)
+
+
+def test_completeness_is_stored_in_meta():
+    traj = inversion.amplitudes_analytic(np.array([0.0, 1.0]), FIG2B,
+                                         preset_initial("unentangled"))
+    assert traj.meta["engine"] == "analytic"
+    assert traj.meta["completeness"] <= 1e-12
+
+
+def _drop_first_root(monkeypatch):
+    sectors = poles.symmetric_sectors
+
+    def lose_a_root(config):
+        return tuple(dataclasses.replace(sec, roots=sec.roots[1:])
+                     for sec in sectors(config))
+
+    monkeypatch.setattr(poles, "symmetric_sectors", lose_a_root)
+
+
+def test_lost_root_fails_inversion_completeness(monkeypatch):
+    _drop_first_root(monkeypatch)
+    with pytest.raises(CompletenessError, match="completeness"):
+        inversion.amplitudes_analytic(np.array([0.0, 1.0]), FIG2B,
+                                      preset_initial("unentangled"))
+
+
+def test_lost_root_exit_code(tmp_path, monkeypatch, capsys):
+    _drop_first_root(monkeypatch)
+    assert main(["preset", "fig2b", "-o", str(tmp_path / "fig2b.csv")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "completeness" in err[0]
+    assert not (tmp_path / "fig2b.csv").exists()

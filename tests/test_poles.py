@@ -242,3 +242,13 @@ def configs_and_states(draw):
 def test_completeness_property(case):
     config, init = case
     assert completeness(config, init) <= 1e-6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(configs_and_states())
+def test_closed_form_completeness_property(case):
+    # the t -> 0+ limit of the closed form, i sum_j r_j S_j plus the simple
+    # poles, against the initial amplitudes
+    config, init = case
+    traj = inversion.amplitudes_analytic(np.array([0.0, 1.0]), config, init)
+    assert traj.meta["completeness"] <= 1e-9
