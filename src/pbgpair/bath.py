@@ -55,7 +55,7 @@ NORM_DRIFT_TOL = 1e-8   # on |sum_k a_k a_k^T - I| of the atomic eigenvector par
 # engine-agreement budget at a cost of ~240 extra modes.
 TAIL_U_FACTOR = 65536.0
 TAIL_RATIO = 1.045
-DENSE_WINDOW = 50.0     # default densely sampled window above the edge, in beta
+DENSE_WINDOW = 50.0     # densely sampled window above the edge, in beta
 # Below this |sin eta| the second mode family is dropped: its coupling
 # g sin(eta) changes the dynamics by O(sin^2 eta) < 1e-16, and the secular
 # branches (slopes up to 1/sin^2 eta) could not be located in double precision.
@@ -115,47 +115,36 @@ def _tail_count(u_max, beta) -> int:
 
 def block_dim(config, n_modes: int) -> int:
     """Dimension of the largest coupled block of the generator (atoms plus
-    modes) for the default ``build_bath(config, n_modes)``, worked out
-    without building it.  ``integrate`` never forms the block; its secular
-    root count and the cost of summing over the roots grow with it."""
+    modes) for ``build_bath(config, n_modes)``, worked out without building
+    it.  ``integrate`` never forms the block; its secular root count and
+    the cost of summing over the roots grow with it."""
     n = n_modes + _tail_count(np.sqrt(DENSE_WINDOW * config.beta), config.beta)
     if config.cos_eta == 0.0:
         return 2 + n
     return 4 + n * (2 if abs(config.sin_eta) > SIN_ETA_FLOOR else 1)
 
 
-def build_bath(config, n_modes: int = 4000, omega_max: float | None = None,
-               tail: bool = True) -> DiscreteBath:
+def build_bath(config, n_modes: int = 4000) -> DiscreteBath:
     """Discretize the band-edge continuum for the given configuration.
 
-    ``omega_max`` bounds the densely sampled window above the edge
-    (default edge + 50 beta); the geometric tail beyond it is controlled
-    by ``tail``.  Raises DiscretizationError when the resolvent sum fails
-    to reproduce the kernel.
+    The window of DENSE_WINDOW beta above the edge is sampled densely, and
+    a geometric tail of TAIL_RATIO cells reaches on to TAIL_U_FACTOR^2 beta.
+    Raises DiscretizationError when the resolvent sum fails to reproduce
+    the kernel.
     """
     if n_modes < 100:
         raise DomainError(f"n_modes must be at least 100, got {n_modes}")
     beta = config.beta
-    nu_max = DENSE_WINDOW * beta if omega_max is None else float(omega_max)
-    if nu_max <= 20.0 * beta:
-        raise DomainError("omega_max must exceed the band edge by more than 20 beta")
     weight = 2.0 * beta ** 1.5 / np.pi  # exact integral of J over a unit u-cell
 
-    u_max = np.sqrt(nu_max)
+    u_max = np.sqrt(DENSE_WINDOW * beta)
     du = u_max / n_modes
     u_mid = (np.arange(n_modes) + 0.5) * du
-    nu = u_mid ** 2
-    g2 = np.full(n_modes, weight * du)
-
-    if tail:
-        n_tail = _tail_count(u_max, beta)
-        edges = u_max * TAIL_RATIO ** np.arange(n_tail + 1)
-        e0, e1 = edges[:-1], edges[1:]
-        # frequency at the J-weighted cell centroid keeps the first moment exact
-        nu_tail = (e0 * e0 + e0 * e1 + e1 * e1) / 3.0
-        g2_tail = weight * (e1 - e0)
-        nu = np.concatenate([nu, nu_tail])
-        g2 = np.concatenate([g2, g2_tail])
+    edges = u_max * TAIL_RATIO ** np.arange(_tail_count(u_max, beta) + 1)
+    e0, e1 = edges[:-1], edges[1:]
+    # frequency at the J-weighted cell centroid keeps the first moment exact
+    nu = np.concatenate([u_mid ** 2, (e0 * e0 + e0 * e1 + e1 * e1) / 3.0])
+    g2 = np.concatenate([np.full(n_modes, weight * du), weight * (e1 - e0)])
 
     bath = DiscreteBath(nu=nu, g=np.sqrt(g2), n_main=n_modes, config=config)
 
@@ -554,8 +543,8 @@ def _time_sum(lam, x, n_times, dt):
     return out.reshape(rows * block, cols)[:n_times]
 
 
-def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.5,
-              store_modes: bool = False) -> AmplitudeTrajectory:
+def integrate(config, init, bath: DiscreteBath, t_max: float,
+              dt_out: float = 0.5) -> AmplitudeTrajectory:
     """Exact unitary propagation of the amplitude equations against the bath.
 
     Basis: [A1, A2 e^{i w12 t}, A3, A4 e^{i w12 t}, C_1..C_N, D_1..D_N]
@@ -570,8 +559,7 @@ def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.
     work, and every iteration then costs O(PANEL) per root.  The atomic
     amplitudes are sums over those eigenpairs at every output time
     (``_time_sum``, output points x N multiply-adds).  A part of the
-    sector whose initial amplitudes vanish is not solved, and the mode
-    probabilities are computed only with ``store_modes``.
+    sector whose initial amplitudes vanish is not solved.
 
     Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
     ``t_max`` exceeds the bath rephasing time, and StepSizeError when the
@@ -609,51 +597,5 @@ def integrate(config, init, bath: DiscreteBath, t_max: float, dt_out: float = 0.
     amps[:, 3] *= shift
     meta = {"engine": "oracle", "horizon": horizon, "weight_defect": weight_defect,
             "n_roots": int(sp.tau.size)}
-    if store_modes:
-        c, s = config.cos_eta, config.sin_eta
-        if abs(s) <= SIN_ETA_FLOOR:
-            c, s = np.sign(c), 0.0
-        meta["mode_probs"] = _mode_probs(sp, coef, times, bath.nu - config.omega1c, bath.g, c, s)
-        meta["bath"] = bath
     field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
     return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
-
-
-def _mode_probs(sp: _Spectrum, coef, times, delta, g, c, s):
-    """|C_n(t)|^2 + |D_n(t)|^2 on the output grid.
-
-    Eigenvector k has the mode parts sqrt2 g_n (a_k1 + c a_k2, s a_k2) /
-    (lambda_k - delta_n) in the two families (a_k its atomic part), except
-    a pinned eigenvector, whose mode part is given.
-    """
-    scale = np.sqrt(2.0) * g
-    families = [sp.atom[:, 0] + c * sp.atom[:, 1]] + ([s * sp.atom[:, 1]] if s else [])
-    live = np.flatnonzero(np.any([f != 0.0 for f in families], axis=0))
-    amps = [np.zeros((times.size, g.size), dtype=complex) for _ in families]
-    step = max(1, CHUNK_ELEMS // max(g.size, times.size))
-    for a in range(0, live.size, step):
-        k = live[a:a + step]
-        ph = np.exp(-1j * np.outer(times, sp.base[k] + sp.tau[k])) * coef[k]
-        cauchy = 1.0 / ((sp.base[k, None] - delta) + sp.tau[k, None])
-        for f, amp in zip(families, amps):
-            amp += (ph * f[k]) @ cauchy
-    for row, j, part in sp.pinned:
-        lam = sp.base[row] + sp.tau[row]
-        amps[0][:, j] += np.exp(-1j * lam * times) * (coef[row] * part / scale[j])
-    return sum(np.abs(amp * scale) ** 2 for amp in amps)
-
-
-def mode_spectrum(trajectory: AmplitudeTrajectory, bath: DiscreteBath, t: float):
-    """Per-mode excitation probabilities (nu_n, |B_n(t)|^2) at a stored time.
-
-    Requires a trajectory produced with ``store_modes=True``; probabilities
-    of the two families at the same grid point are summed.
-    """
-    probs = trajectory.meta.get("mode_probs")
-    if probs is None:
-        raise DomainError("trajectory was not integrated with store_modes=True")
-    times = np.asarray(trajectory.times)
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
-        raise DomainError(f"t={t:g} is not on the stored output grid")
-    return bath.nu.copy(), probs[idx].copy()

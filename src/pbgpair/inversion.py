@@ -30,6 +30,10 @@ and fails the run above COMPLETENESS_TOL.  With P'(S_j) formed as
 prod_k (S_j - S_k) the identity holds for any distinct roots, so it
 guards against a lost or coincident root, not an inaccurate one.
 
+The closed form reads the roots of :func:`pbgpair.poles.symmetric_sectors`
+alone; the sheet check it shares with the pole table
+(:func:`pbgpair.poles.sheet_roots`) raises DegeneratePole for both alike.
+
 The residue sum and the Gauss-Kronrod cut integral below are the previous
 route.  They no longer run in ``amplitudes_analytic``; the tests keep
 them as an independent cross-check of the closed form, and the benchmark's
@@ -42,10 +46,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernel, transform
+from . import kernel, poles, transform
 from .config import AmplitudeTrajectory
 from .errors import CompletenessError, DomainError, NumericalError, QuadratureError
-from .poles import BRANCH_TOL, PoleSet, find_poles, polish, sector_parameters
+from .poles import PoleSet, polish, sector_parameters, sheet_roots
 
 COMPLETENESS_TOL = 1e-9
 PAIR_TOL = 1e-5  # relative distance below which two roots enter as a double root
@@ -148,25 +152,6 @@ def _polyval4(num, s):
     return out
 
 
-def _branch_cluster(coeffs, s):
-    """The roots with the k roots within BRANCH_TOL of S = 0 recomputed from
-    the k + 1 lowest coefficients.
-
-    np.roots resolves roots only to about 1e-16 of the largest coefficient,
-    and may return a cluster of tiny roots as exact zeros, which carry no
-    weight and would drop the cluster's O(1) residue.  Near S = 0 the
-    lowest terms alone fix them to full relative accuracy.
-    """
-    small = np.abs(s) <= BRANCH_TOL
-    k = int(np.count_nonzero(small))
-    if k > 1:
-        low = np.roots(coeffs[-(k + 1):])
-        if low.size == k:
-            s = s.copy()
-            s[small] = low
-    return s
-
-
 def _pair_index(s):
     """Index pairs (j, k), j < k, of roots closer than PAIR_TOL relative to
     their mean and to no other root; a root with two such neighbours stays
@@ -182,7 +167,8 @@ def closed_form_terms(config, init, sectors):
     """:class:`Terms` of the closed form from the roots of ``sectors``.
 
     A sector's amplitudes are u = -i S V(S) / D(S) with D its monic
-    polynomial in S and V (roots x 4) polynomials.  A simple root S_j has
+    polynomial in S and V (roots x 4) polynomials.  Raises DegeneratePole
+    where :func:`pbgpair.poles.sheet_roots` does.  A simple root S_j has
     weight i S_j r_j = S_j^2 V(S_j) / D'(S_j); an exact root S = 0 has
     weight 0 and is left out.  Where roots coincide the weights are not
     finite, and the completeness check fails.  Two roots that nearly
@@ -213,7 +199,8 @@ def closed_form_terms(config, init, sectors):
         else:
             u = 0.25 * (u10 + sign * u20)
             num = np.outer([u, sign * u, u, sign * u], [1.0, 0.0])
-        raw = _branch_cluster(sec.coeffs, sec.roots.astype(complex))
+        sheet_roots(sec)  # raises DegeneratePole where the pole table does
+        raw = sec.roots.astype(complex)
         pairs = _pair_index(raw)
         paired = np.zeros(raw.size, dtype=bool)
         for j, k in pairs:
@@ -320,17 +307,17 @@ def residue_numerators(record, config, init):
     return np.array([n1, n2, n1, n2], dtype=complex)
 
 
-def residue_sum(t, poles: PoleSet, config, init):
+def residue_sum(t, pole_set: PoleSet, config, init):
     """Sum of pole contributions to (A1, A2, A3, A4) at time(s) t.
 
     Only dynamic records contribute; components 2/4 include the shifted-frame
     phase e^{-i omega12 t}.
     """
-    if poles.config is not None and poles.config != config:
+    if pole_set.config is not None and pole_set.config != config:
         raise DomainError("pole set was built for a different configuration")
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    dyn = poles.dynamic()
+    dyn = pole_set.dynamic()
     out = np.zeros((t.size, 4), dtype=complex)
     if dyn:
         locs = np.array([r.x for r in dyn])
@@ -467,8 +454,9 @@ class CutIntegrator:
         return total
 
 
-def amplitudes_analytic(times, config, init, poles: PoleSet | None = None) -> AmplitudeTrajectory:
-    """Amplitude trajectory by the closed form.
+def amplitudes_analytic(times, config, init) -> AmplitudeTrajectory:
+    """Amplitude trajectory by the closed form over the roots of
+    ``poles.symmetric_sectors(config)``.
 
     ``times`` must be non-decreasing and non-negative; entries at t = 0
     return the initial amplitudes exactly (continuity of the inversion).
@@ -481,11 +469,7 @@ def amplitudes_analytic(times, config, init, poles: PoleSet | None = None) -> Am
         raise DomainError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise DomainError("times must be non-decreasing and non-negative")
-    if poles is None:
-        poles = find_poles(config)
-    elif poles.config is not None and poles.config != config:
-        raise DomainError("pole set was built for a different configuration")
-    terms = closed_form_terms(config, init, poles.sectors)
+    terms = closed_form_terms(config, init, poles.symmetric_sectors(config))
     u0 = np.asarray(init.as_tuple(), dtype=complex)
     completeness = float(np.max(np.abs(terms.rows.sum(axis=0) + terms.exps.sum(axis=0) - u0)))
     if not completeness <= COMPLETENESS_TOL:

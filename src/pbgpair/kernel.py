@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BranchPointError, DomainError
+from .errors import BranchPointError
 
 _EXP_M_IPI4 = np.exp(-0.25j * np.pi)
 
@@ -75,40 +75,7 @@ def sheet_sqrt(x, omega1c: float):
     return s if s.ndim else complex(s)
 
 
-def beta_prime_sheet(x, omega1c: float, beta: float = 1.0, branch: int = +1):
-    """Kernel on the inversion sheet; ``branch=-1`` selects the second branch."""
-    if branch not in (+1, -1):
-        raise DomainError(f"branch must be +1 or -1, got {branch}")
-    s = sheet_sqrt(x, omega1c)
-    val = beta ** 1.5 / (1j * branch * np.asarray(s))
-    return val if np.asarray(val).ndim else complex(val)
-
-
-def spectral_density(nu, config) -> float:
-    """Band-edge spectral density as a function of nu = omega - omega_c.
-
-    J(nu) = beta^{3/2} / (pi sqrt(nu)) above the edge, 0 inside the gap.
-    Its resolvent integral against 1/(x + i(omega - omega13)) reproduces
-    beta_prime(x); the test suite verifies the identity by quadrature.
-    """
-    nu = np.asarray(nu, dtype=float)
-    safe = np.where(nu > 0, nu, 1.0)
-    out = np.where(nu > 0, config.beta ** 1.5 / (np.pi * np.sqrt(safe)), 0.0)
-    return out if out.ndim else float(out)
-
-
-def memory_kernel(tau: float, config) -> complex:
-    """Time-domain kernel K(tau) = int J(omega) e^{-i(omega-omega13) tau} domega.
-
-    Closed form: beta^{3/2} e^{i omega1c tau - i pi/4} / sqrt(pi tau).
-    Its Laplace transform equals beta_prime(x) for Re x > 0, which the
-    test suite checks numerically.
-    """
-    if tau <= 0:
-        raise DomainError(f"memory kernel requires tau > 0, got {tau}")
-    b = config.beta
-    return (
-        b ** 1.5
-        * np.exp(1j * (config.omega1c * tau - 0.25 * np.pi))
-        / np.sqrt(np.pi * tau)
-    )
+def beta_prime_sheet(x, omega1c: float, beta: float = 1.0):
+    """Kernel on the inversion sheet; the second branch is its negative."""
+    val = beta ** 1.5 / (1j * np.asarray(sheet_sqrt(x, omega1c)))
+    return val if val.ndim else complex(val)

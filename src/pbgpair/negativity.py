@@ -38,11 +38,10 @@ NORM_SLACK = 1e-9
 class EntanglementSeries:
     """Time series of negativity and logarithmic negativity."""
 
-    def __init__(self, times, negativity, log_negativity, trajectory=None):
+    def __init__(self, times, negativity, log_negativity):
         self.times = np.asarray(times, dtype=float)
         self.negativity = np.asarray(negativity, dtype=float)
         self.log_negativity = np.asarray(log_negativity, dtype=float)
-        self.trajectory = trajectory
 
 
 def entanglement_series(trajectory: AmplitudeTrajectory) -> EntanglementSeries:
@@ -64,7 +63,7 @@ def entanglement_series(trajectory: AmplitudeTrajectory) -> EntanglementSeries:
     den = p + np.sqrt(p * p + 4.0 * xy)
     n_vals = np.divide(2.0 * xy, den, out=np.zeros_like(xy), where=xy > 0.0)
     en = np.log1p(2.0 * n_vals) / np.log(2.0)
-    return EntanglementSeries(times, n_vals, en, trajectory=trajectory)
+    return EntanglementSeries(times, n_vals, en)
 
 
 def half_life(times, en) -> float:
@@ -96,14 +95,3 @@ def integrated_en(times, en, t_upper: float = 500.0) -> float:
     en = np.asarray(en, dtype=float)
     mask = times <= t_upper + 1e-12
     return float(np.trapezoid(en[mask], times[mask]))
-
-
-def oscillation_envelope(times, en, center: float, window: float) -> float:
-    """Half the peak-to-trough swing of E_N inside [center-window, center+window]."""
-    times = np.asarray(times, dtype=float)
-    en = np.asarray(en, dtype=float)
-    mask = (times >= center - window) & (times <= center + window)
-    if not np.any(mask):
-        raise ValueError(f"window around t={center:g} lies outside the series")
-    seg = en[mask]
-    return 0.5 * float(np.max(seg) - np.min(seg))

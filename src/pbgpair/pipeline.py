@@ -43,9 +43,9 @@ def time_grid(t_max: float, dt_out: float):
     return np.arange(n_points(t_max, dt_out)) * dt_out
 
 
-def analytic_trajectory(config, init, t_max, dt_out, poles=None):
+def analytic_trajectory(config, init, t_max, dt_out):
     times = time_grid(t_max, dt_out)
-    return inversion.amplitudes_analytic(times, config, init, poles=poles)
+    return inversion.amplitudes_analytic(times, config, init)
 
 
 def oracle_trajectory(config, init, t_max, dt_out, n_modes=DEFAULT_MODES,

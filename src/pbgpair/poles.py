@@ -1,6 +1,7 @@
 """Dressed-state pole location and classification, all in closed form.
 
-Two families of roots are collected into one :class:`PoleSet`:
+Two families of roots are collected into one :class:`PoleSet`, the table
+that the ``poles`` CSVs and the acceptance tests read:
 
 * the dressed-level table: roots x = i*y of the classification functions
   G1/H1, at y = gamma1, omega12 + gamma2, -gamma1, omega12 - gamma2 (the
@@ -17,16 +18,12 @@ Two families of roots are collected into one :class:`PoleSet`:
       a1 = omega1c + gamma1,  a2 = omega1c - omega12 + gamma2
 
   (John & Quang's band-edge reduction, PRA 50, 1764 (1994), for both
-  transitions).  The ``u`` poles are its roots on the sheet, polished by
-  Newton steps in S, at x = i (S^2 + omega1c): S > 0 is a bound state
-  above the branch point, any other S a decaying pole.  Roots at the
-  branch point S ~ 0 whose residue is negligible are dropped (the root
-  S = 0 itself at cos^2 eta = 1 is no pole); a cluster there, the
-  quasi-dark pole of transitions that differ by rounding, is kept.
-  The residue sum of the previous analytic route uses these and only
-  these.  The closed form of :mod:`pbgpair.inversion` uses every root of
-  the sextic, on the sheet or not: the :class:`Sector` polynomials and
-  their roots come with the :class:`PoleSet`, from the same np.roots call.
+  transitions).  :func:`symmetric_sectors` returns these polynomials with
+  all their roots, which is all that the closed form of
+  :mod:`pbgpair.inversion` reads.  The ``u`` poles of the table are the
+  roots on the sheet (:func:`sheet_roots`), polished by Newton steps in S,
+  at x = i (S^2 + omega1c): S > 0 is a bound state above the branch
+  point, any other S a decaying pole.
 
 A ``u`` pole on an exchange pole is a simple pole of another sector, and
 both are kept.  With identical transitions (a1 = a2) the sextic factors
@@ -87,7 +84,6 @@ class PoleRecord:
 class PoleSet:
     records: tuple
     config: "object" = field(repr=False, default=None)
-    sectors: tuple = field(repr=False, default=(), compare=False)
 
     def dynamic(self):
         return [r for r in self.records if r.dynamic]
@@ -152,9 +148,9 @@ class Sector:
 
     ``kind`` is 'u' for the sextic of distinct transitions and 'u+'/'u-'
     for the cubics of identical ones; ``roots`` are all the roots of
-    ``coeffs`` as one np.roots call returns them.  A dark cubic
-    (1 +/- cos eta = 0) has no coefficients and no roots: its pole
-    x = -i gamma1 is not a root in S.
+    ``coeffs`` from one np.roots call, a cluster at S = 0 resolved by
+    :func:`_branch_cluster`.  A dark cubic (1 +/- cos eta = 0) has no
+    coefficients and no roots: its pole x = -i gamma1 is not a root in S.
     """
 
     kind: str
@@ -166,10 +162,30 @@ class Sector:
         return self.coeffs.size == 0
 
 
+def _branch_cluster(coeffs, s):
+    """The roots with the k roots within BRANCH_TOL of S = 0 recomputed from
+    the k + 1 lowest coefficients.
+
+    np.roots resolves roots only to about 1e-16 of the largest coefficient,
+    and may return a cluster of tiny roots as exact zeros, which carry no
+    weight and would drop the cluster's O(1) residue.  Near S = 0 the
+    lowest terms alone fix them to full relative accuracy.
+    """
+    small = np.abs(s) <= BRANCH_TOL
+    k = int(np.count_nonzero(small))
+    if k > 1:
+        low = np.roots(coeffs[-(k + 1):])
+        if low.size == k:
+            s = s.astype(complex)
+            s[small] = low
+    return s
+
+
 def _sector(kind, coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
-    roots = np.roots(coeffs) if coeffs.size else np.zeros(0, dtype=complex)
-    return Sector(kind, coeffs, roots)
+    if not coeffs.size:
+        return Sector(kind, coeffs, np.zeros(0, dtype=complex))
+    return Sector(kind, coeffs, _branch_cluster(coeffs, np.roots(coeffs)))
 
 
 def polish(coeffs, s):
@@ -207,30 +223,28 @@ def symmetric_sectors(config):
     return tuple(out)
 
 
-def _sheet_roots(sector):
-    """Roots S of a sector that lie on the inversion sheet, polished, and
-    the polynomial's derivative there.
+def sheet_roots(sector):
+    """Roots S of a sector that lie on the inversion sheet, unpolished.
 
     A root within BRANCH_TOL of the branch point S = 0 is dropped when its
     residue, of order |S|^2 / |P'(S)|, is below RESIDUE_FLOOR: the
     structural root S = 0 of the sextic at cos^2 eta = 1 and the roots that
     a nearly parallel pair moves off it.  A cluster of roots there (the
     quasi-dark pole of nearly identical transitions) carries an O(1)
-    residue and is kept.
+    residue and is kept.  Raises DegeneratePole when two of the remaining
+    roots are closer than DOUBLE_ROOT_TOL.
     """
     s = sector.roots
-    deriv = np.polyder(sector.coeffs)
     arg = np.angle(s)
     keep = (arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi)
-    negligible = np.abs(s) ** 2 <= RESIDUE_FLOOR * np.abs(np.polyval(deriv, s))
+    negligible = np.abs(s) ** 2 <= RESIDUE_FLOOR * np.abs(np.polyval(np.polyder(sector.coeffs), s))
     keep &= ~((np.abs(s) <= BRANCH_TOL) & negligible)
     s = s[keep]
     close = np.abs(s[:, None] - s[None, :]) + np.eye(s.size) < DOUBLE_ROOT_TOL
     if close.any():
         raise DegeneratePole(f"double root of the symmetric determinant at "
                              f"S={s[close.any(axis=1)][0]:.9g} (exceptional point)")
-    s = polish(sector.coeffs, s)
-    return s, np.polyval(deriv, s)
+    return s
 
 
 def _snap(x):
@@ -249,7 +263,8 @@ def _u_poles(config, sectors):
         if sec.dark:  # f - 2 beta' |cos eta| = x + i gamma1 has no kernel
             out.append((sec.kind, complex(0.0, -config.gamma1), 1.0 + 0j))
             continue
-        s, d = _sheet_roots(sec)
+        s = polish(sec.coeffs, sheet_roots(sec))
+        d = np.polyval(np.polyder(sec.coeffs), s)
         num = -2j * s ** 3 if sec.kind == "u" else 2 * s * s
         out += [(sec.kind, _snap(1j * (si * si + config.omega1c)), complex(ni / di))
                 for si, ni, di in zip(s, num, d)]
@@ -264,11 +279,10 @@ def find_poles(config) -> PoleSet:
     """
     edge = config.omega1c
     table = _table_roots(config)
-    sectors = symmetric_sectors(config)
     dynamic = [
         ("v1", complex(0.0, config.gamma1), 1.0 + 0j),
         ("v2", complex(0.0, config.gamma2 + config.omega12), 1.0 + 0j),
-    ] + _u_poles(config, sectors)
+    ] + _u_poles(config, symmetric_sectors(config))
 
     records = []
     used_table = set()
@@ -294,4 +308,4 @@ def find_poles(config) -> PoleSet:
         records.append(PoleRecord(tag, x, klass, _table_weight(tag, x, config), False, "table"))
 
     records.sort(key=lambda r: (-r.x.imag, r.x.real, r.tag))
-    return PoleSet(records=tuple(records), config=config, sectors=sectors)
+    return PoleSet(records=tuple(records), config=config)

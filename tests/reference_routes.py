@@ -37,7 +37,14 @@ by a dense ``eigh`` of each coupled block, and ``integrate_rk4``, a
 fixed-step fourth-order exponential integrator, both against the
 secular-equation spectrum of :func:`pbgpair.bath.integrate`;
 ``evaluate_direct``, the secular sums over every pole, against the
-near/far-field evaluation of the secular solver.
+near/far-field evaluation of the secular solver.  ``mode_probs`` and
+``mode_spectrum`` give the photon's mode distribution from the secular
+spectrum, against the dense route's.
+
+Measures read only by the tests: the band-edge ``spectral_density`` and
+the time-domain ``memory_kernel``, checked against
+:func:`pbgpair.kernel.beta_prime` by quadrature, and the E_N
+``oscillation_envelope`` of acceptance criterion 8.
 """
 
 import cmath
@@ -47,7 +54,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from pbgpair import kernel, transform
-from pbgpair.bath import CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath
+from pbgpair.bath import (CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath,
+                          _symmetric_spectrum)
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
@@ -258,6 +266,17 @@ def negativity_series(trajectory: AmplitudeTrajectory, config):
     return times, n_vals, en
 
 
+def oscillation_envelope(times, en, center: float, window: float) -> float:
+    """Half the peak-to-trough swing of E_N inside [center-window, center+window]."""
+    times = np.asarray(times, dtype=float)
+    en = np.asarray(en, dtype=float)
+    mask = (times >= center - window) & (times <= center + window)
+    if not np.any(mask):
+        raise ValueError(f"window around t={center:g} lies outside the series")
+    seg = en[mask]
+    return 0.5 * float(np.max(seg) - np.min(seg))
+
+
 @dataclass(frozen=True)
 class TransformAmplitudes:
     """Values of A1(x), A2(x'), A3(x), A4(x') and the shared denominator."""
@@ -277,6 +296,35 @@ def kernel_values(x, config):
     """
     g = kernel.beta_prime(x, config.omega1c, config.beta)
     return g, g, g * config.cos_eta
+
+
+def spectral_density(nu, config) -> float:
+    """Band-edge spectral density as a function of nu = omega - omega_c.
+
+    J(nu) = beta^{3/2} / (pi sqrt(nu)) above the edge, 0 inside the gap.
+    Its resolvent integral against 1/(x + i(omega - omega13)) reproduces
+    beta_prime(x).
+    """
+    nu = np.asarray(nu, dtype=float)
+    safe = np.where(nu > 0, nu, 1.0)
+    out = np.where(nu > 0, config.beta ** 1.5 / (np.pi * np.sqrt(safe)), 0.0)
+    return out if out.ndim else float(out)
+
+
+def memory_kernel(tau: float, config) -> complex:
+    """Time-domain kernel K(tau) = int J(omega) e^{-i(omega-omega13) tau} domega.
+
+    Closed form: beta^{3/2} e^{i omega1c tau - i pi/4} / sqrt(pi tau).  Its
+    Laplace transform equals beta_prime(x) for Re x > 0.
+    """
+    if tau <= 0:
+        raise DomainError(f"memory kernel requires tau > 0, got {tau}")
+    b = config.beta
+    return (
+        b ** 1.5
+        * np.exp(1j * (config.omega1c * tau - 0.25 * np.pi))
+        / np.sqrt(np.pi * tau)
+    )
 
 
 def uv_solution(x, config, init, gamma):
@@ -505,9 +553,52 @@ def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
     meta = {"engine": "oracle", "horizon": horizon}
     if store_modes:
         meta["mode_probs"] = probs
-        meta["bath"] = bath
     field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
     return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
+
+
+def mode_probs(config, init, bath: DiscreteBath, times):
+    """|C_n(t)|^2 + |D_n(t)|^2 at ``times`` from the secular spectrum of
+    :func:`pbgpair.bath.integrate`.
+
+    Eigenvector k has the mode parts sqrt2 g_n (a_k1 + c a_k2, s a_k2) /
+    (lambda_k - delta_n) in the two families (a_k its atomic part), except
+    a pinned eigenvector, whose mode part is given.
+    """
+    a0 = np.asarray(init.as_tuple(), dtype=complex)
+    u0 = (a0[:2] + a0[2:]) / np.sqrt(2.0)
+    sp = _symmetric_spectrum(config, bath, u0)
+    coef = sp.atom @ u0
+    c, s = config.cos_eta, config.sin_eta
+    if abs(s) <= SIN_ETA_FLOOR:
+        c, s = np.sign(c), 0.0
+    times = np.asarray(times, dtype=float)
+    delta = bath.nu - config.omega1c
+    scale = np.sqrt(2.0) * bath.g
+    families = [sp.atom[:, 0] + c * sp.atom[:, 1]] + ([s * sp.atom[:, 1]] if s else [])
+    live = np.flatnonzero(np.any([f != 0.0 for f in families], axis=0))
+    amps = [np.zeros((times.size, delta.size), dtype=complex) for _ in families]
+    step = max(1, CHUNK_ELEMS // max(delta.size, times.size))
+    for a in range(0, live.size, step):
+        k = live[a:a + step]
+        ph = np.exp(-1j * np.outer(times, sp.base[k] + sp.tau[k])) * coef[k]
+        cauchy = 1.0 / ((sp.base[k, None] - delta) + sp.tau[k, None])
+        for f, amp in zip(families, amps):
+            amp += (ph * f[k]) @ cauchy
+    for row, j, part in sp.pinned:
+        lam = sp.base[row] + sp.tau[row]
+        amps[0][:, j] += np.exp(-1j * lam * times) * (coef[row] * part / scale[j])
+    return sum(np.abs(amp * scale) ** 2 for amp in amps)
+
+
+def mode_spectrum(probs, times, bath: DiscreteBath, t: float):
+    """Per-mode excitation probabilities (nu_n, |B_n(t)|^2) at a grid time t,
+    from ``probs`` (times x modes) on the grid ``times``."""
+    times = np.asarray(times)
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
+        raise DomainError(f"t={t:g} is not on the stored output grid")
+    return bath.nu.copy(), probs[idx].copy()
 
 
 def _phi1(z):

@@ -53,7 +53,7 @@ from pbgpair.config import (AmplitudeTrajectory, InitialState, SystemConfig,
 from pbgpair.pipeline import analytic_trajectory
 from pbgpair.poles import PoleSet, find_poles
 from pbgpair.presets import get_preset
-from reference_routes import branch_cut_integral, negativity_series
+from reference_routes import branch_cut_integral, negativity_series, oscillation_envelope
 
 PI = math.pi
 
@@ -317,10 +317,8 @@ def test_criterion_7_density_matrix_hygiene():
 
 def test_criterion_8_oscillation_envelope():
     _, _, series = preset_series("fig5c")
-    env_mid = neg.oscillation_envelope(series.times, series.log_negativity,
-                                       1500.0, 150.0)
-    env_late = neg.oscillation_envelope(series.times, series.log_negativity,
-                                        4000.0, 150.0)
+    env_mid = oscillation_envelope(series.times, series.log_negativity, 1500.0, 150.0)
+    env_late = oscillation_envelope(series.times, series.log_negativity, 4000.0, 150.0)
     ratio = env_mid / env_late if env_late > 0 else math.inf
     ok = ratio >= 3.0
     assert report(8, ok, f"envelope(1500)/envelope(4000) = {ratio:.2f} "

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from pbgpair import bath, kernel, pipeline
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import (
-    DiscretizationError,
     DomainError,
     RecurrenceHorizonExceeded,
     StepSizeError,
 )
 from pbgpair.presets import get_preset
-from reference_routes import evaluate_direct, integrate_dense, integrate_rk4
+from reference_routes import (evaluate_direct, integrate_dense, integrate_rk4, mode_probs,
+                              mode_spectrum)
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -32,8 +32,15 @@ def test_build_bath_resolvent_reproduction():
 
 
 def test_build_bath_without_tail_misses_kernel():
-    with pytest.raises(DiscretizationError):
-        bath.build_bath(FIG2B, n_modes=4000, tail=False)
+    # the dense window of build_bath alone, cut off at DENSE_WINDOW beta
+    n = 4000
+    du = np.sqrt(bath.DENSE_WINDOW) / n
+    untailed = bath.DiscreteBath(nu=((np.arange(n) + 0.5) * du) ** 2,
+                                 g=np.full(n, np.sqrt(2.0 / np.pi * du)), n_main=n,
+                                 config=FIG2B)
+    xs = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
+    err = np.max(np.abs(untailed.resolvent(xs) - kernel.beta_prime(xs, FIG2B.omega1c)))
+    assert err > bath.RESOLVENT_TOL
 
 
 def test_build_bath_refinement_does_not_worsen():
@@ -51,8 +58,6 @@ def test_build_bath_refinement_does_not_worsen():
 def test_build_bath_domain_checks():
     with pytest.raises(DomainError):
         bath.build_bath(FIG2B, n_modes=50)
-    with pytest.raises(DomainError):
-        bath.build_bath(FIG2B, n_modes=500, omega_max=10.0)
 
 
 def test_near_free_limit_rabi_oscillation():
@@ -83,8 +88,8 @@ def test_orthogonal_dipoles_exact_null():
 def test_norm_conservation_default_path():
     init = preset_initial("unentangled")
     b = bath.build_bath(FIG2B, n_modes=800)
-    tr = bath.integrate(FIG2B, init, b, t_max=30.0, dt_out=0.5, store_modes=True)
-    probs = tr.meta["mode_probs"]
+    tr = bath.integrate(FIG2B, init, b, t_max=30.0, dt_out=0.5)
+    probs = mode_probs(FIG2B, init, b, tr.times)
     norms = np.sum(np.abs(tr.amps) ** 2, axis=1) + probs.sum(axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-8
 
@@ -124,16 +129,14 @@ def test_bath_size_convergence():
 def test_mode_spectrum_probabilities():
     init = preset_initial("unentangled")
     b = bath.build_bath(FIG2B, n_modes=800)
-    tr = bath.integrate(FIG2B, init, b, t_max=10.0, dt_out=1.0, store_modes=True)
-    nu, p0 = bath.mode_spectrum(tr, b, 0.0)
+    tr = bath.integrate(FIG2B, init, b, t_max=10.0, dt_out=1.0)
+    probs = mode_probs(FIG2B, init, b, tr.times)
+    nu, p0 = mode_spectrum(probs, tr.times, b, 0.0)
     assert np.max(p0) < 1e-20
-    nu, p = bath.mode_spectrum(tr, b, 10.0)
+    nu, p = mode_spectrum(probs, tr.times, b, 10.0)
     assert p.sum() == pytest.approx(tr.field_prob[-1], abs=1e-6)
     with pytest.raises(DomainError):
-        bath.mode_spectrum(tr, b, 0.37)
-    tr2 = bath.integrate(FIG2B, init, b, t_max=2.0, dt_out=1.0)
-    with pytest.raises(DomainError):
-        bath.mode_spectrum(tr2, b, 1.0)
+        mode_spectrum(probs, tr.times, b, 0.37)
 
 
 def test_deep_gap_spectrum_line_positions():
@@ -143,8 +146,8 @@ def test_deep_gap_spectrum_line_positions():
                           omega2c=-2.6, eta=PI / 2)
     init = preset_initial("bright")
     b = bath.build_bath(config, n_modes=1200)
-    tr = bath.integrate(config, init, b, t_max=40.0, dt_out=2.0, store_modes=True)
-    nu, p = bath.mode_spectrum(tr, b, 40.0)
+    tr = bath.integrate(config, init, b, t_max=40.0, dt_out=2.0)
+    nu, p = mode_spectrum(mode_probs(config, init, b, tr.times), tr.times, b, 40.0)
     total = p.sum()
     line = config.omega1c + config.gamma1
     assert p[np.abs(nu - line) < 1.6].sum() > 0.55 * total
@@ -155,8 +158,8 @@ def test_deep_gap_spectrum_line_positions():
     config2 = SystemConfig(gamma1=1.0, gamma2=1.0, omega12=1.0, omega1c=-1.6,
                            omega2c=-2.6, eta=PI / 2)
     b2 = bath.build_bath(config2, n_modes=1200)
-    tr2 = bath.integrate(config2, init, b2, t_max=40.0, dt_out=2.0, store_modes=True)
-    nu2, p2 = bath.mode_spectrum(tr2, b2, 40.0)
+    tr2 = bath.integrate(config2, init, b2, t_max=40.0, dt_out=2.0)
+    nu2, p2 = mode_spectrum(mode_probs(config2, init, b2, tr2.times), tr2.times, b2, 40.0)
     assert p2[nu2 < 1.0].sum() > 0.4 * p2.sum()
 
 
@@ -195,10 +198,11 @@ SECULAR_CASES = {
 def test_secular_spectrum_matches_dense(name):
     config, init = SECULAR_CASES[name]
     b = bath.build_bath(config, n_modes=300)
-    tr = bath.integrate(config, init, b, t_max=15.0, dt_out=0.5, store_modes=True)
+    tr = bath.integrate(config, init, b, t_max=15.0, dt_out=0.5)
     ref = integrate_dense(config, init, b, t_max=15.0, dt_out=0.5, store_modes=True)
     assert np.max(np.abs(tr.amps - ref.amps)) <= 1e-5
-    assert np.max(np.abs(tr.meta["mode_probs"] - ref.meta["mode_probs"])) <= 1e-6
+    probs = mode_probs(config, init, b, tr.times)
+    assert np.max(np.abs(probs - ref.meta["mode_probs"])) <= 1e-6
     assert tr.meta["weight_defect"] <= 1e-12
     if name == "orthogonal":
         # the unpopulated (A2, A4) arrowhead is skipped and stays exactly zero
@@ -283,11 +287,12 @@ def test_lost_root_fails_completeness(monkeypatch):
 def test_mode_spectrum_matches_dense():
     config, init = SECULAR_CASES["eta=120"]
     b = bath.build_bath(config, n_modes=800)
-    tr = bath.integrate(config, init, b, t_max=20.0, dt_out=1.0, store_modes=True)
+    tr = bath.integrate(config, init, b, t_max=20.0, dt_out=1.0)
+    probs = mode_probs(config, init, b, tr.times)
     ref = integrate_dense(config, init, b, t_max=20.0, dt_out=1.0, store_modes=True)
     for t in (5.0, 20.0):
-        nu, p = bath.mode_spectrum(tr, b, t)
-        nu_ref, p_ref = bath.mode_spectrum(ref, b, t)
+        nu, p = mode_spectrum(probs, tr.times, b, t)
+        nu_ref, p_ref = mode_spectrum(ref.meta["mode_probs"], ref.times, b, t)
         assert np.array_equal(nu, nu_ref)
         assert np.max(np.abs(p - p_ref)) <= 1e-6
 

