@@ -199,7 +199,9 @@ def closed_form_terms(config, init, sectors):
         else:
             u = 0.25 * (u10 + sign * u20)
             num = np.outer([u, sign * u, u, sign * u], [1.0, 0.0])
-        sheet_roots(sec)  # raises DegeneratePole where the pole table does
+        # result discarded on purpose: the call is the DegeneratePole check the
+        # pole table makes; the closed form sums over every root of the sector
+        sheet_roots(sec)
         raw = sec.roots.astype(complex)
         pairs = _pair_index(raw)
         paired = np.zeros(raw.size, dtype=bool)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pbgpair import bath, kernel, pipeline
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import (
+    DiscretizationError,
     DomainError,
     RecurrenceHorizonExceeded,
     StepSizeError,
@@ -41,6 +42,12 @@ def test_build_bath_without_tail_misses_kernel():
     xs = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
     err = np.max(np.abs(untailed.resolvent(xs) - kernel.beta_prime(xs, FIG2B.omega1c)))
     assert err > bath.RESOLVENT_TOL
+
+
+def test_build_bath_raises_when_resolvent_misses(monkeypatch):
+    monkeypatch.setattr(bath, "RESOLVENT_TOL", 1e-12)
+    with pytest.raises(DiscretizationError, match="misses the kernel"):
+        bath.build_bath(FIG2B, n_modes=100)
 
 
 def test_build_bath_refinement_does_not_worsen():

@@ -34,8 +34,6 @@ def test_beta_prime_branch_point_error():
 
 def test_sheet_value_on_lower_axis_is_other_branch():
     assert kernel.beta_prime_sheet(-3.4j, 0.6) == pytest.approx(0.5, abs=1e-12)
-    # the second branch is the negative of the sheet value
-    assert -kernel.beta_prime_sheet(-3.4j, 0.6) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_kernel_values_angle_dependence():
