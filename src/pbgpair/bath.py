@@ -1,12 +1,12 @@
 """Discretized-bath reference integrator (independent ground truth).
 
 The band-edge continuum is replaced by discrete modes on a grid uniform in
-u = sqrt(omega - omega_c), which resolves the inverse-square-root density
-of states with constant per-mode weights.  A geometrically stretched far
-tail is appended so that the discrete resolvent sum reproduces the
-transform-domain kernel to the contracted tolerance; a sharp cutoff at
-omega_c + 50 beta would miss ~9% of the kernel and visibly shift the
-bound-state frequencies.
+u = sqrt(omega - omega_c), which resolves the density of states
+J = 1 / (pi u) (frequencies in units of beta) with constant per-mode
+weights.  A geometrically stretched far tail is appended so that the
+discrete resolvent sum reproduces the transform-domain kernel to the
+contracted tolerance; a sharp cutoff at omega_c + 50 would miss ~9% of
+the kernel and visibly shift the bound-state frequencies.
 
 Two independent mode families realize the kernel triple
 (Gamma11, Gamma22, Gamma12) = beta' * (1, 1, cos eta): family ``a``
@@ -55,7 +55,7 @@ NORM_DRIFT_TOL = 1e-8   # on |sum_k a_k a_k^T - I| of the atomic eigenvector par
 # engine-agreement budget at a cost of ~240 extra modes.
 TAIL_U_FACTOR = 65536.0
 TAIL_RATIO = 1.045
-DENSE_WINDOW = 50.0     # densely sampled window above the edge, in beta
+DENSE_WINDOW = 50.0     # densely sampled window above the edge
 # Below this |sin eta| the second mode family is dropped: its coupling
 # g sin(eta) changes the dynamics by O(sin^2 eta) < 1e-16, and the secular
 # branches (slopes up to 1/sin^2 eta) could not be located in double precision.
@@ -108,9 +108,9 @@ class DiscreteBath:
         return np.sum(self.g ** 2 / den, axis=-1)
 
 
-def _tail_count(u_max, beta) -> int:
-    """Number of geometric tail cells from u_max up to TAIL_U_FACTOR sqrt(beta)."""
-    return int(np.ceil(np.log(TAIL_U_FACTOR * np.sqrt(beta) / u_max) / np.log(TAIL_RATIO)))
+def _tail_count(u_max) -> int:
+    """Number of geometric tail cells from u_max up to TAIL_U_FACTOR."""
+    return int(np.ceil(np.log(TAIL_U_FACTOR / u_max) / np.log(TAIL_RATIO)))
 
 
 def block_dim(config, n_modes: int) -> int:
@@ -118,29 +118,28 @@ def block_dim(config, n_modes: int) -> int:
     modes) for ``build_bath(config, n_modes)``, worked out without building
     it.  ``integrate`` never forms the block; its secular root count and
     the cost of summing over the roots grow with it."""
-    n = n_modes + _tail_count(np.sqrt(DENSE_WINDOW * config.beta), config.beta)
+    n = n_modes + _tail_count(np.sqrt(DENSE_WINDOW))
     if config.cos_eta == 0.0:
         return 2 + n
     return 4 + n * (2 if abs(config.sin_eta) > SIN_ETA_FLOOR else 1)
 
 
-def build_bath(config, n_modes: int = 4000) -> DiscreteBath:
+def build_bath(config, n_modes: int) -> DiscreteBath:
     """Discretize the band-edge continuum for the given configuration.
 
-    The window of DENSE_WINDOW beta above the edge is sampled densely, and
-    a geometric tail of TAIL_RATIO cells reaches on to TAIL_U_FACTOR^2 beta.
+    The window of DENSE_WINDOW above the edge is sampled densely, and a
+    geometric tail of TAIL_RATIO cells reaches on to TAIL_U_FACTOR^2.
     Raises DiscretizationError when the resolvent sum fails to reproduce
     the kernel.
     """
     if n_modes < 100:
         raise DomainError(f"n_modes must be at least 100, got {n_modes}")
-    beta = config.beta
-    weight = 2.0 * beta ** 1.5 / np.pi  # exact integral of J over a unit u-cell
+    weight = 2.0 / np.pi  # exact integral of J over a unit u-cell
 
-    u_max = np.sqrt(DENSE_WINDOW * beta)
+    u_max = np.sqrt(DENSE_WINDOW)
     du = u_max / n_modes
     u_mid = (np.arange(n_modes) + 0.5) * du
-    edges = u_max * TAIL_RATIO ** np.arange(_tail_count(u_max, beta) + 1)
+    edges = u_max * TAIL_RATIO ** np.arange(_tail_count(u_max) + 1)
     e0, e1 = edges[:-1], edges[1:]
     # frequency at the J-weighted cell centroid keeps the first moment exact
     nu = np.concatenate([u_mid ** 2, (e0 * e0 + e0 * e1 + e1 * e1) / 3.0])
@@ -148,10 +147,10 @@ def build_bath(config, n_modes: int = 4000) -> DiscreteBath:
 
     bath = DiscreteBath(nu=nu, g=np.sqrt(g2), n_main=n_modes, config=config)
 
-    test_x = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j]) * beta
-    target = kernel.beta_prime(test_x, config.omega1c, beta)
+    test_x = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
+    target = kernel.beta_prime(test_x, config.omega1c)
     err = np.max(np.abs(bath.resolvent(test_x) - target))
-    if err > RESOLVENT_TOL * beta:
+    if err > RESOLVENT_TOL:
         raise DiscretizationError(
             f"discrete resolvent misses the kernel by {err:.3g} (tol {RESOLVENT_TOL})"
         )

@@ -45,11 +45,11 @@ def _parser():
         sp.add_argument("-o", "--output", required=True, help="output CSV path")
         if engine:
             sp.add_argument("--engine", choices=("analytic", "oracle", "both"),
-                            help="trajectory engine (default from config/preset)")
+                            help="trajectory engine (default from the run file, else analytic)")
             sp.add_argument("--tmax", type=float, help="override horizon (units 1/beta)")
             sp.add_argument("--dt", type=float, help="override output spacing")
             sp.add_argument("--modes", type=int, default=DEFAULT_MODES,
-                            help="oracle bath size (default 4000)")
+                            help=f"oracle bath size (default {DEFAULT_MODES})")
             sp.add_argument("--amplitudes", metavar="PATH",
                             help="also dump the raw amplitude trajectory CSV")
 
@@ -107,7 +107,7 @@ def _cmd_preset(args) -> int:
         csvio.write_atomic(args.output, csvio.poles_csv(find_poles(preset.config)))
         return EXIT_OK
     spec = RunSpec(config=preset.config, init=preset.init, t_max=preset.t_max,
-                   dt_out=preset.dt_out, engine=preset.engine)
+                   dt_out=preset.dt_out)
     spec = _apply_overrides(spec, args)
     _emit_series(spec, args.output, args.modes, args.amplitudes)
     return EXIT_OK

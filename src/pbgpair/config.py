@@ -1,8 +1,7 @@
 """Physical parameters, initial states and validation.
 
 All frequencies are dimensionless, expressed in units of the band-edge
-coupling constant ``beta`` (kept as an explicit field so reports can name
-the unit; it is 1.0 unless a caller rescales on purpose).  Sign
+coupling constant beta, and times in units of 1/beta.  Sign
 conventions follow the transform-domain treatment in :mod:`pbgpair.kernel`:
 ``omega1c``/``omega2c`` are the detunings of the two upper levels from the
 band edge, negative values placing a level inside the gap.
@@ -47,8 +46,6 @@ class SystemConfig:
         Detunings of the upper levels from the band edge.
     eta
         Angle between the two dipole transition unit vectors, radians.
-    beta
-        Normalization frequency; all other fields are in units of it.
     """
 
     gamma1: float
@@ -57,7 +54,6 @@ class SystemConfig:
     omega1c: float
     omega2c: float
     eta: float
-    beta: float = 1.0
 
     @property
     def cos_eta(self) -> float:
@@ -107,8 +103,6 @@ def validate(config: SystemConfig, init: InitialState | None = None):
     for f in fields(config):
         if not math.isfinite(getattr(config, f.name)):
             raise DomainError(f"{f.name} must be finite, got {getattr(config, f.name)}")
-    if config.beta <= 0:
-        raise DomainError(f"beta must be positive, got {config.beta}")
     if config.gamma1 < 0 or config.gamma2 < 0:
         raise DomainError(
             f"gamma1/gamma2 must be non-negative, got {config.gamma1}, {config.gamma2}"

@@ -1,4 +1,7 @@
-"""Deterministic CSV emission (atomic writes, fixed 12-digit formatting)."""
+"""Deterministic CSV emission (atomic writes, fixed 12-digit formatting).
+
+A CSV text is built and written as a list of blocks, never joined: for
+100,001 rows the joined copy would add 11 MB."""
 
 from __future__ import annotations
 
@@ -11,7 +14,15 @@ import numpy as np
 BLOCK_ROWS = 1024
 
 
-def _table(header: str, columns, text=()) -> str:
+class CsvText(list):
+    """The blocks of a CSV text.  ``encode`` encodes their join, as str.encode
+    would the text (the byte counter of ``perfbench/tracing.py`` calls it)."""
+
+    def encode(self, encoding):
+        return "".join(self).encode(encoding)
+
+
+def _table(header: str, columns, text=()) -> CsvText:
     """``header`` and one CSV row per entry of the equal-length ``columns``.
 
     The columns whose indices are in ``text`` hold strings, printed as they
@@ -28,20 +39,21 @@ def _table(header: str, columns, text=()) -> str:
         table[:, nums] = values
         for j in text:
             table[:, j] = columns[j]
-    parts = [header + "\n"]
+    parts = CsvText([header + "\n"])
     for a in range(0, len(table), BLOCK_ROWS):
         block = table[a:a + BLOCK_ROWS]
         parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    return parts
 
 
-def write_atomic(path, text: str):
-    """Write text to path via a temp file in the same directory + rename."""
+def write_atomic(path, text):
+    """Write the blocks of ``text`` to path via a temp file in the same
+    directory + rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pbgpair-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,7 +61,7 @@ def write_atomic(path, text: str):
         raise
 
 
-def entanglement_csv(series, trajectory) -> str:
+def entanglement_csv(series, trajectory) -> CsvText:
     """t, N, E_N, field_prob, |A1|..|A4| — one row per output time."""
     amps = np.abs(np.asarray(trajectory.amps))
     return _table("t,N,E_N,field_prob,abs_A1,abs_A2,abs_A3,abs_A4",
@@ -57,7 +69,7 @@ def entanglement_csv(series, trajectory) -> str:
                    trajectory.field_prob, *amps.T])
 
 
-def poles_csv(pole_set) -> str:
+def poles_csv(pole_set) -> CsvText:
     """function_tag, re_x, im_x, class, residue_re, residue_im."""
     recs = pole_set.records
     x = np.array([r.x for r in recs], dtype=complex)
@@ -67,7 +79,7 @@ def poles_csv(pole_set) -> str:
                    w.real, w.imag], text=(0, 3))
 
 
-def trajectory_csv(trajectory) -> str:
+def trajectory_csv(trajectory) -> CsvText:
     """t, re/im of all four amplitudes, field_prob (oracle dump format)."""
     amps = np.asarray(trajectory.amps)
     reim = np.stack([amps.real, amps.imag], axis=-1).reshape(len(amps), 8)
@@ -75,7 +87,7 @@ def trajectory_csv(trajectory) -> str:
                   [trajectory.times, *reim.T, trajectory.field_prob])
 
 
-def sweep_summary_csv(entries) -> str:
+def sweep_summary_csv(entries) -> CsvText:
     """value, E_N half-life, integrated E_N over the sweep window."""
     hl = np.array([e[1] for e in entries], dtype=float)
     # an infinite half-life of either sign prints as "inf"

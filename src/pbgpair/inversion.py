@@ -5,7 +5,7 @@ poles.  The symmetric ones are proper rational functions of
 S = sqrt(-i x - omega1c) on the inversion sheet: with the sextic P of
 :mod:`pbgpair.poles` and P1, P2 its two cubic factors,
 
-    u1 = A1 + A3 = -i S [P2(S) u10 + 2 b cos(eta) u20] / P(S),
+    u1 = A1 + A3 = -i S [P2(S) u10 + 2 cos(eta) u20] / P(S),
 
 and u2 = A2 + A4 the same with the indices swapped.  Partial fractions
 over all six roots S_j give u1 = sum_j r_j / (S - S_j), and the inverse
@@ -56,9 +56,9 @@ PAIR_TOL = 1e-5  # relative distance below which two roots enter as a double roo
 EXP_MAX = 700.0  # e^{x t} of a sheet root stays below ~1e304 up to x t = EXP_MAX
 CUT_ABS_TOL = 1e-10
 CUT_FAIL_TOL = 1e-9
+CUT_MAX_ROUNDS = 60  # panel refinement rounds of CutIntegrator
 EXP_FLOOR = 32.3  # e^{-q^2 t} < 1e-14 beyond q^2 t = EXP_FLOOR
-EXP_UNDERFLOW = 708.0  # e^{-q^2 t} is below the smallest normal double beyond
-EVAL_BLOCK_ELEMS = 16384  # (times x roots or nodes) elements per evaluation block
+EVAL_BLOCK_ELEMS = 16384  # (times x roots) elements per block of closed_form
 
 # Weideman's rational approximation of w in the upper half plane (SIAM J.
 # Numer. Anal. 31, 1497 (1994)), N = 32: w(z) = 2 p(Z) / (L - iz)^2 +
@@ -179,7 +179,7 @@ def closed_form_terms(config, init, sectors):
     """
     a10, a20, a30, a40 = init.as_tuple()
     u10, u20 = a10 + a30, a20 + a40
-    a1, a2, b, c = sector_parameters(config)
+    a1, a2, c = sector_parameters(config)
     v1, v2 = 0.5 * (a10 - a30), 0.5 * (a20 - a40)
     xs = [1j * config.gamma1, 1j * (config.gamma2 + config.omega12)]
     exps = [[v1, 0.0, -v1, 0.0], [0.0, v2, 0.0, -v2]]
@@ -193,8 +193,8 @@ def closed_form_terms(config, init, sectors):
             exps.append([u, sign * u, u, sign * u])
             continue
         if sec.kind == "u":  # S V(S): S Q1 / 2 and S Q2 / 2 of the module docstring
-            q1 = 0.5 * np.array([u10, 0.0, a2 * u10, 2 * b * (c * u20 - u10), 0.0])
-            q2 = 0.5 * np.array([u20, 0.0, a1 * u20, 2 * b * (c * u10 - u20), 0.0])
+            q1 = 0.5 * np.array([u10, 0.0, a2 * u10, 2 * (c * u20 - u10), 0.0])
+            q2 = 0.5 * np.array([u20, 0.0, a1 * u20, 2 * (c * u10 - u20), 0.0])
             num = np.stack([q1, q2, q1, q2])
         else:
             u = 0.25 * (u10 + sign * u20)
@@ -299,7 +299,7 @@ def residue_numerators(record, config, init):
     if record.kind != "u":
         return np.zeros(4, dtype=complex)
     x0 = record.x
-    g = kernel.beta_prime_sheet(x0, config.omega1c, config.beta)
+    g = kernel.beta_prime_sheet(x0, config.omega1c)
     c = config.cos_eta
     u10, u20 = a10 + a30, a20 + a40
     f1 = x0 + 1j * config.gamma1 + 2 * g
@@ -343,8 +343,7 @@ def cut_discontinuity(q, config, init):
     q = np.asarray(q, dtype=float)
     x = 1j * config.omega1c - q * q
     s_top = np.exp(0.25j * np.pi) * q
-    b32 = config.beta ** 1.5
-    g_top = b32 / (1j * s_top)
+    g_top = 1 / (1j * s_top)
     top = transform.u_sector(x, config, init, g_top)
     bot = transform.u_sector(x, config, init, -g_top)
     du1, du2 = 0.5 * (bot[0] - top[0]), 0.5 * (bot[1] - top[1])
@@ -356,34 +355,26 @@ class CutIntegrator:
 
     The branch difference is t-independent, so the panel nodes and the
     values of ``disc(q) * 2q`` are computed once; each time only the
-    Gaussian damping e^{-q^2 t} changes.  Panels are refined until the
-    G7/K15 discrepancy under the least-damped requested time is below
-    tolerance.  The nodes of all panels are then kept sorted by q, with
-    their Kronrod-weighted values as one (nodes x 4) matrix, so that a
-    time only meets the prefix of nodes whose damping is not below the
-    smallest normal double.
+    Gaussian damping e^{-q^2 t} changes.  Panels are refined, at most
+    CUT_MAX_ROUNDS times, until the G7/K15 discrepancy under the
+    least-damped requested time is below tolerance.
     """
 
-    def __init__(self, config, init, t_min, abs_tol=CUT_ABS_TOL, max_rounds=60):
+    def __init__(self, config, init, t_min, abs_tol=CUT_ABS_TOL):
         if t_min <= 0:
             raise DomainError("cut integral requires t > 0")
         self.config = config
         self.init = init
         q_max = np.sqrt(EXP_FLOOR / t_min)
-        edges = [0.0]
-        step0 = min(1.0, q_max / 8.0)
-        val = step0
+        edges, val = [0.0], min(1.0, q_max / 8.0)
         while val < q_max:
             edges.append(val)
             val *= 1.9
         edges.append(q_max)
-        panels = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-        self._nodes = []
-        self._fvals = []
-        self._panels = []
-        for a, b in panels:
+        self._nodes, self._fvals, self._panels = [], [], []
+        for a, b in zip(edges[:-1], edges[1:]):
             self._add_panel(a, b)
-        for _ in range(max_rounds):
+        for _ in range(CUT_MAX_ROUNDS):
             errs = self._panel_errors(t_min)
             if float(np.sum(errs)) <= abs_tol:
                 break
@@ -395,16 +386,11 @@ class CutIntegrator:
                 mid = 0.5 * (a + b)
                 self._add_panel(a, mid)
                 self._add_panel(mid, b)
-        errs = self._panel_errors(t_min)
-        self.error_estimate = float(np.sum(errs))
+        self.error_estimate = float(np.sum(self._panel_errors(t_min)))
         if not self.error_estimate <= CUT_FAIL_TOL:
             raise QuadratureError(
                 f"cut integral error estimate {self.error_estimate:.3g} exceeds {CUT_FAIL_TOL}"
             )
-        qs = np.concatenate(self._nodes)
-        order = np.argsort(qs)
-        self._q2 = qs[order] ** 2
-        self._kvals = np.concatenate([_K_WEIGHTS[:, None] * fv for fv in self._fvals])[order]
 
     def _add_panel(self, a, b):
         half = 0.5 * (b - a)
@@ -424,31 +410,11 @@ class CutIntegrator:
         return np.array(errs)
 
     def evaluate(self, t):
-        """Cut contribution to the four amplitudes at time(s) t > 0, in any order.
-
-        The times go in blocks of consecutive entries.  A block ends where t
-        leaves [t0, 2 t0], t0 its first time and so its minimum, or where
-        its rows times the nodes live at t0 would pass ``EVAL_BLOCK_ELEMS``.
-        Each block is one matrix product over the nodes live at t0, those
-        with q^2 t0 <= EXP_UNDERFLOW, with the exponent clamped at
-        -EXP_UNDERFLOW, so that no exp takes the slow subnormal path: every
-        damping factor that the clamp raises or the skipped nodes drop is
-        below e^-708 = 3.3e-308.
-        """
+        """Cut contribution to the four amplitudes at time(s) t > 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        total = np.empty((t.size, 4), dtype=complex)
-        a = 0
-        while a < t.size:
-            t0 = t[a]
-            n = int(np.count_nonzero(self._q2 * t0 <= EXP_UNDERFLOW))
-            seg = t[a:a + max(1, EVAL_BLOCK_ELEMS // max(1, n))]
-            leave = np.flatnonzero((seg < t0) | (seg > 2.0 * t0))
-            rows = int(leave[0]) if leave.size else seg.size
-            damp = np.outer(seg[:rows], -self._q2[:n])
-            np.maximum(damp, -EXP_UNDERFLOW, out=damp)
-            np.exp(damp, out=damp)
-            total[a:a + rows] = damp @ self._kvals[:n]
-            a += rows
+        total = np.zeros((t.size, 4), dtype=complex)
+        for qs, fv in zip(self._nodes, self._fvals):
+            total += (np.exp(-np.outer(t, qs * qs)) * _K_WEIGHTS) @ fv
         total *= (np.exp(1j * self.config.omega1c * t) / (2j * np.pi))[:, None]
         shift = np.exp(-1j * self.config.omega12 * t)
         total[:, 1] *= shift

@@ -3,9 +3,10 @@
 The isotropic quadratic dispersion near the band edge produces the
 self-energy
 
-    Gamma(x) = beta^{3/2} / (i * sqrt(-i x - omega1c)),
+    Gamma(x) = 1 / (i * sqrt(-i x - omega1c))
 
-a square-root multifunction of the Laplace variable ``x``.  Two branch
+in units of beta (beta^{3/2} / (i sqrt(...)) in physical units), a
+square-root multifunction of the Laplace variable ``x``.  Two branch
 conventions are needed in practice:
 
 ``beta_prime``
@@ -45,8 +46,8 @@ def _principal_sqrt_top(w):
     return s
 
 
-def beta_prime(x, omega1c: float, beta: float = 1.0):
-    """Band-edge kernel beta' = beta^{3/2} / (i sqrt(-i x - omega1c)).
+def beta_prime(x, omega1c: float):
+    """Band-edge kernel beta' = 1 / (i sqrt(-i x - omega1c)).
 
     Principal square root (cut on the negative real axis of the argument,
     approached from above).  Accepts scalars or arrays; raises
@@ -56,7 +57,7 @@ def beta_prime(x, omega1c: float, beta: float = 1.0):
     w = -1j * x - omega1c
     if np.any(w == 0):
         raise BranchPointError(f"kernel branch point: -i x - omega1c = 0 at omega1c={omega1c}")
-    val = beta ** 1.5 / (1j * _principal_sqrt_top(w))
+    val = 1 / (1j * _principal_sqrt_top(w))
     return val if val.ndim else complex(val)
 
 
@@ -75,7 +76,7 @@ def sheet_sqrt(x, omega1c: float):
     return s if s.ndim else complex(s)
 
 
-def beta_prime_sheet(x, omega1c: float, beta: float = 1.0):
+def beta_prime_sheet(x, omega1c: float):
     """Kernel on the inversion sheet; the second branch is its negative."""
-    val = beta ** 1.5 / (1j * np.asarray(sheet_sqrt(x, omega1c)))
+    val = 1 / (1j * np.asarray(sheet_sqrt(x, omega1c)))
     return val if val.ndim else complex(val)

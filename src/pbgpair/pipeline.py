@@ -15,8 +15,8 @@ log = logging.getLogger("pbgpair")
 DEFAULT_MODES = 4000
 # Size budget, checked before anything is allocated.  An analytic run peaks
 # at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
-# fig2b and fig5c), and formatting its CSV at about 0.4 kB per point (42 MB
-# for the 11 MB text of fig2b).  The oracle never forms its (dim x dim)
+# fig2b and fig5c), and formatting and writing its CSV at about 0.2 kB per
+# point (21 MB for the 11 MB text of fig2b).  The oracle never forms its (dim x dim)
 # generator: its memory is the CHUNK_ELEMS work arrays of bath.py plus
 # O(dim x CHEB_DEGREE) for the roots and the far-field interpolants (a
 # 93 MB process at dim 51,212).  Its work is the

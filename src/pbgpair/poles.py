@@ -6,15 +6,15 @@ that the ``poles`` CSVs and the acceptance tests read:
 * the dressed-level table: roots x = i*y of the classification functions
   G1/H1, at y = gamma1, omega12 + gamma2, -gamma1, omega12 - gamma2 (the
   exchange-split level factors and their prefactors) and
-  y = omega1c - 4*beta^3 (the band-edge interference factor 1 + 2*beta').
+  y = omega1c - 4 (the band-edge interference factor 1 + 2*beta').
   These are what the pole report lists and the regression tables quote.
 
 * the dynamic poles of the transform amplitudes on the inversion sheet:
   the exchange poles x = i*gamma1 and x = i*(gamma2 + omega12), and the
   roots of the symmetric determinant Delta.  With S = sqrt(-i x - omega1c),
-  arg S in (-3pi/4, pi/4] on the sheet, and b = beta^{3/2},
+  arg S in (-3pi/4, pi/4] on the sheet, and frequencies in units of beta,
 
-      -S^2 Delta = (S^3 + a1 S - 2b)(S^3 + a2 S - 2b) - 4 b^2 cos^2(eta),
+      -S^2 Delta = (S^3 + a1 S - 2)(S^3 + a2 S - 2) - 4 cos^2(eta),
       a1 = omega1c + gamma1,  a2 = omega1c - omega12 + gamma2
 
   (John & Quang's band-edge reduction, PRA 50, 1764 (1994), for both
@@ -27,7 +27,7 @@ that the ``poles`` CSVs and the acceptance tests read:
 
 A ``u`` pole on an exchange pole is a simple pole of another sector, and
 both are kept.  With identical transitions (a1 = a2) the sextic factors
-into the cubics P -/+ 2 b cos(eta), P = S^3 + a1 S - 2b, whose roots are
+into the cubics P -/+ 2 cos(eta), P = S^3 + a1 S - 2, whose roots are
 the poles of u1 + u2 and u1 - u2 ('u+' and 'u-' records, weight
 1/(f +/- 2 beta' cos eta)' with f = x + i gamma1 + 2 beta').  At
 cos^2 eta = 1 one combination is dark: its denominator is x + i gamma1,
@@ -117,7 +117,7 @@ def _table_roots(config):
         ("H1", config.omega12 + config.gamma2),           # H prefactor
         ("H1", -config.gamma1),                           # lower exchange level 1
         ("H1", config.omega12 - config.gamma2),           # lower exchange level 2
-        ("H1", config.omega1c - 4.0 * config.beta ** 3),  # 1 + 2 beta' = 0
+        ("H1", config.omega1c - 4.0),                     # 1 + 2 beta' = 0
     ]
     return [(tag, complex(0.0, y)) for tag, y in levels]
 
@@ -132,7 +132,7 @@ def _table_weight(tag, x, config):
     w = x - 1j * config.omega1c
     if w == 0:
         return 0j
-    g = kernel.beta_prime(x, config.omega1c, config.beta)
+    g = kernel.beta_prime(x, config.omega1c)
     ix = 1j * x
     pre = config.gamma1 if tag == "G1" else config.omega12 + config.gamma2
     factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 + 2 * g]
@@ -203,23 +203,22 @@ def polish(coeffs, s):
 
 
 def sector_parameters(config):
-    """(a1, a2, b, cos eta) of the cubic factors S^3 + a_i S - 2b."""
+    """(a1, a2, cos eta) of the cubic factors S^3 + a_i S - 2."""
     return (config.omega1c + config.gamma1,
-            config.omega1c - config.omega12 + config.gamma2,
-            config.beta ** 1.5, config.cos_eta)
+            config.omega1c - config.omega12 + config.gamma2, config.cos_eta)
 
 
 def symmetric_sectors(config):
-    """The sextic of distinct transitions, or the two cubics P -/+ 2 b cos eta
+    """The sextic of distinct transitions, or the two cubics P -/+ 2 cos eta
     of identical ones (a1 = a2), with all their roots."""
-    a1, a2, b, c = sector_parameters(config)
+    a1, a2, c = sector_parameters(config)
     if a1 != a2:
-        return (_sector("u", [1.0, 0.0, a1 + a2, -4.0 * b, a1 * a2, -2.0 * b * (a1 + a2),
-                              4.0 * b * b * (1.0 - c * c)]),)
+        return (_sector("u", [1.0, 0.0, a1 + a2, -4.0, a1 * a2, -2.0 * (a1 + a2),
+                              4.0 * (1.0 - c * c)]),)
     out = []
     for kind, sign in (("u+", 1.0), ("u-", -1.0)):
         k = 1.0 + sign * c
-        out.append(_sector(kind, [] if k == 0.0 else [1.0, 0.0, a1, -2.0 * b * k]))
+        out.append(_sector(kind, [] if k == 0.0 else [1.0, 0.0, a1, -2.0 * k]))
     return tuple(out)
 
 

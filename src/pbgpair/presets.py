@@ -18,7 +18,6 @@ class FigurePreset:
     init: InitialState
     t_max: float
     dt_out: float = 0.5
-    engine: str = "analytic"
     kind: str = "series"  # 'series' -> entanglement CSV, 'poles' -> pole CSV
 
 

@@ -9,10 +9,7 @@ Inversion:
   kernel, and ``residue_weight_fd``: pole weights by central differences
   of it, against the closed-form weights of :func:`pbgpair.poles.find_poles`;
 * ``residue_by_limit``: residues as lim (x - x0) A(x) from the 4x4 solve,
-  against ``residue_numerators * weight``;
-* ``cut_evaluate_by_panel``: the cut at every node of every panel, one
-  panel at a time, against the blocked live-node evaluation of
-  :meth:`pbgpair.inversion.CutIntegrator.evaluate`.
+  against ``residue_numerators * weight``.
 
 CSV emission: ``entanglement_csv_by_field``, ``poles_csv_by_field``,
 ``trajectory_csv_by_field`` and ``sweep_summary_csv_by_field``, one
@@ -59,7 +56,7 @@ from pbgpair.bath import (CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, Discr
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
-from pbgpair.inversion import _K_WEIGHTS, CUT_FAIL_TOL, EXP_FLOOR, cut_discontinuity
+from pbgpair.inversion import CUT_FAIL_TOL, EXP_FLOOR, cut_discontinuity
 from pbgpair.negativity import NORM_SLACK
 
 # populated product states: |a1 a6>, |a2 a6>, |a3 a4>, |a3 a5>, |a3 a6>
@@ -83,7 +80,7 @@ def branch_cut_integral(t: float, config, init):
         q_max = np.sqrt(EXP_FLOOR / t)
     else:
         # undamped: the branch difference has an integrable ~q^-4 tail
-        q_max = 2000.0 * max(1.0, config.beta ** 0.75)
+        q_max = 2000.0
     breaks = [0.0] + [b for b in (1.0, 8.0, 50.0, 400.0) if b < q_max] + [q_max]
     out = np.zeros(4, dtype=complex)
     err_total = 0.0
@@ -110,29 +107,10 @@ def branch_cut_integral(t: float, config, init):
     return out
 
 
-def cut_evaluate_by_panel(cut, t):
-    """Cut contribution of ``cut`` (a ``CutIntegrator``) at times t > 0.
-
-    Every node of every panel is damped by e^{-q^2 t}, one panel at a time
-    and in the order the panels were built.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    pref = np.exp(1j * cut.config.omega1c * t) / (2j * np.pi)
-    total = np.zeros((t.size, 4), dtype=complex)
-    for qs, fv in zip(cut._nodes, cut._fvals):
-        damp = np.exp(-np.outer(t, qs * qs))
-        total += (damp * _K_WEIGHTS) @ fv
-    total *= pref[:, None]
-    shift = np.exp(-1j * cut.config.omega12 * t)
-    total[:, 1] *= shift
-    total[:, 3] *= shift
-    return total
-
-
 def delta_sheet(x, config):
     """Symmetric-sector determinant Delta(x) on the inversion sheet."""
     x = np.asarray(x, dtype=complex)
-    g = kernel.beta_prime_sheet(x, config.omega1c, config.beta)
+    g = kernel.beta_prime_sheet(x, config.omega1c)
     f1 = x + 1j * config.gamma1 + 2 * g
     f2 = x - 1j * config.omega12 + 1j * config.gamma2 + 2 * g
     return f1 * f2 - 4 * g * g * config.cos_eta ** 2
@@ -152,7 +130,7 @@ def residue_weight_fd(record, config, step=1e-6):
     def denom(x):
         if record.kind in ("u+", "u-"):
             sign = 1.0 if record.kind == "u+" else -1.0
-            g = kernel.beta_prime_sheet(x, config.omega1c, config.beta)
+            g = kernel.beta_prime_sheet(x, config.omega1c)
             return x + 1j * config.gamma1 + 2 * g * (1.0 + sign * config.cos_eta)
         return delta_sheet(x, config)
 
@@ -171,7 +149,7 @@ def residue_by_limit(record, config, init, eps=1e-5):
     def ring(r):
         ang = np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
         xs = x0 + r * ang
-        g = kernel.beta_prime_sheet(xs, config.omega1c, config.beta)
+        g = kernel.beta_prime_sheet(xs, config.omega1c)
         sol = transform.solve_system(xs, config, init, g)
         return np.mean((xs - x0)[:, None] * sol, axis=0)
 
@@ -294,37 +272,32 @@ def kernel_values(x, config):
     Gamma11 = Gamma22 = beta'(x); the cross kernel carries the dipole
     angle as Gamma12 = beta'(x) * cos(eta), exactly.
     """
-    g = kernel.beta_prime(x, config.omega1c, config.beta)
+    g = kernel.beta_prime(x, config.omega1c)
     return g, g, g * config.cos_eta
 
 
-def spectral_density(nu, config) -> float:
+def spectral_density(nu) -> float:
     """Band-edge spectral density as a function of nu = omega - omega_c.
 
-    J(nu) = beta^{3/2} / (pi sqrt(nu)) above the edge, 0 inside the gap.
+    J(nu) = 1 / (pi sqrt(nu)) above the edge, 0 inside the gap.
     Its resolvent integral against 1/(x + i(omega - omega13)) reproduces
     beta_prime(x).
     """
     nu = np.asarray(nu, dtype=float)
     safe = np.where(nu > 0, nu, 1.0)
-    out = np.where(nu > 0, config.beta ** 1.5 / (np.pi * np.sqrt(safe)), 0.0)
+    out = np.where(nu > 0, 1 / (np.pi * np.sqrt(safe)), 0.0)
     return out if out.ndim else float(out)
 
 
 def memory_kernel(tau: float, config) -> complex:
     """Time-domain kernel K(tau) = int J(omega) e^{-i(omega-omega13) tau} domega.
 
-    Closed form: beta^{3/2} e^{i omega1c tau - i pi/4} / sqrt(pi tau).  Its
+    Closed form: e^{i omega1c tau - i pi/4} / sqrt(pi tau).  Its
     Laplace transform equals beta_prime(x) for Re x > 0.
     """
     if tau <= 0:
         raise DomainError(f"memory kernel requires tau > 0, got {tau}")
-    b = config.beta
-    return (
-        b ** 1.5
-        * np.exp(1j * (config.omega1c * tau - 0.25 * np.pi))
-        / np.sqrt(np.pi * tau)
-    )
+    return np.exp(1j * (config.omega1c * tau - 0.25 * np.pi)) / np.sqrt(np.pi * tau)
 
 
 def uv_solution(x, config, init, gamma):
@@ -362,7 +335,7 @@ def transform_amplitudes(x, config, init) -> TransformAmplitudes:
     Raises SingularSystem when x is a pole of the system and propagates
     BranchPointError from the kernel.
     """
-    g = kernel.beta_prime(x, config.omega1c, config.beta)
+    g = kernel.beta_prime(x, config.omega1c)
     m = transform.system_matrix(complex(x), config, g)
     scale = np.max(np.abs(m))
     det = np.linalg.det(m)
@@ -420,7 +393,7 @@ def spectral_functions(x, config):
     uses the transform denominator, not these functions.
     """
     x = np.asarray(x, dtype=complex)
-    g = kernel.beta_prime(x, config.omega1c, config.beta)
+    g = kernel.beta_prime(x, config.omega1c)
     ix = 1j * x
     lower1 = ix - config.gamma1                      # root x = -i gamma1
     lower2 = ix + config.omega12 - config.gamma2     # root x = -i (gamma2 - omega12)

@@ -68,14 +68,14 @@ def test_build_bath_domain_checks():
 
 
 def test_near_free_limit_rabi_oscillation():
-    # beta -> 0 with the band edge scaled along: pure exchange Rabi flopping
-    beta = 1e-4
-    config = SystemConfig(gamma1=1.5, gamma2=1.5, omega12=0.4 * beta,
-                          omega1c=0.6 * beta, omega2c=0.2 * beta, eta=PI,
-                          beta=beta)
+    # exchange 1/s times the band-edge coupling, times of order s: pure
+    # exchange Rabi flopping
+    s = 1e-4
+    config = SystemConfig(gamma1=1.5 / s, gamma2=1.5 / s, omega12=0.4,
+                          omega1c=0.6, omega2c=0.2, eta=PI)
     init = InitialState(1, 0, 0, 0)
     b = bath.build_bath(config, n_modes=400)
-    tr = bath.integrate(config, init, b, t_max=10.0, dt_out=0.5)
+    tr = bath.integrate(config, init, b, t_max=10.0 * s, dt_out=0.5 * s)
     ref1 = np.cos(config.gamma1 * tr.times)
     ref3 = -1j * np.sin(config.gamma1 * tr.times)
     assert np.max(np.abs(tr.amps[:, 0] - ref1)) < 2e-3
@@ -244,17 +244,15 @@ def test_secular_roots_decimal_residual(name):
 
 @st.composite
 def oracle_cases(draw):
-    """Random configurations in units of beta, with draws forced onto eta at
-    and next to {0, pi/2, pi}, gamma1 = gamma2 - omega12 up to a tiny
-    offset (near-degenerate pencil branches), beta = 1e-4, and a random
-    normalised state."""
-    beta = draw(st.one_of(st.just(1e-4), st.floats(1e-4, 10.0)))
-    gamma1 = beta * draw(st.floats(0.0, 10.0))
-    w12 = beta * draw(st.floats(-1.0, 1.0))
-    offset = beta * draw(st.sampled_from([0.0, 1e-16, -1e-12, 1e-8]))
+    """Random configurations, with draws forced onto eta at and next to
+    {0, pi/2, pi}, gamma1 = gamma2 - omega12 up to a tiny offset
+    (near-degenerate pencil branches), and a random normalised state."""
+    gamma1 = draw(st.floats(0.0, 10.0))
+    w12 = draw(st.floats(-1.0, 1.0))
+    offset = draw(st.sampled_from([0.0, 1e-16, -1e-12, 1e-8]))
     gamma2 = gamma1 + w12 + offset if draw(st.booleans()) and gamma1 + w12 + offset >= 0 \
-        else beta * draw(st.floats(0.0, 10.0))
-    w1c = beta * draw(st.floats(-2.0, 1.5))
+        else draw(st.floats(0.0, 10.0))
+    w1c = draw(st.floats(-2.0, 1.5))
     eta = draw(st.one_of(st.sampled_from([0.0, PI / 2, PI, 3e-8, PI / 2 - 2e-11, PI - 1e-6]),
                          st.floats(0.0, PI)))
     parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
@@ -262,7 +260,7 @@ def oracle_cases(draw):
     if np.linalg.norm(v) < 0.1:
         v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     config = SystemConfig(gamma1=gamma1, gamma2=gamma2, omega12=w12, omega1c=w1c,
-                          omega2c=w1c - w12, eta=eta, beta=beta)
+                          omega2c=w1c - w12, eta=eta)
     return config, InitialState(*(v / np.linalg.norm(v)))
 
 
@@ -271,7 +269,7 @@ def oracle_cases(draw):
 def test_weight_defect_property(case):
     config, init = case
     b = bath.build_bath(config, n_modes=100)
-    tr = bath.integrate(config, init, b, t_max=1.0 / config.beta, dt_out=0.5 / config.beta)
+    tr = bath.integrate(config, init, b, t_max=1.0, dt_out=0.5)
     assert tr.meta["weight_defect"] <= 1e-8
     assert np.max(np.abs(tr.field_prob)) <= 1.0 + 1e-12
 

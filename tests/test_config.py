@@ -44,8 +44,6 @@ def test_domain_errors():
         validate(SystemConfig(-1, 6, 0.4, 0.6, 0.2, math.pi))
     with pytest.raises(DomainError):
         validate(SystemConfig(6, 6, 0.4, 0.6, 0.2, 3.5))
-    with pytest.raises(DomainError):
-        validate(SystemConfig(6, 6, 0.4, 0.6, 0.2, math.pi, beta=0.0))
 
 
 def test_non_finite_values_rejected():

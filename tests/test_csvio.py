@@ -1,9 +1,11 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import csvio
+from pbgpair import csvio, inversion, negativity
+from pbgpair.presets import get_preset
 from reference_routes import (entanglement_csv_by_field, poles_csv_by_field,
                               sweep_summary_csv_by_field, trajectory_csv_by_field)
 
@@ -37,8 +39,8 @@ def test_writers_match_per_field_reference(v, seed):
     amps.real, amps.imag = v[:, 1:9:2], v[:, 2:9:2]
     traj = SimpleNamespace(times=v[:, 0], amps=amps, field_prob=v[:, 9])
     series = SimpleNamespace(times=v[:, 0], negativity=v[:, 1], log_negativity=v[:, 2])
-    assert csvio.entanglement_csv(series, traj) == entanglement_csv_by_field(series, traj)
-    assert csvio.trajectory_csv(traj) == trajectory_csv_by_field(traj)
+    assert "".join(csvio.entanglement_csv(series, traj)) == entanglement_csv_by_field(series, traj)
+    assert "".join(csvio.trajectory_csv(traj)) == trajectory_csv_by_field(traj)
 
     rng = np.random.default_rng(seed)
     tags = rng.choice(["G1", "H1", "u", "v2"], size=rows).tolist()
@@ -46,7 +48,25 @@ def test_writers_match_per_field_reference(v, seed):
     records = [SimpleNamespace(tag=tags[k], x=complex(v[k, 3], v[k, 4]), klass=klasses[k],
                                weight=complex(v[k, 5], v[k, 6])) for k in range(rows)]
     poles = SimpleNamespace(records=records)
-    assert csvio.poles_csv(poles) == poles_csv_by_field(poles)
+    assert "".join(csvio.poles_csv(poles)) == poles_csv_by_field(poles)
 
     entries = [(f"{v[k, 0]:g}", float(v[k, 7]), float(v[k, 8])) for k in range(rows)]
-    assert csvio.sweep_summary_csv(entries) == sweep_summary_csv_by_field(entries)
+    assert "".join(csvio.sweep_summary_csv(entries)) == sweep_summary_csv_by_field(entries)
+
+
+def test_write_atomic_memory_peak(tmp_path):
+    # the blocks are written one by one; joined into one string first, the
+    # 11 MB text of fig2b at 100,001 rows peaked at 32.4 MB
+    p = get_preset("fig2b")
+    traj = inversion.amplitudes_analytic(np.linspace(0.0, p.t_max, 100_001), p.config, p.init)
+    series = negativity.entanglement_series(traj)
+    path = tmp_path / "fig2b.csv"
+    tracemalloc.start()
+    try:
+        csvio.write_atomic(path, csvio.entanglement_csv(series, traj))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 100_002
+    assert peak <= 26e6

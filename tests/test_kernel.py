@@ -81,9 +81,9 @@ def test_sheet_continuity_below_cut_across_ray():
 
 
 def test_spectral_density_shape():
-    assert spectral_density(-0.5, CFG0) == 0.0
-    assert spectral_density(0.0, CFG0) == 0.0
-    assert spectral_density(1.0, CFG0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert spectral_density(-0.5) == 0.0
+    assert spectral_density(0.0) == 0.0
+    assert spectral_density(1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def _resolvent(x, cfg):

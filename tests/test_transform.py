@@ -35,7 +35,7 @@ def test_matrix_solve_matches_closed_form():
         cfg = random_config(rng)
         init = random_init(rng)
         xs = rng.normal(size=6) + 1j * rng.normal(size=6)
-        g = kernel.beta_prime(xs, cfg.omega1c, cfg.beta)
+        g = kernel.beta_prime(xs, cfg.omega1c)
         a = transform.solve_system(xs, cfg, init, g)
         b = uv_solution(xs, cfg, init, g)
         assert np.max(np.abs(a - b)) < 1e-12
@@ -137,7 +137,7 @@ def test_printed_closed_form_anchor_and_logged_discrepancy():
 
 
 def test_spectral_functions_interference_root():
-    # (1 + 2 beta') vanishes at x = i (omega1c - 4 beta^3)
+    # (1 + 2 beta') vanishes at x = i (omega1c - 4)
     g1 = spectral_functions(-3.4j, FIG2B)[0]
     assert abs(g1) < 1e-9
     g2 = spectral_functions(-3.4j, FIG2B)[1]
