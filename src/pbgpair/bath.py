@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .config import AmplitudeTrajectory
+from .config import AmplitudeTrajectory, time_grid
 from .errors import (
     DiscretizationError,
     DomainError,
@@ -90,7 +90,7 @@ class DiscreteBath:
     nu: np.ndarray
     g: np.ndarray
     n_main: int
-    config: "object" = field(repr=False, default=None)
+    config: "object" = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -543,7 +543,7 @@ def _time_sum(lam, x, n_times, dt):
 
 
 def integrate(config, init, bath: DiscreteBath, t_max: float,
-              dt_out: float = 0.5) -> AmplitudeTrajectory:
+              dt_out: float) -> AmplitudeTrajectory:
     """Exact unitary propagation of the amplitude equations against the bath.
 
     Basis: [A1, A2 e^{i w12 t}, A3, A4 e^{i w12 t}, C_1..C_N, D_1..D_N]
@@ -572,8 +572,7 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
             f"t_max={t_max:g} exceeds the bath recurrence time {horizon:g}; "
             "increase n_modes or shorten the run"
         )
-    n_out = int(np.floor(t_max / dt_out + 1e-9))
-    times = np.arange(n_out + 1) * dt_out
+    times = time_grid(t_max, dt_out)
     a0 = np.asarray(init.as_tuple(), dtype=complex)
     u0 = (a0[:2] + a0[2:]) / np.sqrt(2.0)
     v0 = (a0[:2] - a0[2:]) / np.sqrt(2.0)
@@ -596,5 +595,4 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     amps[:, 3] *= shift
     meta = {"engine": "oracle", "horizon": horizon, "weight_defect": weight_defect,
             "n_roots": int(sp.tau.size)}
-    field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
-    return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
+    return AmplitudeTrajectory(times=times, amps=amps, meta=meta)

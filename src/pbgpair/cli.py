@@ -22,8 +22,8 @@ from numpy.linalg import LinAlgError
 
 from . import csvio, sweep as sweep_mod
 from .config import parse_run_file, RunSpec
-from .errors import ConfigError, NumericalError, PbgpairError
-from .pipeline import DEFAULT_MODES, run_spec
+from .errors import ConfigError, NumericalError
+from .pipeline import run_spec
 from .poles import find_poles
 from .presets import PRESET_NAMES, get_preset
 
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+DEFAULT_MODES = 4000  # --modes, the oracle bath size
 
 
 @functools.cache
@@ -88,7 +89,7 @@ def _apply_overrides(spec: RunSpec, args) -> RunSpec:
     return spec
 
 
-def _emit_series(spec: RunSpec, path, n_modes, amplitudes_path=None):
+def _emit_series(spec: RunSpec, path, n_modes, amplitudes_path):
     series, traj, _ = run_spec(spec, n_modes=n_modes)
     csvio.write_atomic(path, csvio.entanglement_csv(series, traj))
     if amplitudes_path:
@@ -168,9 +169,6 @@ def main(argv=None) -> int:
         print(f"pbgpair {command}: numerical failure in {_stage(exc)}: "
               f"{type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_NUMERIC
-    except PbgpairError as exc:
-        print(f"pbgpair {command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

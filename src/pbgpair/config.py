@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .errors import (
     DomainError,
     InconsistentDetunings,
@@ -83,16 +85,16 @@ class InitialState:
 
 @dataclass
 class AmplitudeTrajectory:
-    """Time grid with the four atomic amplitudes and the field excitation.
-
-    ``field_prob[i]`` is 1 - sum_i |A_i|^2 at ``times[i]``; by unitarity it
-    equals the total one-photon probability without referencing the bath.
-    """
+    """Time grid with the four atomic amplitudes."""
 
     times: "object"
     amps: "object"  # shape (n_times, 4) complex
-    field_prob: "object"
     meta: dict = field(default_factory=dict)
+
+    @property
+    def field_prob(self):
+        """1 - sum_i |A_i|^2 at every time, by unitarity the one-photon weight."""
+        return 1.0 - np.sum(np.abs(self.amps) ** 2, axis=1)
 
 
 def validate(config: SystemConfig, init: InitialState | None = None):
@@ -168,6 +170,15 @@ class RunSpec:
     t_max: float
     dt_out: float
     engine: str = "analytic"
+
+
+def n_points(t_max: float, dt_out: float) -> int:
+    """Number of points of the output grid [0, dt_out, ..., <= t_max]."""
+    return int(np.floor(t_max / dt_out + 1e-9)) + 1
+
+
+def time_grid(t_max: float, dt_out: float):
+    return np.arange(n_points(t_max, dt_out)) * dt_out
 
 
 def parse_run_file(path) -> RunSpec:

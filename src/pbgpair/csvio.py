@@ -89,8 +89,6 @@ def trajectory_csv(trajectory) -> CsvText:
 
 def sweep_summary_csv(entries) -> CsvText:
     """value, E_N half-life, integrated E_N over the sweep window."""
-    hl = np.array([e[1] for e in entries], dtype=float)
-    # an infinite half-life of either sign prints as "inf"
     return _table("value,half_life,integrated_EN",
-                  [[e[0] for e in entries], np.where(np.isinf(hl), np.inf, hl),
+                  [[e[0] for e in entries], [e[1] for e in entries],
                    [e[2] for e in entries]], text=(0,))

@@ -73,7 +73,10 @@ class RecurrenceHorizonExceeded(NumericalError):
 
 
 class StepSizeError(NumericalError):
-    """Norm drift during time stepping exceeded tolerance."""
+    """A propagation lost its accuracy: a secular equation of the oracle did
+    not converge, the atomic parts of its eigenvectors miss unit weight by
+    more than tolerance (the weight defect), or the norm drifted while time
+    stepping."""
 
 
 class NormError(NumericalError):

@@ -315,7 +315,7 @@ def residue_sum(t, pole_set: PoleSet, config, init):
     Only dynamic records contribute; components 2/4 include the shifted-frame
     phase e^{-i omega12 t}.
     """
-    if pole_set.config is not None and pole_set.config != config:
+    if pole_set.config != config:
         raise DomainError("pole set was built for a different configuration")
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -360,7 +360,7 @@ class CutIntegrator:
     least-damped requested time is below tolerance.
     """
 
-    def __init__(self, config, init, t_min, abs_tol=CUT_ABS_TOL):
+    def __init__(self, config, init, t_min, abs_tol):
         if t_min <= 0:
             raise DomainError("cut integral requires t > 0")
         self.config = config
@@ -448,6 +448,5 @@ def amplitudes_analytic(times, config, init) -> AmplitudeTrajectory:
     amps[~pos] = u0
     if np.any(pos):
         amps[pos] = closed_form(times[pos], config, terms)
-    field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
-    return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob,
+    return AmplitudeTrajectory(times=times, amps=amps,
                                meta={"engine": "analytic", "completeness": completeness})

@@ -89,7 +89,7 @@ def half_life(times, en) -> float:
     return float(times[last_above + 1])
 
 
-def integrated_en(times, en, t_upper: float = 500.0) -> float:
+def integrated_en(times, en, t_upper: float) -> float:
     """Trapezoidal integral of E_N over [0, t_upper] (clipped to the grid)."""
     times = np.asarray(times, dtype=float)
     en = np.asarray(en, dtype=float)

@@ -7,12 +7,11 @@ import logging
 import numpy as np
 
 from . import bath, inversion, negativity
-from .config import RunSpec, validate
+from .config import RunSpec, n_points, time_grid, validate
 from .errors import DomainError
 
 log = logging.getLogger("pbgpair")
 
-DEFAULT_MODES = 4000
 # Size budget, checked before anything is allocated.  An analytic run peaks
 # at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
 # fig2b and fig5c), and formatting and writing its CSV at about 0.2 kB per
@@ -34,22 +33,12 @@ MAX_PROPAGATION_SIZE = 1_000_000_000
 MAX_ORACLE_POINTS = 50_000
 
 
-def n_points(t_max: float, dt_out: float) -> int:
-    """Number of points of the output grid [0, dt_out, ..., <= t_max]."""
-    return int(np.floor(t_max / dt_out + 1e-9)) + 1
-
-
-def time_grid(t_max: float, dt_out: float):
-    return np.arange(n_points(t_max, dt_out)) * dt_out
-
-
 def analytic_trajectory(config, init, t_max, dt_out):
     times = time_grid(t_max, dt_out)
     return inversion.amplitudes_analytic(times, config, init)
 
 
-def oracle_trajectory(config, init, t_max, dt_out, n_modes=DEFAULT_MODES,
-                      clip_to_horizon=False):
+def oracle_trajectory(config, init, t_max, dt_out, n_modes, clip_to_horizon=False):
     b = bath.build_bath(config, n_modes=n_modes)
     horizon = b.recurrence_time()
     if clip_to_horizon and t_max > horizon:
@@ -72,7 +61,7 @@ def oracle_trajectory(config, init, t_max, dt_out, n_modes=DEFAULT_MODES,
     return traj
 
 
-def run_spec(spec: RunSpec, n_modes: int = DEFAULT_MODES):
+def run_spec(spec: RunSpec, n_modes: int):
     """Execute a validated run: returns (series, trajectory, deviation).
 
     ``deviation`` is None unless engine='both', in which case it is the
@@ -83,9 +72,11 @@ def run_spec(spec: RunSpec, n_modes: int = DEFAULT_MODES):
     if not (0 < spec.t_max < np.inf and 0 < spec.dt_out < np.inf):
         raise DomainError(f"t_max and dt_out must be positive and finite, "
                           f"got {spec.t_max}, {spec.dt_out}")
-    points = n_points(spec.t_max, spec.dt_out)
-    if points > MAX_POINTS:
-        raise DomainError(f"output grid of {points} points exceeds the budget of "
+    # n_points > MAX_POINTS, decided on the float: past the budget the ratio
+    # may not fit an int
+    ratio = spec.t_max / spec.dt_out + 1e-9
+    if ratio >= MAX_POINTS:
+        raise DomainError(f"output grid of {ratio + 1:.3g} points exceeds the budget of "
                           f"{MAX_POINTS}; raise dt_out or lower t_max")
     if spec.engine != "analytic":
         dim = bath.block_dim(spec.config, n_modes)

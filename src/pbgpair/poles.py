@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import DegeneratePole
+from .errors import DegeneratePole, NumericalError
 
 MERGE_TOL = 1e-8
 AXIS_TOL = 1e-9
@@ -83,31 +83,10 @@ class PoleRecord:
 @dataclass(frozen=True)
 class PoleSet:
     records: tuple
-    config: "object" = field(repr=False, default=None)
+    config: "object" = field(repr=False)
 
     def dynamic(self):
         return [r for r in self.records if r.dynamic]
-
-    def by_class(self, klass):
-        return [r for r in self.records if r.klass == klass]
-
-    @property
-    def localized(self):
-        return self.by_class("localized")
-
-    @property
-    def propagating(self):
-        return self.by_class("propagating")
-
-    @property
-    def bandpass(self):
-        return self.by_class("bandpass")
-
-    def counts(self):
-        out = {"localized": 0, "propagating": 0, "bandpass": 0}
-        for r in self.records:
-            out[r.klass] += 1
-        return out
 
 
 def _table_roots(config):
@@ -182,10 +161,20 @@ def _branch_cluster(coeffs, s):
 
 
 def _sector(kind, coeffs):
+    """The sector of ``coeffs`` with its roots.  Raises NumericalError where a
+    term of the polynomial overflows at a root (detunings or exchange
+    strengths from about 1e102 for the sextic, 1e205 for the cubics), since
+    polishing the roots and their weights evaluate it there."""
     coeffs = np.asarray(coeffs, dtype=float)
     if not coeffs.size:
         return Sector(kind, coeffs, np.zeros(0, dtype=complex))
-    return Sector(kind, coeffs, _branch_cluster(coeffs, np.roots(coeffs)))
+    s = _branch_cluster(coeffs, np.roots(coeffs))
+    with np.errstate(over="ignore"):
+        size = np.polyval(np.abs(coeffs), np.abs(s))
+    if not np.all(np.isfinite(size)):
+        raise NumericalError(f"the symmetric determinant overflows at its root "
+                             f"|S| = {np.max(np.abs(s)):.3g}")
+    return Sector(kind, coeffs, s)
 
 
 def polish(coeffs, s):

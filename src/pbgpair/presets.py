@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .config import InitialState, SystemConfig, preset_initial, validate
 from .errors import UnknownPreset
@@ -17,8 +18,8 @@ class FigurePreset:
     config: SystemConfig
     init: InitialState
     t_max: float
-    dt_out: float = 0.5
     kind: str = "series"  # 'series' -> entanglement CSV, 'poles' -> pole CSV
+    dt_out: ClassVar[float] = 0.5  # the output spacing of every preset
 
 
 def _cfg(gamma, eta, w1c, w2c):

@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import csvio, negativity
 from .config import RunSpec, validate
 from .errors import DomainError
-from .pipeline import DEFAULT_MODES, run_spec
+from .pipeline import run_spec
 
 SWEEP_PARAMS = ("gamma", "eta", "omega1c_omega2c_pair")
 INTEGRAL_WINDOW = 500.0
@@ -83,14 +83,22 @@ def _run_one(args):
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
-def run_sweep(spec: RunSpec, parameter: str, values, out_dir,
-              n_modes: int = DEFAULT_MODES) -> list:
+def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> list:
     """Run every value, write per-value CSVs and the summary; returns rows.
 
-    ``n_modes`` sizes the oracle bath of engine=oracle|both runs.
+    ``n_modes`` sizes the oracle bath of engine=oracle|both runs.  Values
+    whose labels coincide would write one file; they raise DomainError
+    before any value runs.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
+    seen = {}
+    for value in values:
+        label = value_label(parameter, value)
+        if label in seen:
+            raise DomainError(f"sweep values {seen[label]!r} and {value!r} share the "
+                              f"label {label!r}")
+        seen[label] = value
     os.makedirs(out_dir, exist_ok=True)
     jobs = [(spec, parameter, value, n_modes) for value in values]
     if not jobs:

@@ -526,8 +526,7 @@ def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
     meta = {"engine": "oracle", "horizon": horizon}
     if store_modes:
         meta["mode_probs"] = probs
-    field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
-    return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob, meta=meta)
+    return AmplitudeTrajectory(times=times, amps=amps, meta=meta)
 
 
 def mode_probs(config, init, bath: DiscreteBath, times):
@@ -788,9 +787,7 @@ def integrate_rk4(config, init, bath, t_max: float, dt: float,
                 f"norm drifted to {norm!r} at t={t:g}; reduce dt"
             )
 
-    field_prob = 1.0 - np.sum(np.abs(amps) ** 2, axis=1)
-    return AmplitudeTrajectory(times=times, amps=amps, field_prob=field_prob,
-                               meta={"engine": "rk4", "dt": dt})
+    return AmplitudeTrajectory(times=times, amps=amps, meta={"engine": "rk4", "dt": dt})
 
 
 def format_field(x) -> str:
@@ -835,6 +832,5 @@ def trajectory_csv_by_field(trajectory) -> str:
 def sweep_summary_csv_by_field(entries) -> str:
     rows = ["value,half_life,integrated_EN"]
     for label, hl, idx in entries:
-        hl_txt = "inf" if np.isinf(hl) else format_field(hl)
-        rows.append(f"{label},{hl_txt},{format_field(idx)}")
+        rows.append(f"{label},{format_field(hl)},{format_field(idx)}")
     return "\n".join(rows) + "\n"

@@ -158,8 +158,7 @@ def _axis_residue_en(times, preset):
     axis = PoleSet(records=tuple(r for r in poles.dynamic() if r.x.real == 0.0),
                    config=preset.config)
     amps = inversion.residue_sum(times, axis, preset.config, preset.init)
-    traj = AmplitudeTrajectory(times=times, amps=amps,
-                               field_prob=1.0 - np.sum(np.abs(amps) ** 2, axis=1))
+    traj = AmplitudeTrajectory(times=times, amps=amps)
     return neg.entanglement_series(traj).log_negativity
 
 

@@ -121,7 +121,7 @@ def test_rk4_step_size_guard():
 def test_recurrence_horizon_guard():
     b = bath.build_bath(FIG2B, n_modes=150)
     with pytest.raises(RecurrenceHorizonExceeded):
-        bath.integrate(FIG2B, preset_initial("unentangled"), b, t_max=1e5)
+        bath.integrate(FIG2B, preset_initial("unentangled"), b, t_max=1e5, dt_out=0.5)
 
 
 def test_bath_size_convergence():
@@ -286,7 +286,7 @@ def test_lost_root_fails_completeness(monkeypatch):
     monkeypatch.setattr(bath, "_arrowhead", drop_heaviest)
     b = bath.build_bath(FIG2B, n_modes=150)
     with pytest.raises(StepSizeError, match="atomic weight"):
-        bath.integrate(FIG2B, preset_initial("unentangled"), b, t_max=5.0)
+        bath.integrate(FIG2B, preset_initial("unentangled"), b, t_max=5.0, dt_out=0.5)
 
 
 def test_mode_spectrum_matches_dense():

@@ -4,6 +4,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,12 +278,46 @@ def test_non_finite_grid_override_exit_code(tmp_path, capsys, flag, value):
     ["--tmax", "1e15", "--dt", "1"],                                   # output grid
     ["--engine", "oracle", "--modes", "1000000"],                      # oracle block
     ["--engine", "oracle", "--modes", "200", "--tmax", "10", "--dt", "1e-4"],  # propagation
+    ["--dt", "5e-324"],                                                # ratio overflows
+    ["--tmax", "1e300", "--dt", "1e-10"],
+    ["--tmax", "1e300"],                                               # 3 digits, not 301
 ])
 def test_size_budget_exit_code(tmp_path, capsys, extra):
     assert main(["preset", "fig2a", "-o", str(tmp_path / "x.csv")] + extra) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "budget" in err[0]
+    assert len(err) == 1 and "budget" in err[0] and len(err[0]) < 200
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["poles", "run"])
+@pytest.mark.parametrize("eta", ["90", "45"])
+def test_overflowing_roots_exit_code(tmp_path, capsys, command, eta):
+    # identical transitions 1e300 below the edge: the cubics have roots at
+    # |S| ~ 1e150, where S^3 overflows; no warning, no row of nan or inf
+    text = (f"gamma1 = 5\ngamma2 = 5\nomega12 = 0\nomega1c = -1e300\nomega2c = -1e300\n"
+            f"eta_degrees = {eta}\ninitial = bright\nt_max = 20\ndt_out = 0.5\n")
+    cfgfile = _write(tmp_path, "huge.cfg", text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, cfgfile, "-o", str(out)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "overflows" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param,values", [("gamma", "1,1.0000001,2"),
+                                          ("omega1c_omega2c_pair", "0.6:0.2;0.6000001:0.2")])
+def test_sweep_label_collision_exit_code(tmp_path, monkeypatch, capsys, param, values):
+    # two values printing the same label would write one file and two summary rows
+    monkeypatch.setenv("THREADS", "1")
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfgfile, "--param", param, "--values", values,
+                 "-o", str(outdir), "--tmax", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "label" in err[0]
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
@@ -379,7 +414,7 @@ def run_files(draw):
     elif fault == "grid":
         values["t_max"], values["dt_out"] = draw(st.sampled_from(
             [("1e15", "1.0"), ("1e7", "1e-3"), ("10.0", "1e-4"), ("0.0", "0.5"),
-             ("20.0", "-1.0")]))
+             ("20.0", "-1.0"), ("1e300", "1e-10")]))
     lines = [f"{k} = {v}" for k, v in values.items()]
     custom = norm != 1.0 or draw(st.booleans())
     initial = "custom" if custom else draw(st.sampled_from(["bright", "unentangled"]))

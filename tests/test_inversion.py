@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.special import wofz
 
-from pbgpair import bath, inversion, poles
+from pbgpair import bath, inversion, kernel, poles, transform
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import CompletenessError, DegeneratePole, DomainError, NumericalError
@@ -110,7 +110,8 @@ def test_analytic_traj_matches_oracle_fig2b_short():
 def test_cut_integral_decay_slope():
     init = preset_initial("unentangled")
     ts = np.array([500.0, 1000.0, 2000.0, 5000.0])
-    cut = inversion.CutIntegrator(FIG2B, init, t_min=float(ts[0]))
+    cut = inversion.CutIntegrator(FIG2B, init, t_min=float(ts[0]),
+                                  abs_tol=inversion.CUT_ABS_TOL)
     mags = np.array([np.max(np.abs(cut.evaluate(np.array([t])))) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
     assert slope == pytest.approx(-1.5, abs=0.1)
@@ -132,7 +133,7 @@ def test_cut_integrator_matches_reference_quadrature():
     init = preset_initial("bright")
     config = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6,
                           omega2c=-1.0, eta=PI)
-    cut = inversion.CutIntegrator(config, init, t_min=0.5)
+    cut = inversion.CutIntegrator(config, init, t_min=0.5, abs_tol=inversion.CUT_ABS_TOL)
     for t in (0.5, 3.0, 12.0):
         fast = cut.evaluate(np.array([t]))[0]
         ref = branch_cut_integral(t, config, init)
@@ -160,7 +161,7 @@ def test_amplitudes_analytic_grid_validation():
     with pytest.raises(DomainError):
         inversion.amplitudes_analytic(np.array([-1.0, 0.5]), FIG2B, init)
     with pytest.raises(DomainError):
-        inversion.CutIntegrator(FIG2B, init, t_min=0.0)
+        inversion.CutIntegrator(FIG2B, init, t_min=0.0, abs_tol=inversion.CUT_ABS_TOL)
 
 
 def test_trajectory_invariants():
@@ -265,6 +266,58 @@ def test_closed_form_matches_cut_route_property(case):
     if np.max(np.abs(2 * early[0] - early[1] - np.array(init.as_tuple()))) <= 1e-6:
         ref = cut_route(times, config, init, abs_tol=1e-12)
         assert np.max(np.abs(traj.amps - ref)) <= 1e-8
+
+
+# --- the closed form against the transform system, in the Laplace domain --
+
+def laplace_deviation(config, init):
+    """Largest relative deviation of the closed form's partial fractions,
+    sum_j r_j / (S - S_j) + sum_k exps_k / (x - xs_k) at the principal
+    S = sqrt(-i x - omega1c), from the 4x4 transform solve at 50 random x
+    with Re x > 0; None when the terms hold a confluent pair, which enters
+    as a divided difference and not as partial fractions.  This checks the
+    roots, the weights and the sheet convention at once.
+
+    S_j = a_j e^{-i pi/4}, and a simple root's row is i S_j r_j.  Since
+    sum_j r_j = 0 (asserted, relative to sum_j |r_j|),
+    sum_j r_j / (S - S_j) = -(i/S) sum_j rows_j / (S - S_j), which is
+    summed instead: beside a cluster of roots at S = 0 the r_j reach 1e7
+    and their direct sum cancels to 1e-9 relative.
+    """
+    terms = inversion.closed_form_terms(config, init, poles.symmetric_sectors(config))
+    if terms.pair_t.shape[0]:
+        return None
+    s_j = terms.a * np.exp(-0.25j * PI)
+    r = terms.rows / (1j * s_j)[:, None]
+    assert np.max(np.abs(r.sum(axis=0))) <= 1e-12 * np.sum(np.abs(r))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.01, 5.0, 50) + 1j * rng.uniform(-5.0, 5.0, 50)
+    s = np.sqrt(-1j * x - config.omega1c)
+    got = ((-1j / s)[:, None] * ((1.0 / (s[:, None] - s_j)) @ terms.rows)
+           + (1.0 / (x[:, None] - terms.xs)) @ terms.exps)
+    ref = transform.solve_system(x, config, init, kernel.beta_prime(x, config.omega1c))
+    return float(np.max(np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)))
+
+
+@pytest.mark.parametrize("name", SERIES_PRESETS)
+def test_closed_form_matches_transform_system_on_presets(name):
+    p = get_preset(name)
+    assert laplace_deviation(p.config, p.init) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cross_check_cases())
+def test_closed_form_matches_transform_system_property(case):
+    config, init = case
+    try:
+        dev = laplace_deviation(config, init)
+    except DegeneratePole:
+        event("skipped: double root (DegeneratePole)")
+        return
+    if dev is None:
+        event("skipped: confluent pair")
+        return
+    assert dev <= 1e-12
 
 
 # identical transitions with a double root S = 3 b k / a1 < 0 of the cubic

@@ -149,9 +149,8 @@ def test_eigensolver_cross_check():
 
 
 def _traj(times, amps):
-    amps = np.asarray(amps, dtype=complex)
-    fp = 1 - np.sum(np.abs(amps) ** 2, axis=1)
-    return AmplitudeTrajectory(times=np.asarray(times, float), amps=amps, field_prob=fp)
+    return AmplitudeTrajectory(times=np.asarray(times, float),
+                               amps=np.asarray(amps, dtype=complex))
 
 
 def test_series_initial_values():

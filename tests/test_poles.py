@@ -61,13 +61,12 @@ def test_quoted_dressed_state_tables(config, expected):
 
 
 def test_classification_of_reference_table():
-    ps = find_poles(cfg(6, PI, 0.6, 0.2))
-    loc = {round(r.x.imag, 4) for r in ps.localized if not r.dynamic}
+    records = find_poles(cfg(6, PI, 0.6, 0.2)).records
+    loc = {round(r.x.imag, 4) for r in records if r.klass == "localized" and not r.dynamic}
     assert {-3.4, -6.0, -5.6} <= loc
-    band = {round(r.x.imag, 4) for r in ps.bandpass}
+    band = {round(r.x.imag, 4) for r in records if r.klass == "bandpass"}
     assert 6.0 in band
-    counts = ps.counts()
-    assert counts["propagating"] >= 1
+    assert any(r.klass == "propagating" for r in records)
 
 
 def test_dynamic_pole_invariants():
