@@ -16,7 +16,6 @@ from .config import (
     SystemConfig,
     parse_run_file,
     preset_initial,
-    validate,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "SystemConfig",
     "parse_run_file",
     "preset_initial",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ one complex matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class DiscreteBath:
     nu: np.ndarray
     g: np.ndarray
     n_main: int
-    config: "object" = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -101,10 +100,10 @@ class DiscreteBath:
         main = self.nu[: self.n_main]
         return 2.0 * np.pi / float(np.max(np.diff(main)))
 
-    def resolvent(self, x):
+    def resolvent(self, x, omega1c):
         """Discrete kernel sum  sum_n g_n^2 / (x + i (nu_n - omega1c))."""
         x = np.asarray(x, dtype=complex)
-        den = x[..., None] + 1j * (self.nu - self.config.omega1c)
+        den = x[..., None] + 1j * (self.nu - omega1c)
         return np.sum(self.g ** 2 / den, axis=-1)
 
 
@@ -145,11 +144,11 @@ def build_bath(config, n_modes: int) -> DiscreteBath:
     nu = np.concatenate([u_mid ** 2, (e0 * e0 + e0 * e1 + e1 * e1) / 3.0])
     g2 = np.concatenate([np.full(n_modes, weight * du), weight * (e1 - e0)])
 
-    bath = DiscreteBath(nu=nu, g=np.sqrt(g2), n_main=n_modes, config=config)
+    bath = DiscreteBath(nu=nu, g=np.sqrt(g2), n_main=n_modes)
 
     test_x = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
     target = kernel.beta_prime(test_x, config.omega1c)
-    err = np.max(np.abs(bath.resolvent(test_x) - target))
+    err = np.max(np.abs(bath.resolvent(test_x, config.omega1c) - target))
     if err > RESOLVENT_TOL:
         raise DiscretizationError(
             f"discrete resolvent misses the kernel by {err:.3g} (tol {RESOLVENT_TOL})"

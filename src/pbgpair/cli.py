@@ -21,7 +21,7 @@ from dataclasses import replace
 from numpy.linalg import LinAlgError
 
 from . import csvio, sweep as sweep_mod
-from .config import parse_run_file, RunSpec
+from .config import ENGINES, parse_run_file, RunSpec
 from .errors import ConfigError, NumericalError
 from .pipeline import run_spec
 from .poles import find_poles
@@ -42,29 +42,31 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, engine=True):
+    def engine_options(sp):
+        sp.add_argument("--engine", choices=ENGINES,
+                        help="trajectory engine (default from the run file, else analytic)")
+        sp.add_argument("--tmax", type=float, help="override horizon (units 1/beta)")
+        sp.add_argument("--dt", type=float, help="override output spacing")
+        sp.add_argument("--modes", type=int, default=DEFAULT_MODES,
+                        help=f"oracle bath size (default {DEFAULT_MODES})")
+
+    def series_options(sp):
         sp.add_argument("-o", "--output", required=True, help="output CSV path")
-        if engine:
-            sp.add_argument("--engine", choices=("analytic", "oracle", "both"),
-                            help="trajectory engine (default from the run file, else analytic)")
-            sp.add_argument("--tmax", type=float, help="override horizon (units 1/beta)")
-            sp.add_argument("--dt", type=float, help="override output spacing")
-            sp.add_argument("--modes", type=int, default=DEFAULT_MODES,
-                            help=f"oracle bath size (default {DEFAULT_MODES})")
-            sp.add_argument("--amplitudes", metavar="PATH",
-                            help="also dump the raw amplitude trajectory CSV")
+        engine_options(sp)
+        sp.add_argument("--amplitudes", metavar="PATH",
+                        help="also dump the raw amplitude trajectory CSV")
 
     sp = sub.add_parser("run", help="run a key-value config file")
     sp.add_argument("config", help="path to the run file")
-    common(sp)
+    series_options(sp)
 
     sp = sub.add_parser("preset", help=f"run a named scenario ({', '.join(PRESET_NAMES)})")
     sp.add_argument("name")
-    common(sp)
+    series_options(sp)
 
     sp = sub.add_parser("poles", help="emit the dressed-state pole table of a config file")
     sp.add_argument("config")
-    common(sp, engine=False)
+    sp.add_argument("-o", "--output", required=True, help="output CSV path")
 
     sp = sub.add_parser("sweep", help="sweep one parameter over a list of values")
     sp.add_argument("config", help="template run file")
@@ -72,21 +74,15 @@ def _parser():
     sp.add_argument("--values", required=True,
                     help="comma list (pairs: 'w1c:w2c;w1c:w2c'); eta in degrees")
     sp.add_argument("-o", "--output", required=True, help="output directory")
-    sp.add_argument("--engine", choices=("analytic", "oracle", "both"))
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--modes", type=int, default=DEFAULT_MODES)
+    engine_options(sp)
     return p
 
 
 def _apply_overrides(spec: RunSpec, args) -> RunSpec:
-    if getattr(args, "engine", None):
-        spec = replace(spec, engine=args.engine)
-    if getattr(args, "tmax", None) is not None:
-        spec = replace(spec, t_max=args.tmax)
-    if getattr(args, "dt", None) is not None:
-        spec = replace(spec, dt_out=args.dt)
-    return spec
+    """``spec`` with the --engine, --tmax and --dt given, checked as one run."""
+    return replace(spec, engine=args.engine or spec.engine,
+                   t_max=spec.t_max if args.tmax is None else args.tmax,
+                   dt_out=spec.dt_out if args.dt is None else args.dt)
 
 
 def _emit_series(spec: RunSpec, path, n_modes, amplitudes_path):

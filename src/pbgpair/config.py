@@ -1,4 +1,4 @@
-"""Physical parameters, initial states and validation.
+"""Physical parameters, initial states and run files, checked when built.
 
 All frequencies are dimensionless, expressed in units of the band-edge
 coupling constant beta, and times in units of 1/beta.  Sign
@@ -38,7 +38,8 @@ def _snap_trig(value: float) -> float:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Parameters of the two-atom / band-edge problem, in units of beta.
+    """Parameters of the two-atom / band-edge problem, in units of beta,
+    checked when built (by ``dataclasses.replace`` too).
 
     gamma1, gamma2
         Resonant dipole-dipole exchange strengths of the two transitions.
@@ -56,6 +57,23 @@ class SystemConfig:
     omega1c: float
     omega2c: float
     eta: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.gamma1 < 0 or self.gamma2 < 0:
+            raise DomainError(
+                f"gamma1/gamma2 must be non-negative, got {self.gamma1}, {self.gamma2}"
+            )
+        if not (0.0 <= self.eta <= math.pi):
+            raise DomainError(f"eta must lie in [0, pi], got {self.eta}")
+        mismatch = self.omega1c - self.omega2c - self.omega12
+        if abs(mismatch) > DETUNING_TOL:
+            raise InconsistentDetunings(
+                "omega1c - omega2c != omega12 "
+                f"({self.omega1c} - {self.omega2c} != {self.omega12})"
+            )
 
     @property
     def cos_eta(self) -> float:
@@ -97,35 +115,6 @@ class AmplitudeTrajectory:
         return 1.0 - np.sum(np.abs(self.amps) ** 2, axis=1)
 
 
-def validate(config: SystemConfig, init: InitialState | None = None):
-    """Check all invariants; return the inputs unchanged when they hold.
-
-    Raises NormalizationError, InconsistentDetunings or DomainError.
-    """
-    for f in fields(config):
-        if not math.isfinite(getattr(config, f.name)):
-            raise DomainError(f"{f.name} must be finite, got {getattr(config, f.name)}")
-    if config.gamma1 < 0 or config.gamma2 < 0:
-        raise DomainError(
-            f"gamma1/gamma2 must be non-negative, got {config.gamma1}, {config.gamma2}"
-        )
-    if not (0.0 <= config.eta <= math.pi):
-        raise DomainError(f"eta must lie in [0, pi], got {config.eta}")
-    mismatch = config.omega1c - config.omega2c - config.omega12
-    if abs(mismatch) > DETUNING_TOL:
-        raise InconsistentDetunings(
-            "omega1c - omega2c != omega12 "
-            f"({config.omega1c} - {config.omega2c} != {config.omega12})"
-        )
-    if init is not None:
-        if not abs(init.norm_sq - 1.0) <= NORM_TOL:
-            raise NormalizationError(
-                f"initial amplitudes have norm^2 = {init.norm_sq!r}, expected 1"
-            )
-        return config, init
-    return config
-
-
 _PRESET_STATES = {
     "unentangled": (1.0, 0.0, 0.0, 0.0),
     "bright": (1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0),
@@ -158,18 +147,27 @@ _SCALAR_KEYS = {
 _AMP_KEYS = {
     f"a{i}_{part}" for i in (1, 2, 3, 4) for part in ("re", "im")
 }
-_ENGINE_VALUES = ("analytic", "oracle", "both")
+ENGINES = ("analytic", "oracle", "both")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
-    """A fully parsed run file: physics, initial state and output grid."""
+    """A run: physics, initial state, output grid and engine, checked when built."""
 
     config: SystemConfig
     init: InitialState
     t_max: float
     dt_out: float
     engine: str = "analytic"
+
+    def __post_init__(self):
+        if not abs(self.init.norm_sq - 1.0) <= NORM_TOL:
+            raise NormalizationError(
+                f"initial amplitudes have norm^2 = {self.init.norm_sq!r}, expected 1"
+            )
+        if not (0 < self.t_max < math.inf and 0 < self.dt_out < math.inf):
+            raise DomainError(f"t_max and dt_out must be positive and finite, "
+                              f"got {self.t_max}, {self.dt_out}")
 
 
 def n_points(t_max: float, dt_out: float) -> int:
@@ -182,7 +180,7 @@ def time_grid(t_max: float, dt_out: float):
 
 
 def parse_run_file(path) -> RunSpec:
-    """Parse a key-value run file and validate the resulting configuration.
+    """Parse a key-value run file into a checked :class:`RunSpec`.
 
     Required keys: gamma1, gamma2, omega12, omega1c, omega2c, eta_degrees,
     initial, t_max, dt_out.  `initial = custom` additionally requires
@@ -207,8 +205,8 @@ def parse_run_file(path) -> RunSpec:
                     raise ParseError(f"initial must be unentangled|bright|custom, got {val!r}", lineno)
                 initial_name = val
             elif key == "engine":
-                if val not in _ENGINE_VALUES:
-                    raise ParseError(f"engine must be one of {_ENGINE_VALUES}, got {val!r}", lineno)
+                if val not in ENGINES:
+                    raise ParseError(f"engine must be one of {ENGINES}, got {val!r}", lineno)
                 engine = val
             elif key in _SCALAR_KEYS or key in _AMP_KEYS:
                 if key in values:
@@ -256,11 +254,6 @@ def parse_run_file(path) -> RunSpec:
         omega2c=values["omega2c"],
         eta=math.radians(values["eta_degrees"]),
     )
-    validate(config, init)
-    if values["t_max"] <= 0:
-        raise ParseError(f"t_max must be positive, got {values['t_max']}")
-    if values["dt_out"] <= 0:
-        raise ParseError(f"dt_out must be positive, got {values['dt_out']}")
     return RunSpec(
         config=config,
         init=init,

@@ -31,8 +31,8 @@ prod_k (S_j - S_k) the identity holds for any distinct roots, so it
 guards against a lost or coincident root, not an inaccurate one.
 
 The closed form reads the roots of :func:`pbgpair.poles.symmetric_sectors`
-alone; the sheet check it shares with the pole table
-(:func:`pbgpair.poles.sheet_roots`) raises DegeneratePole for both alike.
+alone; the sectors raise DegeneratePole, for the pole table and the closed
+form alike.
 
 The residue sum and the Gauss-Kronrod cut integral below are the previous
 route.  They no longer run in ``amplitudes_analytic``; the tests keep
@@ -49,7 +49,7 @@ import numpy as np
 from . import kernel, poles, transform
 from .config import AmplitudeTrajectory
 from .errors import CompletenessError, DomainError, NumericalError, QuadratureError
-from .poles import PoleSet, polish, sector_parameters, sheet_roots
+from .poles import PoleSet, polish, sector_parameters
 
 COMPLETENESS_TOL = 1e-9
 PAIR_TOL = 1e-5  # relative distance below which two roots enter as a double root
@@ -167,8 +167,7 @@ def closed_form_terms(config, init, sectors):
     """:class:`Terms` of the closed form from the roots of ``sectors``.
 
     A sector's amplitudes are u = -i S V(S) / D(S) with D its monic
-    polynomial in S and V (roots x 4) polynomials.  Raises DegeneratePole
-    where :func:`pbgpair.poles.sheet_roots` does.  A simple root S_j has
+    polynomial in S and V (roots x 4) polynomials.  A simple root S_j has
     weight i S_j r_j = S_j^2 V(S_j) / D'(S_j); an exact root S = 0 has
     weight 0 and is left out.  Where roots coincide the weights are not
     finite, and the completeness check fails.  Two roots that nearly
@@ -199,9 +198,6 @@ def closed_form_terms(config, init, sectors):
         else:
             u = 0.25 * (u10 + sign * u20)
             num = np.outer([u, sign * u, u, sign * u], [1.0, 0.0])
-        # result discarded on purpose: the call is the DegeneratePole check the
-        # pole table makes; the closed form sums over every root of the sector
-        sheet_roots(sec)
         raw = sec.roots.astype(complex)
         pairs = _pair_index(raw)
         paired = np.zeros(raw.size, dtype=bool)

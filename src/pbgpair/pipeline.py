@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from . import bath, inversion, negativity
-from .config import RunSpec, n_points, time_grid, validate
+from .config import RunSpec, n_points, time_grid
 from .errors import DomainError
 
 log = logging.getLogger("pbgpair")
@@ -62,16 +62,12 @@ def oracle_trajectory(config, init, t_max, dt_out, n_modes, clip_to_horizon=Fals
 
 
 def run_spec(spec: RunSpec, n_modes: int):
-    """Execute a validated run: returns (series, trajectory, deviation).
+    """Execute a run: returns (series, trajectory, deviation).
 
     ``deviation`` is None unless engine='both', in which case it is the
     maximum amplitude difference between the engines over the oracle
     horizon (also written to the run log).
     """
-    validate(spec.config, spec.init)
-    if not (0 < spec.t_max < np.inf and 0 < spec.dt_out < np.inf):
-        raise DomainError(f"t_max and dt_out must be positive and finite, "
-                          f"got {spec.t_max}, {spec.dt_out}")
     # n_points > MAX_POINTS, decided on the float: past the budget the ratio
     # may not fit an int
     ratio = spec.t_max / spec.dt_out + 1e-9

@@ -21,7 +21,7 @@ that the ``poles`` CSVs and the acceptance tests read:
   transitions).  :func:`symmetric_sectors` returns these polynomials with
   all their roots, which is all that the closed form of
   :mod:`pbgpair.inversion` reads.  The ``u`` poles of the table are the
-  roots on the sheet (:func:`sheet_roots`), polished by Newton steps in S,
+  roots on the sheet (``Sector.sheet``), polished by Newton steps in S,
   at x = i (S^2 + omega1c): S > 0 is a bound state above the branch
   point, any other S a decaying pole.
 
@@ -58,6 +58,11 @@ BRANCH_TOL = 1e-6  # |S| at or below: a root at the branch point (x within 1e-12
 RESIDUE_FLOOR = 1e-15  # |S|^2 / |P'(S)| at or below: such a root carries no residue
 DOUBLE_ROOT_TOL = 1e-6  # in S; np.roots resolves a near-double pair to ~1e-8
 POLISH_STEPS = 2
+# |omega1c|, |omega2c| above: refused.  x = i (S^2 + omega1c) and the phase
+# e^{i omega1c t} of the closed form cancel to about 0.5 EPS |omega| t, under
+# 1e-9 at |omega| = 1e3 up to t = 4,200 (the longest preset window); at 1e18
+# the bound states move to x = 0 and a run decays into the field.
+MAX_DETUNING = 1e3
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,15 @@ class Sector:
     ``kind`` is 'u' for the sextic of distinct transitions and 'u+'/'u-'
     for the cubics of identical ones; ``roots`` are all the roots of
     ``coeffs`` from one np.roots call, a cluster at S = 0 resolved by
-    :func:`_branch_cluster`.  A dark cubic (1 +/- cos eta = 0) has no
-    coefficients and no roots: its pole x = -i gamma1 is not a root in S.
+    :func:`_branch_cluster`, and ``sheet`` those on the inversion sheet,
+    unpolished (see :func:`_sector`).  A dark cubic (1 +/- cos eta = 0) has
+    no coefficients and no roots: its pole x = -i gamma1 is not a root in S.
     """
 
     kind: str
     coeffs: np.ndarray
     roots: np.ndarray
+    sheet: np.ndarray
 
     @property
     def dark(self):
@@ -164,17 +171,36 @@ def _sector(kind, coeffs):
     """The sector of ``coeffs`` with its roots.  Raises NumericalError where a
     term of the polynomial overflows at a root (detunings or exchange
     strengths from about 1e102 for the sextic, 1e205 for the cubics), since
-    polishing the roots and their weights evaluate it there."""
+    polishing the roots and their weights evaluate it there.
+
+    The sheet holds the roots with arg S in (-3pi/4, pi/4], bar those within
+    BRANCH_TOL of the branch point S = 0 whose residue, of order
+    |S|^2 / |P'(S)|, is below RESIDUE_FLOOR: the structural root S = 0 of
+    the sextic at cos^2 eta = 1 and the roots that a nearly parallel pair
+    moves off it.  A cluster of roots there (the quasi-dark pole of nearly
+    identical transitions) carries an O(1) residue and is kept.  Raises
+    DegeneratePole when two sheet roots are closer than DOUBLE_ROOT_TOL.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if not coeffs.size:
-        return Sector(kind, coeffs, np.zeros(0, dtype=complex))
+        empty = np.zeros(0, dtype=complex)
+        return Sector(kind, coeffs, empty, empty)
     s = _branch_cluster(coeffs, np.roots(coeffs))
     with np.errstate(over="ignore"):
         size = np.polyval(np.abs(coeffs), np.abs(s))
     if not np.all(np.isfinite(size)):
         raise NumericalError(f"the symmetric determinant overflows at its root "
                              f"|S| = {np.max(np.abs(s)):.3g}")
-    return Sector(kind, coeffs, s)
+    arg = np.angle(s)
+    keep = (arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi)
+    negligible = np.abs(s) ** 2 <= RESIDUE_FLOOR * np.abs(np.polyval(np.polyder(coeffs), s))
+    keep &= ~((np.abs(s) <= BRANCH_TOL) & negligible)
+    sheet = s[keep]
+    close = np.abs(sheet[:, None] - sheet[None, :]) + np.eye(sheet.size) < DOUBLE_ROOT_TOL
+    if close.any():
+        raise DegeneratePole(f"double root of the symmetric determinant at "
+                             f"S={sheet[close.any(axis=1)][0]:.9g} (exceptional point)")
+    return Sector(kind, coeffs, s, sheet)
 
 
 def polish(coeffs, s):
@@ -199,40 +225,24 @@ def sector_parameters(config):
 
 def symmetric_sectors(config):
     """The sextic of distinct transitions, or the two cubics P -/+ 2 cos eta
-    of identical ones (a1 = a2), with all their roots."""
+    of identical ones (a1 = a2), with all their roots.
+
+    Raises NumericalError, after the sectors' own checks, for a level more
+    than MAX_DETUNING from the band edge.
+    """
     a1, a2, c = sector_parameters(config)
     if a1 != a2:
-        return (_sector("u", [1.0, 0.0, a1 + a2, -4.0, a1 * a2, -2.0 * (a1 + a2),
-                              4.0 * (1.0 - c * c)]),)
-    out = []
-    for kind, sign in (("u+", 1.0), ("u-", -1.0)):
-        k = 1.0 + sign * c
-        out.append(_sector(kind, [] if k == 0.0 else [1.0, 0.0, a1, -2.0 * k]))
-    return tuple(out)
-
-
-def sheet_roots(sector):
-    """Roots S of a sector that lie on the inversion sheet, unpolished.
-
-    A root within BRANCH_TOL of the branch point S = 0 is dropped when its
-    residue, of order |S|^2 / |P'(S)|, is below RESIDUE_FLOOR: the
-    structural root S = 0 of the sextic at cos^2 eta = 1 and the roots that
-    a nearly parallel pair moves off it.  A cluster of roots there (the
-    quasi-dark pole of nearly identical transitions) carries an O(1)
-    residue and is kept.  Raises DegeneratePole when two of the remaining
-    roots are closer than DOUBLE_ROOT_TOL.
-    """
-    s = sector.roots
-    arg = np.angle(s)
-    keep = (arg > -0.75 * np.pi) & (arg <= 0.25 * np.pi)
-    negligible = np.abs(s) ** 2 <= RESIDUE_FLOOR * np.abs(np.polyval(np.polyder(sector.coeffs), s))
-    keep &= ~((np.abs(s) <= BRANCH_TOL) & negligible)
-    s = s[keep]
-    close = np.abs(s[:, None] - s[None, :]) + np.eye(s.size) < DOUBLE_ROOT_TOL
-    if close.any():
-        raise DegeneratePole(f"double root of the symmetric determinant at "
-                             f"S={s[close.any(axis=1)][0]:.9g} (exceptional point)")
-    return s
+        sectors = (_sector("u", [1.0, 0.0, a1 + a2, -4.0, a1 * a2, -2.0 * (a1 + a2),
+                                 4.0 * (1.0 - c * c)]),)
+    else:
+        sectors = tuple(_sector(kind, [] if k == 0.0 else [1.0, 0.0, a1, -2.0 * k])
+                        for kind, k in (("u+", 1.0 + c), ("u-", 1.0 - c)))
+    detuning = max(abs(config.omega1c), abs(config.omega2c))
+    if detuning > MAX_DETUNING:
+        raise NumericalError(f"a level {detuning:.3g} from the band edge exceeds "
+                             f"{MAX_DETUNING:g}, beyond which the closed form loses "
+                             "accuracy")
+    return sectors
 
 
 def _snap(x):
@@ -251,7 +261,7 @@ def _u_poles(config, sectors):
         if sec.dark:  # f - 2 beta' |cos eta| = x + i gamma1 has no kernel
             out.append((sec.kind, complex(0.0, -config.gamma1), 1.0 + 0j))
             continue
-        s = polish(sec.coeffs, sheet_roots(sec))
+        s = polish(sec.coeffs, sec.sheet)
         d = np.polyval(np.polyder(sec.coeffs), s)
         num = -2j * s ** 3 if sec.kind == "u" else 2 * s * s
         out += [(sec.kind, _snap(1j * (si * si + config.omega1c)), complex(ni / di))

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .config import InitialState, SystemConfig, preset_initial, validate
+from .config import InitialState, SystemConfig, preset_initial
 from .errors import UnknownPreset
 
 PI = math.pi
@@ -78,10 +78,8 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 def get_preset(name: str) -> FigurePreset:
     try:
-        preset = _PRESETS[name]
+        return _PRESETS[name]
     except KeyError:
         raise UnknownPreset(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         ) from None
-    validate(preset.config, preset.init)
-    return preset

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import csvio, negativity
-from .config import RunSpec, validate
+from .config import RunSpec
 from .errors import DomainError
 from .pipeline import run_spec
 
@@ -62,7 +62,6 @@ def apply_parameter(spec: RunSpec, parameter: str, value) -> RunSpec:
         cfg = replace(cfg, omega1c=w1c, omega2c=w2c, omega12=w1c - w2c)
     else:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
-    validate(cfg, spec.init)
     return replace(spec, config=cfg)
 
 

@@ -6,9 +6,10 @@ leaves a 4x4 linear system for the Laplace amplitudes
     [A1(x), A2(x'), A3(x), A4(x')],   x' = x - i*omega12,
 
 with self kernel G = beta'(x) on both transitions and cross kernel
-G*cos(eta).  The authoritative evaluation is a direct numerical solve of
-that system.  The system decouples exactly in exchange-symmetric
-combinations
+G*cos(eta).  No engine solves it: ``solve_system``, a direct numerical
+solve, is the tests' Laplace-domain reference for the closed form of
+:mod:`pbgpair.inversion`, and the benchmark's tracer patches it by name.
+The system decouples exactly in exchange-symmetric combinations
 
     u1 = A1 + A3,  v1 = A1 - A3,  u2 = A2 + A4,  v2 = A2 - A4:
 

@@ -9,7 +9,11 @@ Inversion:
   kernel, and ``residue_weight_fd``: pole weights by central differences
   of it, against the closed-form weights of :func:`pbgpair.poles.find_poles`;
 * ``residue_by_limit``: residues as lim (x - x0) A(x) from the 4x4 solve,
-  against ``residue_numerators * weight``.
+  against ``residue_numerators * weight``;
+* ``closed_form_reference``: the closed form of
+  :mod:`pbgpair.inversion` in 40-digit arithmetic, with the roots from
+  ``mpmath.polyroots`` and w(z) = e^{-z^2} erfc(-iz) from ``mpmath.erfc``,
+  against :func:`pbgpair.inversion.amplitudes_analytic`.
 
 CSV emission: ``entanglement_csv_by_field``, ``poles_csv_by_field``,
 ``trajectory_csv_by_field`` and ``sweep_summary_csv_by_field``, one
@@ -47,6 +51,7 @@ the time-domain ``memory_kernel``, checked against
 import cmath
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -64,6 +69,7 @@ _IDX = (2, 5, 6, 7, 8)
 EIG_CLAMP = -1e-12
 SINGULAR_TOL = 1e-12
 RK4_NORM_TOL = 1e-6  # stiff-tail aliasing floor of the stepper
+REFERENCE_DPS = 40
 _ZERO = np.zeros(0, dtype=complex)
 
 
@@ -156,6 +162,88 @@ def residue_by_limit(record, config, init, eps=1e-5):
     r1 = ring(eps)
     r2 = ring(eps / 2)
     return (4 * r2 - r1) / 3
+
+
+def _mp_roots(coeffs):
+    """All roots of a monic polynomial (mp coefficients, highest first).
+
+    Trailing zero coefficients give exact zero roots.  The others come from
+    ``mpmath.polyroots``, unrounded, at a precision raised by the binary
+    range of the coefficients, so that a cluster of roots near S = 0 (of
+    size sqrt(gamma1) down to 1e-154) is resolved to full relative accuracy.
+    """
+    coeffs = list(coeffs)
+    zeros = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zeros += 1
+    roots = []
+    if len(coeffs) > 1:
+        tiny = min(abs(c) for c in coeffs if c != 0)
+        extra = 64 + 2 * int(max(0, -mpmath.log(tiny, 2)))
+        roots = mpmath.polyroots(coeffs, maxsteps=500, cleanup=False, extraprec=extra)
+    return list(roots) + [mpmath.mpc(0)] * zeros
+
+
+def closed_form_reference(times, config, init, da=0.0):
+    """The four amplitudes at ``times`` by the closed form, to REFERENCE_DPS
+    digits: the same sectors, partial fractions and exchange and dark terms
+    as :func:`pbgpair.inversion.closed_form_terms`, every root a simple
+    term.  With w entire, the one sum holds the sheet poles and the cut
+    for any root; no sheet test and no confluent pair are needed.
+
+    ``da`` shifts a1 and a2 in that arithmetic: an exact double root, where
+    the partial fractions do not exist, is reached by continuity from
+    a +/- da.
+    """
+    with mpmath.workdps(REFERENCE_DPS):
+        g1, g2 = mpmath.mpf(config.gamma1), mpmath.mpf(config.gamma2)
+        w12, w1c = mpmath.mpf(config.omega12), mpmath.mpf(config.omega1c)
+        c = mpmath.mpf(config.cos_eta)
+        a1, a2 = w1c + g1 + da, w1c - w12 + g2 + da
+        a10, a20, a30, a40 = (mpmath.mpc(a) for a in init.as_tuple())
+        u10, u20 = a10 + a30, a20 + a40
+        v1, v2 = (a10 - a30) / 2, (a20 - a40) / 2
+        xs = [1j * g1, 1j * (g2 + w12)]
+        exps = [[v1, 0, -v1, 0], [0, v2, 0, -v2]]
+        sectors = []  # (denominator D, the four numerators S V(S)), highest power first
+        if a1 != a2:
+            q1 = [u10 / 2, 0, a2 * u10 / 2, c * u20 - u10, 0]
+            q2 = [u20 / 2, 0, a1 * u20 / 2, c * u10 - u20, 0]
+            sectors.append(([1, 0, a1 + a2, -4, a1 * a2, -2 * (a1 + a2), 4 * (1 - c * c)],
+                            [q1, q2, q1, q2]))
+        else:
+            for sign in (1, -1):
+                u = (u10 + sign * u20) / 4
+                rows = [u, sign * u, u, sign * u]
+                if 1 + sign * c == 0:  # dark: the single pole x = -i gamma1
+                    xs.append(-1j * g1)
+                    exps.append(rows)
+                else:
+                    sectors.append(([1, 0, a1, -2 * (1 + sign * c)], [[r, 0] for r in rows]))
+        terms = []  # (a_j, the four weights S_j^2 V(S_j) / D'(S_j))
+        for den, num in sectors:
+            s = _mp_roots([mpmath.mpf(d) for d in den])
+            for j, sj in enumerate(s):
+                if sj == 0:
+                    continue
+                slope = mpmath.fprod(sj - sk for k, sk in enumerate(s) if k != j)
+                terms.append((mpmath.expjpi(0.25) * sj,
+                              [sj * mpmath.polyval(n, sj) / slope for n in num]))
+        out = np.empty((len(times), 4), dtype=complex)
+        for i, t in enumerate(times):
+            t = mpmath.mpf(t)
+            amps = [0] * 4
+            for a, rows in terms:
+                z = -1j * a * mpmath.sqrt(t)
+                w = mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+                amps = [amp + row * w for amp, row in zip(amps, rows)]
+            amps = [amp * mpmath.expj(w1c * t) for amp in amps]
+            for x, e in zip(xs, exps):
+                amps = [amp + mpmath.exp(x * t) * ek for amp, ek in zip(amps, e)]
+            shift = mpmath.expj(-w12 * t)
+            out[i] = [complex(amp * (shift if k % 2 else 1)) for k, amp in enumerate(amps)]
+        return out
 
 
 def phase_amplitudes(amps, t: float, omega12: float):

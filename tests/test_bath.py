@@ -28,7 +28,7 @@ def test_build_bath_resolvent_reproduction():
     b = bath.build_bath(FIG2B, n_modes=4000)
     xs = np.array([1.0 + 0j, 0.5 + 0j, 2.0 + 0j, 1.0 + 1.0j])
     target = kernel.beta_prime(xs, FIG2B.omega1c)
-    err = np.max(np.abs(b.resolvent(xs) - target))
+    err = np.max(np.abs(b.resolvent(xs, FIG2B.omega1c) - target))
     assert err <= 1e-3
 
 
@@ -37,10 +37,10 @@ def test_build_bath_without_tail_misses_kernel():
     n = 4000
     du = np.sqrt(bath.DENSE_WINDOW) / n
     untailed = bath.DiscreteBath(nu=((np.arange(n) + 0.5) * du) ** 2,
-                                 g=np.full(n, np.sqrt(2.0 / np.pi * du)), n_main=n,
-                                 config=FIG2B)
+                                 g=np.full(n, np.sqrt(2.0 / np.pi * du)), n_main=n)
     xs = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
-    err = np.max(np.abs(untailed.resolvent(xs) - kernel.beta_prime(xs, FIG2B.omega1c)))
+    err = np.max(np.abs(untailed.resolvent(xs, FIG2B.omega1c)
+                        - kernel.beta_prime(xs, FIG2B.omega1c)))
     assert err > bath.RESOLVENT_TOL
 
 
@@ -57,7 +57,7 @@ def test_build_bath_refinement_does_not_worsen():
     for n in (1000, 2000):
         b = bath.build_bath(FIG2B, n_modes=n)
         x = np.array([1.0 + 0j])
-        errs.append(abs(b.resolvent(x)[0] - kernel.beta_prime(1.0, FIG2B.omega1c)))
+        errs.append(abs(b.resolvent(x, FIG2B.omega1c)[0] - kernel.beta_prime(1.0, FIG2B.omega1c)))
     assert errs[1] <= errs[0] + 1e-6
     assert errs[0] < 2e-4
 

@@ -306,6 +306,21 @@ def test_overflowing_roots_exit_code(tmp_path, capsys, command, eta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,detuning", [("run", "-1e18"), ("poles", "-1e12")])
+def test_far_detuning_exit_code(tmp_path, capsys, command, detuning):
+    # both levels far below the edge: x = i (S^2 + omega1c) and the phase
+    # e^{i omega1c t} cancel, and at 1e18 a run decayed into the field
+    text = (f"gamma1 = 5\ngamma2 = 5\nomega12 = 0\nomega1c = {detuning}\n"
+            f"omega2c = {detuning}\neta_degrees = 90\ninitial = bright\nt_max = 20\n"
+            "dt_out = 0.5\n")
+    cfgfile = _write(tmp_path, "far.cfg", text)
+    out = tmp_path / "x.csv"
+    assert main([command, cfgfile, "-o", str(out)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "band edge" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("param,values", [("gamma", "1,1.0000001,2"),
                                           ("omega1c_omega2c_pair", "0.6:0.2;0.6000001:0.2")])
 def test_sweep_label_collision_exit_code(tmp_path, monkeypatch, capsys, param, values):

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import pytest
 
 from pbgpair.config import (
     InitialState,
+    RunSpec,
     SystemConfig,
     parse_run_file,
     preset_initial,
-    validate,
 )
 from pbgpair.errors import (
     DomainError,
@@ -23,41 +24,55 @@ PAPER_CFG = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
 
 
 def test_validate_paper_configuration():
-    cfg, init = validate(PAPER_CFG, preset_initial("unentangled"))
-    assert cfg is PAPER_CFG
-    assert init.norm_sq == pytest.approx(1.0, abs=1e-15)
+    spec = RunSpec(PAPER_CFG, preset_initial("unentangled"), t_max=1200.0, dt_out=0.5)
+    assert spec.config is PAPER_CFG
+    assert spec.init.norm_sq == pytest.approx(1.0, abs=1e-15)
 
 
 def test_validate_basis_state_norm():
-    validate(PAPER_CFG, InitialState(1, 0, 0, 0))
+    RunSpec(PAPER_CFG, InitialState(1, 0, 0, 0), t_max=1.0, dt_out=0.5)
 
 
 def test_inconsistent_detunings_rejected():
-    bad = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
-                       omega2c=0.1, eta=math.pi)
     with pytest.raises(InconsistentDetunings):
-        validate(bad)
+        SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
+                     omega2c=0.1, eta=math.pi)
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        validate(SystemConfig(-1, 6, 0.4, 0.6, 0.2, math.pi))
+        SystemConfig(-1, 6, 0.4, 0.6, 0.2, math.pi)
     with pytest.raises(DomainError):
-        validate(SystemConfig(6, 6, 0.4, 0.6, 0.2, 3.5))
+        SystemConfig(6, 6, 0.4, 0.6, 0.2, 3.5)
 
 
 def test_non_finite_values_rejected():
     with pytest.raises(DomainError, match="gamma1"):
-        validate(SystemConfig(math.nan, 6, 0.4, 0.6, 0.2, math.pi))
+        SystemConfig(math.nan, 6, 0.4, 0.6, 0.2, math.pi)
     with pytest.raises(DomainError, match="omega1c"):
-        validate(SystemConfig(6, 6, 0.4, math.inf, 0.2, math.pi))
+        SystemConfig(6, 6, 0.4, math.inf, 0.2, math.pi)
     with pytest.raises(NormalizationError):
-        validate(PAPER_CFG, InitialState(math.nan, 0, 0, 0))
+        RunSpec(PAPER_CFG, InitialState(math.nan, 0, 0, 0), t_max=1.0, dt_out=0.5)
 
 
 def test_normalization_error():
     with pytest.raises(NormalizationError):
-        validate(PAPER_CFG, InitialState(1, 0, 0.1, 0))
+        RunSpec(PAPER_CFG, InitialState(1, 0, 0.1, 0), t_max=1.0, dt_out=0.5)
+
+
+def test_replace_checks_the_config():
+    with pytest.raises(DomainError, match="non-negative"):
+        dataclasses.replace(PAPER_CFG, gamma1=-1.0)
+    with pytest.raises(InconsistentDetunings):
+        dataclasses.replace(PAPER_CFG, omega1c=0.7)
+
+
+@pytest.mark.parametrize("t_max,dt_out", [(-1.0, 0.5), (0.0, 0.5), (math.nan, 0.5),
+                                          (1.0, 0.0), (1.0, math.inf)])
+def test_replace_checks_the_run(t_max, dt_out):
+    spec = RunSpec(PAPER_CFG, preset_initial("bright"), t_max=1.0, dt_out=0.5)
+    with pytest.raises(DomainError, match="t_max and dt_out must be positive and finite"):
+        dataclasses.replace(spec, t_max=t_max, dt_out=dt_out)
 
 
 def test_preset_initial_values():
@@ -73,7 +88,7 @@ def test_preset_initial_values():
 
 def test_fig7_detuning_pairs_consistent():
     for w1c, w2c in ((0.6, 0.2), (0.6, -0.4), (-0.6, -1.0), (-1.6, -2.6)):
-        validate(SystemConfig(5, 5, w1c - w2c, w1c, w2c, math.pi / 2))
+        SystemConfig(5, 5, w1c - w2c, w1c, w2c, math.pi / 2)
 
 
 def test_trig_snapping_at_special_angles():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from pbgpair import bath, inversion
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
-from pbgpair.errors import DegeneratePole
-from pbgpair.poles import MERGE_TOL, find_poles
+from pbgpair.errors import DegeneratePole, NumericalError
+from pbgpair.poles import MAX_DETUNING, MERGE_TOL, find_poles, symmetric_sectors
 from reference_routes import residue_by_limit, residue_weight_fd
 
 PI = math.pi
@@ -214,6 +214,14 @@ def test_near_double_root_raises_degenerate_pole(tmp_path):
                         "omega1c = 0.5\nomega2c = 0.5\neta_degrees = 90\n"
                         "initial = bright\nt_max = 5\ndt_out = 0.5\n")
     assert main(["poles", str(run_file), "-o", str(tmp_path / "p.csv")]) == 4
+
+
+@pytest.mark.parametrize("w1c,w2c", [(MAX_DETUNING, 0.0), (0.0, -MAX_DETUNING)])
+def test_detuning_bound(w1c, w2c):
+    symmetric_sectors(cfg(5.0, PI / 2, w1c, w2c))
+    with pytest.raises(NumericalError, match="band edge"):
+        symmetric_sectors(cfg(5.0, PI / 2, np.nextafter(w1c, 2 * w1c),
+                              np.nextafter(w2c, 2 * w2c)))
 
 
 @st.composite
