@@ -72,7 +72,8 @@ def _parser():
     sp.add_argument("config", help="template run file")
     sp.add_argument("--param", required=True, choices=sweep_mod.SWEEP_PARAMS)
     sp.add_argument("--values", required=True,
-                    help="comma list (pairs: 'w1c:w2c;w1c:w2c'); eta in degrees")
+                    help="comma list (pairs: 'w1c:w2c;w1c:w2c'); eta in degrees; give "
+                         "a list that starts with '-' as --values='-0.6:-1;-1:-1'")
     sp.add_argument("-o", "--output", required=True, help="output directory")
     engine_options(sp)
     return p

@@ -49,10 +49,9 @@ import numpy as np
 from . import kernel, poles, transform
 from .config import AmplitudeTrajectory
 from .errors import CompletenessError, DomainError, NumericalError, QuadratureError
-from .poles import PoleSet, polish, sector_parameters
+from .poles import PoleSet, sector_parameters
 
 COMPLETENESS_TOL = 1e-9
-PAIR_TOL = 1e-5  # relative distance below which two roots enter as a double root
 EXP_MAX = 700.0  # e^{x t} of a sheet root stays below ~1e304 up to x t = EXP_MAX
 CUT_ABS_TOL = 1e-10
 CUT_FAIL_TOL = 1e-9
@@ -152,17 +151,6 @@ def _polyval4(num, s):
     return out
 
 
-def _pair_index(s):
-    """Index pairs (j, k), j < k, of roots closer than PAIR_TOL relative to
-    their mean and to no other root; a root with two such neighbours stays
-    single."""
-    close = np.abs(s[:, None] - s[None, :]) < 0.5 * PAIR_TOL * np.abs(s[:, None] + s[None, :])
-    np.fill_diagonal(close, False)
-    lone = close.sum(axis=1) == 1
-    partner = close.argmax(axis=1)
-    return [(j, int(k)) for j, k in enumerate(partner) if lone[j] and lone[k] and j < k]
-
-
 def closed_form_terms(config, init, sectors):
     """:class:`Terms` of the closed form from the roots of ``sectors``.
 
@@ -170,11 +158,12 @@ def closed_form_terms(config, init, sectors):
     polynomial in S and V (roots x 4) polynomials.  A simple root S_j has
     weight i S_j r_j = S_j^2 V(S_j) / D'(S_j); an exact root S = 0 has
     weight 0 and is left out.  Where roots coincide the weights are not
-    finite, and the completeness check fails.  Two roots that nearly
-    coincide, whose r_j would cancel, enter as one term: their divided
-    difference (g G)[S_1, S_2], with g = S V / R, R = D / ((S - S_1)(S - S_2))
-    and G(S) = i S w(e^{-i pi/4} S sqrt t), taken at the pair's midpoint m
-    as g'(m) G(m) + g(m) G'(m), where G' = i [w (1 - 2 z^2) + 2 i z / sqrt pi].
+    finite, and the completeness check fails.  A pair of ``Sector.pairs``,
+    two roots that nearly coincide, whose r_j would cancel, enters as one
+    term: their divided difference (g G)[S_1, S_2], with g = S V / R,
+    R = D / ((S - S_1)(S - S_2)) and G(S) = i S w(e^{-i pi/4} S sqrt t),
+    taken at the pair's midpoint m as g'(m) G(m) + g(m) G'(m), where
+    G' = i [w (1 - 2 z^2) + 2 i z / sqrt pi].
     """
     a10, a20, a30, a40 = init.as_tuple()
     u10, u20 = a10 + a30, a20 + a40
@@ -198,14 +187,10 @@ def closed_form_terms(config, init, sectors):
         else:
             u = 0.25 * (u10 + sign * u20)
             num = np.outer([u, sign * u, u, sign * u], [1.0, 0.0])
-        raw = sec.roots.astype(complex)
-        pairs = _pair_index(raw)
-        paired = np.zeros(raw.size, dtype=bool)
-        for j, k in pairs:
+        s = sec.roots
+        paired = np.zeros(s.size, dtype=bool)
+        for j, k in sec.pairs:
             paired[[j, k]] = True
-        # Newton steps would move the roots of a pair apart; their mean is exact
-        s = np.where(paired, raw, polish(sec.coeffs, raw))
-        for j, k in pairs:
             m = 0.5 * (s[j] + s[k])
             others = np.delete(s, [j, k])
             r = np.prod(m - others)

@@ -4,8 +4,8 @@ Two families of roots are collected into one :class:`PoleSet`, the table
 that the ``poles`` CSVs and the acceptance tests read:
 
 * the dressed-level table: roots x = i*y of the classification functions
-  G1/H1, at y = gamma1, omega12 + gamma2, -gamma1, omega12 - gamma2 (the
-  exchange-split level factors and their prefactors) and
+  G1/H1, at y = gamma1, omega12 + gamma2 (their prefactors, the exchange
+  poles), -gamma1, omega12 - gamma2 (the exchange-split lower levels) and
   y = omega1c - 4 (the band-edge interference factor 1 + 2*beta').
   These are what the pole report lists and the regression tables quote.
 
@@ -19,11 +19,11 @@ that the ``poles`` CSVs and the acceptance tests read:
 
   (John & Quang's band-edge reduction, PRA 50, 1764 (1994), for both
   transitions).  :func:`symmetric_sectors` returns these polynomials with
-  all their roots, which is all that the closed form of
-  :mod:`pbgpair.inversion` reads.  The ``u`` poles of the table are the
-  roots on the sheet (``Sector.sheet``), polished by Newton steps in S,
-  at x = i (S^2 + omega1c): S > 0 is a bound state above the branch
-  point, any other S a decaying pole.
+  all their roots, finished once (paired and polished), which is all that
+  the closed form of :mod:`pbgpair.inversion` reads.  The ``u`` poles of
+  the table are the roots on the sheet (``Sector.sheet``) at
+  x = i (S^2 + omega1c): S > 0 is a bound state above the branch point,
+  any other S a decaying pole.
 
 A ``u`` pole on an exchange pole is a simple pole of another sector, and
 both are kept.  With identical transitions (a1 = a2) the sextic factors
@@ -37,10 +37,10 @@ simple pole of both combinations.  Otherwise roots closer than
 DOUBLE_ROOT_TOL (nearly identical, nearly orthogonal transitions) cannot
 be told from a double root and raise DegeneratePole.
 
-A dynamic pole on a table root (the exchange poles always are) is merged
-into one record.  Table rows are ``localized`` below the band edge and
-``bandpass`` otherwise; dynamic-only rows are ``localized`` on the
-imaginary axis and ``propagating`` off it.
+The exchange poles are the G1 and H1 prefactor rows; a ``u`` pole on
+another table root is merged into one record.  Table rows are
+``localized`` below the band edge and ``bandpass`` otherwise; the other
+``u`` rows are ``localized`` on the imaginary axis, ``propagating`` off it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ AXIS_TOL = 1e-9
 BRANCH_TOL = 1e-6  # |S| at or below: a root at the branch point (x within 1e-12 of it)
 RESIDUE_FLOOR = 1e-15  # |S|^2 / |P'(S)| at or below: such a root carries no residue
 DOUBLE_ROOT_TOL = 1e-6  # in S; np.roots resolves a near-double pair to ~1e-8
+PAIR_TOL = 1e-5  # relative distance below which two roots enter as a double root
 POLISH_STEPS = 2
 # |omega1c|, |omega2c| above: refused.  x = i (S^2 + omega1c) and the phase
 # e^{i omega1c t} of the closed form cancel to about 0.5 EPS |omega| t, under
@@ -72,7 +73,7 @@ class PoleRecord:
     ``weight`` is the reciprocal slope of the relevant denominator at the
     root (1/Delta' for symmetric-sector poles, 1/(f +/- 2 beta' cos eta)'
     for the split sector of identical transitions, 1 for the exchange
-    poles, 1/G_tag' for table-only rows).  ``dynamic`` marks roots that are
+    poles, 1/H1' for table-only rows).  ``dynamic`` marks roots that are
     true singularities of the transform amplitudes; only those enter
     residue sums.  ``kind`` is one of 'v1', 'v2', 'u', 'u+', 'u-', 'table'.
     """
@@ -95,19 +96,14 @@ class PoleSet:
 
 
 def _table_roots(config):
-    """(tag, x) of the imaginary-axis roots of the classification factors."""
-    levels = [
-        ("G1", config.gamma1),                            # G prefactor
-        ("H1", config.omega12 + config.gamma2),           # H prefactor
-        ("H1", -config.gamma1),                           # lower exchange level 1
-        ("H1", config.omega12 - config.gamma2),           # lower exchange level 2
-        ("H1", config.omega1c - 4.0),                     # 1 + 2 beta' = 0
-    ]
-    return [(tag, complex(0.0, y)) for tag, y in levels]
+    """The H1 roots x that are no exchange pole: the lower exchange levels
+    and 1 + 2 beta' = 0."""
+    levels = [-config.gamma1, config.omega12 - config.gamma2, config.omega1c - 4.0]
+    return [complex(0.0, y) for y in levels]
 
 
-def _table_weight(tag, x, config):
-    """Reciprocal slope of G1/H1 = i * prefactor * lower1 * lower2 *
+def _table_weight(x, config):
+    """Reciprocal slope of H1 = i * prefactor * lower1 * lower2 *
     (1 + 2 beta') at its root x, by the product rule (principal kernel).
 
     Factors within MERGE_TOL of zero count as zero; the weight is 0 at a
@@ -118,7 +114,7 @@ def _table_weight(tag, x, config):
         return 0j
     g = kernel.beta_prime(x, config.omega1c)
     ix = 1j * x
-    pre = config.gamma1 if tag == "G1" else config.omega12 + config.gamma2
+    pre = config.omega12 + config.gamma2
     factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 + 2 * g]
     factors = [f if abs(f) > MERGE_TOL else 0j for f in factors]
     slopes = [1j, 1j, 1j, -g / w]
@@ -131,17 +127,18 @@ class Sector:
     """One factor of the symmetric determinant, a polynomial in S.
 
     ``kind`` is 'u' for the sextic of distinct transitions and 'u+'/'u-'
-    for the cubics of identical ones; ``roots`` are all the roots of
-    ``coeffs`` from one np.roots call, a cluster at S = 0 resolved by
-    :func:`_branch_cluster`, and ``sheet`` those on the inversion sheet,
-    unpolished (see :func:`_sector`).  A dark cubic (1 +/- cos eta = 0) has
-    no coefficients and no roots: its pole x = -i gamma1 is not a root in S.
+    for the cubics of identical ones; ``roots`` are all the final roots of
+    ``coeffs`` (see :func:`_sector`), polished bar the near-double ``pairs``
+    (index pairs); ``sheet`` the polished roots on the inversion sheet.  A
+    dark cubic (1 +/- cos eta = 0) has no coefficients and no roots: its
+    pole x = -i gamma1 is not a root in S.
     """
 
     kind: str
     coeffs: np.ndarray
     roots: np.ndarray
     sheet: np.ndarray
+    pairs: tuple
 
     @property
     def dark(self):
@@ -167,8 +164,19 @@ def _branch_cluster(coeffs, s):
     return s
 
 
+def _pair_index(s):
+    """Index pairs (j, k), j < k, of roots closer than PAIR_TOL relative to
+    their mean and to no other root; a root with two such neighbours stays
+    single."""
+    close = np.abs(s[:, None] - s[None, :]) < 0.5 * PAIR_TOL * np.abs(s[:, None] + s[None, :])
+    np.fill_diagonal(close, False)
+    lone = close.sum(axis=1) == 1
+    partner = close.argmax(axis=1)
+    return tuple((j, int(k)) for j, k in enumerate(partner) if lone[j] and lone[k] and j < k)
+
+
 def _sector(kind, coeffs):
-    """The sector of ``coeffs`` with its roots.  Raises NumericalError where a
+    """The sector of ``coeffs`` with its final roots.  Raises NumericalError where a
     term of the polynomial overflows at a root (detunings or exchange
     strengths from about 1e102 for the sextic, 1e205 for the cubics), since
     polishing the roots and their weights evaluate it there.
@@ -180,12 +188,15 @@ def _sector(kind, coeffs):
     moves off it.  A cluster of roots there (the quasi-dark pole of nearly
     identical transitions) carries an O(1) residue and is kept.  Raises
     DegeneratePole when two sheet roots are closer than DOUBLE_ROOT_TOL.
+    Both are decided on the unpolished roots, which are then polished once,
+    bar the pairs closer than PAIR_TOL relative: Newton steps would move
+    them apart, and the closed form enters them by their exact mean.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if not coeffs.size:
         empty = np.zeros(0, dtype=complex)
-        return Sector(kind, coeffs, empty, empty)
-    s = _branch_cluster(coeffs, np.roots(coeffs))
+        return Sector(kind, coeffs, empty, empty, ())
+    s = _branch_cluster(coeffs, np.roots(coeffs)).astype(complex)
     with np.errstate(over="ignore"):
         size = np.polyval(np.abs(coeffs), np.abs(s))
     if not np.all(np.isfinite(size)):
@@ -200,7 +211,10 @@ def _sector(kind, coeffs):
     if close.any():
         raise DegeneratePole(f"double root of the symmetric determinant at "
                              f"S={sheet[close.any(axis=1)][0]:.9g} (exceptional point)")
-    return Sector(kind, coeffs, s, sheet)
+    pairs = _pair_index(s)
+    polished = polish(coeffs, s)
+    final = np.where(np.isin(np.arange(s.size), pairs), s, polished)
+    return Sector(kind, coeffs, final, polished[keep], pairs)
 
 
 def polish(coeffs, s):
@@ -218,9 +232,12 @@ def polish(coeffs, s):
 
 
 def sector_parameters(config):
-    """(a1, a2, cos eta) of the cubic factors S^3 + a_i S - 2."""
-    return (config.omega1c + config.gamma1,
-            config.omega1c - config.omega12 + config.gamma2, config.cos_eta)
+    """(a1, a2, cos eta) of the cubic factors S^3 + a_i S - 2.  A subnormal
+    a_i is taken as 0: numpy's complex division overflows on the quotients
+    of subnormals that the weights of its roots would be."""
+    a = (config.omega1c + config.gamma1, config.omega1c - config.omega12 + config.gamma2)
+    a1, a2 = (ai if abs(ai) >= np.finfo(float).tiny else 0.0 for ai in a)
+    return a1, a2, config.cos_eta
 
 
 def symmetric_sectors(config):
@@ -261,7 +278,7 @@ def _u_poles(config, sectors):
         if sec.dark:  # f - 2 beta' |cos eta| = x + i gamma1 has no kernel
             out.append((sec.kind, complex(0.0, -config.gamma1), 1.0 + 0j))
             continue
-        s = polish(sec.coeffs, sec.sheet)
+        s = sec.sheet
         d = np.polyval(np.polyder(sec.coeffs), s)
         num = -2j * s ** 3 if sec.kind == "u" else 2 * s * s
         out += [(sec.kind, _snap(1j * (si * si + config.omega1c)), complex(ni / di))
@@ -276,34 +293,26 @@ def find_poles(config) -> PoleSet:
     determinant that the sectors do not split.
     """
     edge = config.omega1c
+    records = [PoleRecord(tag, x, "localized" if x.imag + edge < 0 else "bandpass",
+                          1.0 + 0j, True, kind)
+               for tag, kind, x in (("G1", "v1", complex(0.0, config.gamma1)),
+                                    ("H1", "v2", complex(0.0, config.gamma2 + config.omega12)))]
     table = _table_roots(config)
-    dynamic = [
-        ("v1", complex(0.0, config.gamma1), 1.0 + 0j),
-        ("v2", complex(0.0, config.gamma2 + config.omega12), 1.0 + 0j),
-    ] + _u_poles(config, symmetric_sectors(config))
-
-    records = []
     used_table = set()
-    for kind, x, weight in dynamic:
-        tag = None
-        for k, (ttag, tx) in enumerate(table):
+    for kind, x, weight in _u_poles(config, symmetric_sectors(config)):
+        tag, klass = "G1", "localized" if x.real == 0.0 else "propagating"
+        for k, tx in enumerate(table):
             if k not in used_table and abs(tx - x) < MERGE_TOL:
-                tag, used_table = ttag, used_table | {k}
+                tag, klass = "H1", "localized" if x.imag + edge < 0 else "bandpass"
+                used_table.add(k)
                 break
-        if tag is not None:
-            klass = "localized" if x.imag + edge < 0 else "bandpass"
-        else:
-            tag = "H1" if kind == "v2" else "G1"
-            klass = "localized" if x.real == 0.0 else "propagating"
         records.append(PoleRecord(tag, x, klass, weight, True, kind))
 
-    for k, (tag, x) in enumerate(table):
-        if k in used_table:
-            continue
-        if any(abs(x - r.x) < MERGE_TOL for r in records):
+    for k, x in enumerate(table):
+        if k in used_table or any(abs(x - r.x) < MERGE_TOL for r in records):
             continue
         klass = "localized" if x.imag + edge < 0 else "bandpass"
-        records.append(PoleRecord(tag, x, klass, _table_weight(tag, x, config), False, "table"))
+        records.append(PoleRecord("H1", x, klass, _table_weight(x, config), False, "table"))
 
     records.sort(key=lambda r: (-r.x.imag, r.x.real, r.tag))
     return PoleSet(records=tuple(records), config=config)

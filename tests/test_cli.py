@@ -176,6 +176,17 @@ def test_sweep_empty_values(tmp_path):
     assert (outdir / "summary.csv").read_text().strip() == "value,half_life,integrated_EN"
 
 
+def test_sweep_in_gap_pairs_in_the_equals_form(tmp_path, monkeypatch):
+    # "--values -0.6:-1;..." reads as an option; "--values=..." does not
+    monkeypatch.setenv("THREADS", "1")
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfgfile, "--param", "omega1c_omega2c_pair",
+                 "--values=-0.6:-1;-1:-1", "-o", str(outdir), "--tmax", "5"]) == 0
+    for label in ("-0.6_-1", "-1_-1"):
+        assert len((outdir / f"omega1c_omega2c_pair_{label}.csv").read_text().splitlines()) == 12
+
+
 def test_sweep_gamma_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("THREADS", "2")
     cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
@@ -304,6 +315,28 @@ def test_overflowing_roots_exit_code(tmp_path, capsys, command, eta):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "overflows" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "poles"])
+@pytest.mark.parametrize("gamma1", ["2.2e-311", "1e-315", "5e-324"])
+def test_subnormal_exchange_strength(tmp_path, capsys, command, gamma1):
+    # a1 = gamma1 subnormal is taken as 0: the run is the gamma1 = 0 run byte
+    # for byte, the pole table holds no nan, and nothing warns
+    def run_file(g):
+        return _write(tmp_path, f"{g}.cfg", f"gamma1 = {g}\ngamma2 = 0\nomega12 = 0\n"
+                      "omega1c = 0\nomega2c = 0\neta_degrees = 0\ninitial = unentangled\n"
+                      "t_max = 20\ndt_out = 0.5\n")
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, run_file(gamma1), "-o", str(out)]) == 0
+        assert main([command, run_file("0"), "-o", str(ref)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "run":
+        assert out.read_bytes() == ref.read_bytes()
+    else:
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6 and all(np.isfinite(float(v)) for r in rows for v in r[1:3] + r[4:])
 
 
 @pytest.mark.parametrize("command,detuning", [("run", "-1e18"), ("poles", "-1e12")])

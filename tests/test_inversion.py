@@ -436,13 +436,6 @@ def test_closed_form_matches_40_digit_reference_property(case):
     except DegeneratePole:
         event("skipped: double root on the sheet (DegeneratePole)")
         return
-    except CompletenessError:
-        # refused only where a parameter is subnormal (gamma1 = 2.2e-311 with
-        # gamma2 = omega1c = eta = 0): the weights of the cluster at S = 0 are
-        # quotients of subnormals, which numpy's complex division takes to inf
-        assert any(0 < abs(v) < np.finfo(float).tiny for v in dataclasses.astuple(config))
-        event("skipped: subnormal parameter (CompletenessError)")
-        return
     assert dev <= 1e-12
 
 
@@ -454,7 +447,8 @@ def _coincident_levels(omega1c, eta, gamma1=0.0, gamma2=0.0):
 MIXED = InitialState(0.5, 0.5j, -0.5, 0.5)
 CONTINUITY = (1e-20, -1e-20)  # shifts of a1 and a2 in the reference at an exact double root
 # (config, initial state, window, shifts): the cases of the double roots off
-# the sheet, the branch cluster and the pole on the cut above
+# the sheet, the branch cluster and the pole on the cut above; a subnormal
+# gamma1 is taken as 0 in the sectors, against the reference at gamma1 itself
 SPECIAL_CASES = (
     [pytest.param(_coincident_levels(DOUBLE_A1, PI / 3, gamma2=g2), MIXED, 60.0,
                   CONTINUITY if g2 == 0 else (0.0,), id=f"double-{g2:g}")
@@ -464,7 +458,7 @@ SPECIAL_CASES = (
        for w1c in (-3.0, -3.0 + 1e-12, -3.0 - 1e-9)]
     + [pytest.param(_coincident_levels(0.0, 0.0, gamma1=g1), preset_initial("unentangled"),
                     50.0, (0.0,), id=f"cluster-{g1:g}")
-       for g1 in (1e-30, 2.3e-121, 1e-300, 2.2e-309)]
+       for g1 in (1e-30, 2.3e-121, 1e-300, 2.2e-309, 2.2e-311, 1e-315, 5e-324)]
     + [pytest.param(_coincident_levels(w1c, 0.0), MIXED, 30.0, (0.0,), id=f"cut-{w1c!r}")
        for w1c in (-2.0, -2.0 + 1e-9, -2.0 - 1e-9)]
 )

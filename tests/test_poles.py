@@ -259,3 +259,17 @@ def test_closed_form_completeness_property(case):
     config, init = case
     traj = inversion.amplitudes_analytic(np.array([0.0, 1.0]), config, init)
     assert traj.meta["completeness"] <= 1e-9
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(configs_and_states())
+def test_exchange_poles_are_rows_of_their_own(case):
+    # v1 is the G1 prefactor row at i gamma1 and v2 the H1 one at
+    # i (gamma2 + omega12): once each, weight 1, classed by the band edge
+    config, _ = case
+    records = find_poles(config).records
+    for kind, tag, y in (("v1", "G1", config.gamma1),
+                         ("v2", "H1", config.gamma2 + config.omega12)):
+        rows = [r for r in records if r.kind == kind]
+        assert [(r.tag, r.x, r.weight, r.dynamic) for r in rows] == [(tag, 1j * y, 1.0, True)]
+        assert rows[0].klass == ("localized" if y + config.omega1c < 0 else "bandpass")
