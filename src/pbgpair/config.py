@@ -184,12 +184,10 @@ def parse_run_file(path) -> RunSpec:
 
     Required keys: gamma1, gamma2, omega12, omega1c, omega2c, eta_degrees,
     initial, t_max, dt_out.  `initial = custom` additionally requires
-    a1_re .. a4_im.  Optional: engine = analytic|oracle|both.  Unknown keys
-    raise ParseError with the offending line number.
+    a1_re .. a4_im.  Optional: engine = analytic|oracle|both.  Unknown and
+    repeated keys raise ParseError with the offending line number.
     """
-    values: dict[str, float] = {}
-    initial_name = None
-    engine = None
+    values: dict[str, float | str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -200,17 +198,17 @@ def parse_run_file(path) -> RunSpec:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
+            if key in values:
+                raise ParseError(f"duplicate key {key!r}", lineno)
             if key == "initial":
-                if val not in ("unentangled", "bright", "custom"):
-                    raise ParseError(f"initial must be unentangled|bright|custom, got {val!r}", lineno)
-                initial_name = val
+                if val not in (*_PRESET_STATES, "custom"):
+                    raise ParseError(f"initial must be {'|'.join(_PRESET_STATES)}|custom, got {val!r}", lineno)
+                values[key] = val
             elif key == "engine":
                 if val not in ENGINES:
                     raise ParseError(f"engine must be one of {ENGINES}, got {val!r}", lineno)
-                engine = val
+                values[key] = val
             elif key in _SCALAR_KEYS or key in _AMP_KEYS:
-                if key in values:
-                    raise ParseError(f"duplicate key {key!r}", lineno)
                 try:
                     values[key] = float(val)
                 except ValueError:
@@ -223,10 +221,10 @@ def parse_run_file(path) -> RunSpec:
     missing = sorted(k for k in _SCALAR_KEYS if k not in values)
     if missing:
         raise ParseError(f"missing required keys: {', '.join(missing)}")
-    if initial_name is None:
+    if "initial" not in values:
         raise ParseError("missing required key: initial")
 
-    if initial_name == "custom":
+    if values["initial"] == "custom":
         missing_amp = sorted(k for k in _AMP_KEYS if k not in values)
         if missing_amp:
             raise ParseError(
@@ -244,7 +242,7 @@ def parse_run_file(path) -> RunSpec:
             raise ParseError(
                 f"amplitude keys only allowed with initial = custom: {', '.join(extra_amp)}"
             )
-        init = preset_initial(initial_name)
+        init = preset_initial(values["initial"])
 
     config = SystemConfig(
         gamma1=values["gamma1"],
@@ -259,6 +257,6 @@ def parse_run_file(path) -> RunSpec:
         init=init,
         t_max=values["t_max"],
         dt_out=values["dt_out"],
-        engine=engine or "analytic",
+        engine=values.get("engine", "analytic"),
     )
 

@@ -1,4 +1,5 @@
-"""Run orchestration shared by the command line and the sweep driver."""
+"""Run orchestration shared by the command line and the sweep driver.  A
+run is refused, if at all, before either engine starts."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .errors import DomainError
 
 log = logging.getLogger("pbgpair")
 
-# Size budget, checked before anything is allocated.  An analytic run peaks
+# Size budget, checked before either engine starts.  An analytic run peaks
 # at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
 # fig2b and fig5c), and formatting and writing its CSV at about 0.2 kB per
 # point (21 MB for the 11 MB text of fig2b).  The oracle never forms its (dim x dim)
@@ -38,35 +39,14 @@ def analytic_trajectory(config, init, t_max, dt_out):
     return inversion.amplitudes_analytic(times, config, init)
 
 
-def oracle_trajectory(config, init, t_max, dt_out, n_modes, clip_to_horizon=False):
-    b = bath.build_bath(config, n_modes=n_modes)
-    horizon = b.recurrence_time()
-    if clip_to_horizon and t_max > horizon:
-        t_max = dt_out * np.floor(horizon / dt_out)
-        log.info("oracle horizon %.6g limits the reference run to t=%.6g",
-                 horizon, t_max)
-    # past the horizon integrate() raises before allocating anything
-    points = n_points(min(t_max, horizon), dt_out)
-    if points > MAX_ORACLE_POINTS:
-        raise DomainError(f"oracle output grid of {points} points exceeds the budget of "
-                          f"{MAX_ORACLE_POINTS}; raise dt_out or lower t_max")
-    size = points * bath.block_dim(config, n_modes)
-    if size > MAX_PROPAGATION_SIZE:
-        raise DomainError(f"oracle time sum of {size} terms (points x block dimension) "
-                          f"exceeds the budget of {MAX_PROPAGATION_SIZE}; raise dt_out or "
-                          "lower t_max")
-    traj = bath.integrate(config, init, b, t_max=t_max, dt_out=dt_out)
-    log.info("oracle: %d secular roots, spectral weight defect %.3g, horizon %.6g",
-             traj.meta["n_roots"], traj.meta["weight_defect"], horizon)
-    return traj
-
-
 def run_spec(spec: RunSpec, n_modes: int):
     """Execute a run: returns (series, trajectory, deviation).
 
-    ``deviation`` is None unless engine='both', in which case it is the
-    maximum amplitude difference between the engines over the oracle
-    horizon (also written to the run log).
+    Every size budget is checked, and the oracle's bath built, before
+    either engine starts.  ``deviation`` is None unless engine='both', in
+    which case it is the maximum amplitude difference between the engines
+    over the oracle horizon, to which that run's oracle is clipped (both
+    are written to the run log).
     """
     # n_points > MAX_POINTS, decided on the float: past the budget the ratio
     # may not fit an int
@@ -79,15 +59,32 @@ def run_spec(spec: RunSpec, n_modes: int):
         if dim > MAX_BLOCK_DIM:
             raise DomainError(f"oracle block of dimension {dim} exceeds the budget of "
                               f"{MAX_BLOCK_DIM}; lower the number of modes")
-    deviation = None
-    if spec.engine == "oracle":
-        traj = oracle_trajectory(spec.config, spec.init, spec.t_max, spec.dt_out,
-                                 n_modes=n_modes)
-    else:
+        b = bath.build_bath(spec.config, n_modes=n_modes)
+        horizon = b.recurrence_time()
+        t_oracle = spec.t_max
+        if spec.engine == "both" and t_oracle > horizon:
+            t_oracle = spec.dt_out * np.floor(horizon / spec.dt_out)
+            log.info("oracle horizon %.6g limits the reference run to t=%.6g",
+                     horizon, t_oracle)
+        # past the horizon integrate() raises before allocating anything
+        points = n_points(min(t_oracle, horizon), spec.dt_out)
+        if points > MAX_ORACLE_POINTS:
+            raise DomainError(f"oracle output grid of {points} points exceeds the budget of "
+                              f"{MAX_ORACLE_POINTS}; raise dt_out or lower t_max")
+        if points * dim > MAX_PROPAGATION_SIZE:
+            raise DomainError(f"oracle time sum of {points * dim} terms (points x block "
+                              f"dimension) exceeds the budget of {MAX_PROPAGATION_SIZE}; "
+                              "raise dt_out or lower t_max")
+    if spec.engine != "oracle":
         traj = analytic_trajectory(spec.config, spec.init, spec.t_max, spec.dt_out)
-        if spec.engine == "both":
-            ref = oracle_trajectory(spec.config, spec.init, spec.t_max, spec.dt_out,
-                                    n_modes=n_modes, clip_to_horizon=True)
+    deviation = None
+    if spec.engine != "analytic":
+        ref = bath.integrate(spec.config, spec.init, b, t_max=t_oracle, dt_out=spec.dt_out)
+        log.info("oracle: %d secular roots, spectral weight defect %.3g, horizon %.6g",
+                 ref.meta["n_roots"], ref.meta["weight_defect"], horizon)
+        if spec.engine == "oracle":
+            traj = ref
+        else:
             k = ref.times.size
             deviation = float(np.max(np.abs(ref.amps - traj.amps[:k])))
             log.info("engine=both: max amplitude deviation %.6g over t in [0, %.6g]",

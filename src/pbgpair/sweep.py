@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import csvio, negativity
@@ -72,40 +71,35 @@ def value_label(parameter: str, value) -> str:
 
 
 def _run_one(args):
-    spec, parameter, value, n_modes = args
-    sub = apply_parameter(spec, parameter, value)
-    series, traj, _ = run_spec(sub, n_modes=n_modes)
+    label, spec, n_modes = args
+    series, traj, _ = run_spec(spec, n_modes=n_modes)
     hl = negativity.half_life(series.times, series.log_negativity)
     ien = negativity.integrated_en(series.times, series.log_negativity,
-                                   min(INTEGRAL_WINDOW, sub.t_max))
-    label = value_label(parameter, value)
+                                   min(INTEGRAL_WINDOW, spec.t_max))
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
 def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> list:
     """Run every value, write per-value CSVs and the summary; returns rows.
 
-    ``n_modes`` sizes the oracle bath of engine=oracle|both runs.  Values
-    whose labels coincide would write one file; they raise DomainError
-    before any value runs.
+    ``n_modes`` sizes the oracle bath of engine=oracle|both runs.  Every
+    value's run and label (two values may not share a file) and THREADS
+    are checked before ``out_dir`` is created.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
-    seen = {}
+    jobs, seen = [], {}
     for value in values:
         label = value_label(parameter, value)
         if label in seen:
             raise DomainError(f"sweep values {seen[label]!r} and {value!r} share the "
                               f"label {label!r}")
         seen[label] = value
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = [(spec, parameter, value, n_modes) for value in values]
-    if not jobs:
-        csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
-                           csvio.sweep_summary_csv([]))
-        return []
+        jobs.append((label, apply_parameter(spec, parameter, value), n_modes))
     n_workers = min(worker_count(), len(jobs))
+    os.makedirs(out_dir, exist_ok=True)
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbgpair import bath, kernel, pipeline
-from pbgpair.config import InitialState, SystemConfig, preset_initial
+from pbgpair.config import InitialState, RunSpec, SystemConfig, preset_initial
 from pbgpair.errors import (
     DiscretizationError,
     DomainError,
@@ -304,8 +304,8 @@ def test_mode_spectrum_matches_dense():
 
 def test_oracle_reports_spectral_completeness(caplog):
     with caplog.at_level(logging.INFO, logger="pbgpair"):
-        tr = pipeline.oracle_trajectory(FIG2B, preset_initial("unentangled"), 5.0, 0.5,
-                                        n_modes=150)
+        _, tr, _ = pipeline.run_spec(RunSpec(FIG2B, preset_initial("unentangled"), 5.0,
+                                             0.5, engine="oracle"), n_modes=150)
     assert tr.meta["n_roots"] == bath.block_dim(FIG2B, 150) - 2
     assert 0.0 <= tr.meta["weight_defect"] <= 1e-8
     assert any("secular roots" in r.getMessage() and "weight defect" in r.getMessage()

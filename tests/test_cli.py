@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -435,10 +437,88 @@ def test_oracle_time_sum_budget_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_budgets_precede_the_analytic_engine(tmp_path, capsys, monkeypatch):
+    # about 75,000 oracle points at 12,000 modes: refused before the
+    # analytic engine computes its 420,001
+    def fail(*args, **kwargs):
+        raise AssertionError("the analytic engine ran")
+
+    monkeypatch.setattr("pbgpair.inversion.amplitudes_analytic", fail)
+    out = tmp_path / "x.csv"
+    assert main(["preset", "fig5c", "--engine", "both", "--modes", "12000", "--dt", "0.01",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "oracle output grid" in err[0] and "budget" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads,param,values,word", [("1", "eta", "0,200", "eta"),
+                                                       ("abc", "gamma", "3", "THREADS")],
+                         ids=["bad-value", "bad-threads"])
+def test_sweep_refuses_before_anything_runs(tmp_path, monkeypatch, capsys, threads, param,
+                                            values, word):
+    # every value's run and THREADS are checked before the output directory
+    # is made and before any value runs
+    def fail(*args, **kwargs):
+        raise AssertionError("a value ran")
+
+    monkeypatch.setattr("pbgpair.sweep.run_spec", fail)
+    monkeypatch.setenv("THREADS", threads)
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", cfgfile, "--param", param, "--values", values,
+                 "-o", str(outdir), "--tmax", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and word in err[0]
+    assert not outdir.exists()
+
+
+def test_output_path_naming_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    target = tmp_path / "out"
+    target.mkdir()
+    assert main(["run", cfgfile, "-o", str(target), "--tmax", "5"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "I/O error" in err[0]
+    assert list(target.iterdir()) == []
+    assert not list(tmp_path.glob(".pbgpair-*.tmp"))
+
+
+def test_antisymmetric_start_needs_no_secular_root(tmp_path, caplog):
+    # A1 = -A3 = 1/sqrt2 has no symmetric amplitude: the oracle solves no
+    # secular equation and both engines give the pure exchange phase
+    amps = {"a1_re": 2 ** -0.5, "a3_re": -(2 ** -0.5)}
+    text = SHORT_FILE.replace("initial = bright", "initial = custom") + "".join(
+        f"a{i}_{part} = {amps.get(f'a{i}_{part}', 0.0)!r}\n"
+        for i in (1, 2, 3, 4) for part in ("re", "im"))
+    cfgfile = _write(tmp_path, "a.cfg", text)
+    with caplog.at_level("INFO", logger="pbgpair"):
+        assert main(["run", cfgfile, "-o", str(tmp_path / "a.csv"), "--engine", "both",
+                     "--tmax", "10", "--modes", "200"]) == 0
+    msgs = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("oracle: 0 secular roots") for m in msgs), msgs
+    dev = [m for m in msgs if "deviation" in m][0]
+    assert float(dev.split("deviation")[1].split()[0]) <= 1e-12
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # concurrent.futures loads only for a sweep with more than one worker;
+    # the benchmark's tracer needs pbgpair.bath loaded
+    import pbgpair
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
+    code = ("import sys, pbgpair.cli; "
+            "print('concurrent.futures.process' in sys.modules, 'pbgpair.bath' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["False", "True"]
+
+
 @st.composite
 def run_files(draw):
-    """Run-file text and extra command-line arguments: a valid small run or
-    one fault (a NaN/inf or unparsable number, an unknown, duplicate or
+    """Run-file text, extra command-line arguments and the fault drawn: a
+    valid small run (fault None) or one fault (a NaN/inf or unparsable number, an unknown, duplicate or
     missing key, a line without one '=', detunings that do not sum to
     omega12, custom amplitudes of the wrong norm, a grid past the budget
     or a non-positive one), run by a random engine on a bath of random
@@ -481,14 +561,14 @@ def run_files(draw):
                              "equals": draw(st.sampled_from(["t_max", "a = b = c"]))}[fault])
     engine = draw(st.sampled_from(["both", "oracle", "analytic"]))
     modes = draw(st.sampled_from(["300", "100", "10000000", "50"]))
-    return "\n".join(lines) + "\n", ["--engine", engine, "--modes", modes]
+    return "\n".join(lines) + "\n", ["--engine", engine, "--modes", modes], fault
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(run_files(), st.sampled_from(["1", "2", "0", "-3", "abc", "", " 4", "1e3",
                                      "99999999999"]))
 def test_exit_code_contract_property(case, threads):
-    text, extra = case
+    text, extra, fault = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
@@ -501,6 +581,8 @@ def test_exit_code_contract_property(case, threads):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert written == (code == 0)
+    if fault in ("key", "duplicate", "equals", "missing", "value", "detuning", "norm"):
+        assert code == 2
     if code:
         assert len(lines) == 1 and lines[0].startswith("pbgpair run: ")
     # THREADS only through worker_count, which starts no process

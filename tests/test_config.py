@@ -154,6 +154,26 @@ def test_parse_duplicate_key(tmp_path):
         parse_run_file(_write(tmp_path, GOOD + "gamma1 = 5\n"))
 
 
+@pytest.mark.parametrize("extra,line", [("initial = unentangled\n", 12),
+                                        ("engine = oracle\nengine = both\n", 13)],
+                         ids=["initial", "engine"])
+def test_parse_duplicate_word_key(tmp_path, extra, line):
+    # a second initial or engine line is refused, not silently taken
+    with pytest.raises(ParseError, match=f"line {line}: duplicate key"):
+        parse_run_file(_write(tmp_path, GOOD + extra))
+
+
+@pytest.mark.parametrize("text,match", [
+    (GOOD.replace("initial = bright", "initial = dark"),
+     r"line 9: initial must be unentangled\|bright\|custom, got 'dark'"),
+    (GOOD + "engine = fast\n", "line 12: engine must be one of .* got 'fast'"),
+    (GOOD.replace("initial = bright\n", ""), "missing required key: initial"),
+], ids=["bad-initial", "bad-engine", "no-initial"])
+def test_parse_word_key_errors(tmp_path, text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_run_file(_write(tmp_path, text))
+
+
 def test_parse_missing_keys(tmp_path):
     with pytest.raises(ParseError, match="missing"):
         parse_run_file(_write(tmp_path, "gamma1 = 1\n"))

@@ -165,6 +165,12 @@ def test_amplitudes_analytic_grid_validation():
         inversion.CutIntegrator(FIG2B, init, t_min=0.0, abs_tol=inversion.CUT_ABS_TOL)
 
 
+@pytest.mark.parametrize("times", [np.array([]), np.zeros((3, 2))])
+def test_amplitudes_analytic_rejects_empty_and_2d_times(times):
+    with pytest.raises(DomainError, match="non-empty 1-d"):
+        inversion.amplitudes_analytic(times, FIG2B, preset_initial("unentangled"))
+
+
 def test_trajectory_invariants():
     init = preset_initial("bright")
     times = np.arange(0.0, 40.5, 0.5)

@@ -5,7 +5,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import bath, inversion
+from pbgpair import bath, csvio, inversion
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DegeneratePole, NumericalError
@@ -115,6 +115,15 @@ def test_table_rows_have_zero_dynamic_residue():
             continue
         limit = residue_by_limit(r, config, init)
         assert np.max(np.abs(limit)) < 1e-7
+
+
+def test_table_row_at_the_branch_point():
+    # gamma1 = -omega1c puts the table root x = -i gamma1 on the branch
+    # point, where the slope of H1 is unbounded: the row has weight 0
+    config = SystemConfig(gamma1=0.6, gamma2=0.6, omega12=0.4, omega1c=-0.6,
+                          omega2c=-1.0, eta=PI)
+    rows = "".join(csvio.poles_csv(find_poles(config))).splitlines()
+    assert "H1,0,-0.6,localized,0,0" in rows
 
 
 def test_coincident_poles_of_separate_sectors_invert():
