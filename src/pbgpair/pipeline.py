@@ -17,13 +17,14 @@ log = logging.getLogger("pbgpair")
 # at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
 # fig2b and fig5c), and formatting and writing its CSV at about 0.2 kB per
 # point (21 MB for the 11 MB text of fig2b).  The oracle never forms its (dim x dim)
-# generator: its memory is the CHUNK_ELEMS work arrays of bath.py plus
-# O(dim x CHEB_DEGREE) for the roots and the far-field interpolants (a
-# 93 MB process at dim 51,212).  Its work is the
+# generator: its memory is the CHUNK_ELEMS work arrays of bath.py plus a few
+# hundred bytes per mode for the roots, the far-field interpolants and the
+# near-field sources (a 69 MB process at dim 51,212).  Its work is the
 # far-field build, about dim^2 CHEB_DEGREE / PANEL pole-node terms per
 # secular equation (2.6 s at dim 51,212, 10 s at MAX_BLOCK_DIM: 21 s for the
 # two equations of orthogonal dipoles with both transitions populated), a
-# few passes of dim x 3 PANEL near-field terms, and the time sum, output
+# few passes of about 4 PANEL near-field terms per root (direct poles and
+# Chebyshev proxies, 492 at most at dim 51,212), and the time sum, output
 # points x dim complex multiply-adds (MAX_PROPAGATION_SIZE; 0.5 s at
 # 3.3e8).  The oracle's output grid is a cross-check of a run's window and
 # is capped at MAX_ORACLE_POINTS, six times the longest preset grid (fig5c,
@@ -43,10 +44,11 @@ def run_spec(spec: RunSpec, n_modes: int):
     """Execute a run: returns (series, trajectory, deviation).
 
     Every size budget is checked, and the oracle's bath built, before
-    either engine starts.  ``deviation`` is None unless engine='both', in
-    which case it is the maximum amplitude difference between the engines
-    over the oracle horizon, to which that run's oracle is clipped (both
-    are written to the run log).
+    either engine starts.  The bath's recurrence horizon is one of them
+    for engine='oracle': a longer run is refused.  ``deviation`` is None
+    unless engine='both', in which case it is the maximum amplitude
+    difference between the engines over the oracle horizon, to which that
+    run's oracle is clipped (both are written to the run log).
     """
     # n_points > MAX_POINTS, decided on the float: past the budget the ratio
     # may not fit an int
@@ -62,12 +64,15 @@ def run_spec(spec: RunSpec, n_modes: int):
         b = bath.build_bath(spec.config, n_modes=n_modes)
         horizon = b.recurrence_time()
         t_oracle = spec.t_max
-        if spec.engine == "both" and t_oracle > horizon:
+        if t_oracle > horizon:
+            if spec.engine == "oracle":
+                raise DomainError(f"t_max={spec.t_max:g} exceeds the oracle horizon "
+                                  f"{horizon:.6g} of {n_modes} modes; raise --modes or "
+                                  "lower t_max")
             t_oracle = spec.dt_out * np.floor(horizon / spec.dt_out)
             log.info("oracle horizon %.6g limits the reference run to t=%.6g",
                      horizon, t_oracle)
-        # past the horizon integrate() raises before allocating anything
-        points = n_points(min(t_oracle, horizon), spec.dt_out)
+        points = n_points(t_oracle, spec.dt_out)
         if points > MAX_ORACLE_POINTS:
             raise DomainError(f"oracle output grid of {points} points exceeds the budget of "
                               f"{MAX_ORACLE_POINTS}; raise dt_out or lower t_max")

@@ -374,6 +374,57 @@ def test_far_field_matches_direct_sums(poles, h, kappa):
     assert np.max(np.abs(sigma - sigma0) / np.abs(terms).sum(axis=1)) <= 1e-13
 
 
+def test_proxies_beside_clusters_match_direct_sums():
+    # clusters at spacing 1e-10 near |d| = 10 that fill whole panels, among
+    # scattered poles: a panel beside a cluster sums the cluster's panels
+    # through proxies about 1e-8 away, where positions rounded at |d| = 10
+    # would be off by 1e-7 relative
+    rng = np.random.default_rng(2024)
+    panels = lambda at, k: at + 1e-10 * np.arange(k * bath.PANEL)  # noqa: E731
+    d = np.concatenate([panels(-9.9, 2), np.sort(rng.uniform(-9.5, 9.5, 3 * bath.PANEL)),
+                        panels(9.6, 4), np.sort(rng.uniform(9.7, 10.5, 3 * bath.PANEL))])
+    w = rng.uniform(1e-4, 1.0, d.size) * 10.0 ** rng.integers(-6, 2, d.size)
+    h, kappa = 0.3, 2.0
+    value = lambda z: ((z - h) / kappa, np.full(np.shape(z), 1.0 / kappa))  # noqa: E731
+    far = bath._far_field(d, w)
+
+    # the intervals at the clusters' ends, from beside the lower pole to
+    # beside the upper one, as offsets from the nearer pole
+    frac = np.array([1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9])
+    origin, tau = [], []
+    for k in (2 * bath.PANEL, 5 * bath.PANEL, 9 * bath.PANEL):
+        gap = d[k] - d[k - 1]
+        origin += [k - 1 if f < 0.5 else k for f in frac]
+        tau += [gap * f if f < 0.5 else -gap * (1.0 - f) for f in frac]
+    origin = np.array(origin)
+    tau = np.array(tau)
+    # the roots' panels sum cluster panels through proxies: the smallest
+    # offset of a group's proxies is 0.002 of its width
+    tiny = [np.min(off[off > 0], initial=1.0) < 1e-10
+            for off in np.split(far.offset, far.ptr[1:-1])]
+    assert sum(tiny[p] for p in set(origin // bath.PANEL)) >= 3
+
+    F, Fp, s2lo, s2, _, _, sigma = bath._evaluate(d, w, value, origin, tau, far)
+    _, Fp0, s2lo0, s2_0, _, err0, sigma0 = evaluate_direct(d, w, value, origin, tau)
+    terms = w / ((d[None, :] - d[origin, None]) - tau[:, None])
+    exact = value(d[origin] + tau)[0] + np.array([math.fsum(row) for row in terms])
+    assert np.all(np.abs(F - exact) <= err0)
+    assert np.max(np.abs(Fp - Fp0) / Fp0) <= 1e-13
+    assert np.max(np.abs(s2lo - s2lo0) / np.where(s2lo0 > 0, s2lo0, 1.0)) <= 1e-13
+    assert np.max(np.abs(sigma - sigma0) / np.abs(terms).sum(axis=1)) <= 1e-13
+
+
+def test_near_field_size():
+    # proxies stand in for the dense window below the geometric tail: every
+    # panel sums at most 600 near terms, where the window's poles alone
+    # number 4,000
+    p = get_preset("fig2b")
+    b = bath.build_bath(p.config, n_modes=4000)
+    far = bath._far_field(b.nu - p.config.omega1c, b.g ** 2)
+    assert far.ptr.size == -(-b.n_modes // bath.PANEL) + 1
+    assert np.max(np.diff(far.ptr)) <= 600
+
+
 @pytest.mark.parametrize("n_modes", [4000, 12000])
 def test_integrate_memory_peak(n_modes):
     # every work array is bounded by CHUNK_ELEMS entries, a panel's rows or

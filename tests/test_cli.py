@@ -452,6 +452,23 @@ def test_oracle_budgets_precede_the_analytic_engine(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_oracle_past_the_horizon_is_a_budget(tmp_path, capsys, monkeypatch):
+    # the horizon follows from --modes alone (12.6 at 200 modes), so an
+    # oracle run past it is refused like the other budgets, before either
+    # engine starts
+    def fail(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr("pbgpair.bath.integrate", fail)
+    monkeypatch.setattr("pbgpair.inversion.amplitudes_analytic", fail)
+    out = tmp_path / "x.csv"
+    assert main(["preset", "fig2a", "--engine", "oracle", "--modes", "200",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "horizon 12.6295" in err[0] and "--modes" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads,param,values,word", [("1", "eta", "0,200", "eta"),
                                                        ("abc", "gamma", "3", "THREADS")],
                          ids=["bad-value", "bad-threads"])
