@@ -1,13 +1,14 @@
 """Entanglement dynamics of two V-type atoms near a photonic band edge.
 
 Core surface: configuration records (:mod:`pbgpair.config`), the
-band-edge kernel (:mod:`pbgpair.kernel`), the symmetric-sector
-polynomials and the pole tables (:mod:`pbgpair.poles`), the closed-form
-inversion (:mod:`pbgpair.inversion`), a discretized-bath reference
-integrator (:mod:`pbgpair.bath`) and two-atom negativity
-(:mod:`pbgpair.negativity`).  :mod:`pbgpair.transform` and the residue
-sum and cut integral of :mod:`pbgpair.inversion` are the previous
-inversion route, kept for the tests' cross-check.
+symmetric-sector polynomials in S = sqrt(-i x - omega1c), in which the
+band-edge kernel is beta' = 1 / (i S), and the pole tables
+(:mod:`pbgpair.poles`), the closed-form inversion
+(:mod:`pbgpair.inversion`), a discretized-bath reference integrator
+(:mod:`pbgpair.bath`) and two-atom negativity (:mod:`pbgpair.negativity`).
+:mod:`pbgpair.transform` and the residue sum and cut integral of
+:mod:`pbgpair.inversion` are the previous inversion route, kept for the
+tests' cross-check.
 """
 
 from .config import (

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
 from .config import AmplitudeTrajectory, time_grid
 from .errors import (
     DiscretizationError,
@@ -66,7 +65,7 @@ DENSE_WINDOW = 50.0     # densely sampled window above the edge
 SIN_ETA_FLOOR = 1e-8
 EPS = np.finfo(float).eps
 SECULAR_MAX_ITER = 100
-CHUNK_ELEMS = 1 << 20   # entries per (roots x modes) work array, 8 MB in float64
+CHUNK_ELEMS = 1 << 20   # entries per work array of the far-field build and the time sum
 # Far field of the secular sums: panels of PANEL consecutive poles; a pole
 # at least ADMISSIBLE half-widths from a panel's centre is summed through
 # Chebyshev interpolants of degree CHEB_DEGREE on the panel's interval, and
@@ -152,7 +151,8 @@ def build_bath(config, n_modes: int) -> DiscreteBath:
     bath = DiscreteBath(nu=nu, g=np.sqrt(g2), n_main=n_modes)
 
     test_x = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
-    target = kernel.beta_prime(test_x, config.omega1c)
+    # beta' = 1 / (i S); Re x != 0 keeps every test point off the cut
+    target = 1 / (1j * np.sqrt(-1j * test_x - config.omega1c))
     err = np.max(np.abs(bath.resolvent(test_x, config.omega1c) - target))
     if err > RESOLVENT_TOL:
         raise DiscretizationError(
@@ -290,12 +290,12 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
     no bound.  The roots go in one group per panel.  A group takes its far
     field from the panel's Chebyshev interpolants (``far``), one
     (rows x CHEB_DEGREE + 1) by (CHEB_DEGREE + 1 x 4) product, and its near
-    field from the panel's sources, with the differences z - d_j formed as
-    ((base - d[origin]) + offset) - tau: for a direct pole that is
-    (d_j - d[origin]) - tau, accurate to relative rounding even beside the
-    pole, and a proxy keeps its offset from a pole of its group to the
-    same accuracy.  A root outside its panel's interval (the outer roots)
-    takes every pole directly.
+    field from the panel's sources in one (rows x sources) block, with the
+    differences z - d_j formed as ((base - d[origin]) + offset) - tau: for
+    a direct pole that is (d_j - d[origin]) - tau, accurate to relative
+    rounding even beside the pole, and a proxy keeps its offset from a pole
+    of its group to the same accuracy.  A root outside its panel's interval
+    (the two outer roots) takes every pole directly.
     """
     mu, mu_p = value(d[origin] + tau)
     panel = origin // PANEL
@@ -317,20 +317,17 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
             base, offset, weight = far.base[src], far.offset[src], far.weight[src]
         else:
             base, offset, weight = d, np.zeros(d.size), w
-        step = max(1, CHUNK_ELEMS // base.size)
-        for a in range(0, rows.size, step):
-            k = rows[a:a + step]
-            r = base[None, :] - d[origin[k], None]
-            r += offset
-            r -= tau[k, None]
-            np.reciprocal(r, out=r)          # 1 / (d_j - z)
-            lower = np.minimum(r, 0.0)       # the poles below z
-            sums[0, k] += r @ weight
-            sums[1, k] += lower @ weight
-            r *= r
-            lower *= lower
-            sums[2, k] += r @ weight
-            sums[3, k] += lower @ weight
+        r = base[None, :] - d[origin[rows], None]
+        r += offset
+        r -= tau[rows, None]
+        np.reciprocal(r, out=r)          # 1 / (d_j - z)
+        lower = np.minimum(r, 0.0)       # the poles below z
+        sums[0, rows] += r @ weight
+        sums[1, rows] += lower @ weight
+        r *= r
+        lower *= lower
+        sums[2, rows] += r @ weight
+        sums[3, rows] += lower @ weight
     s1, s1lo, s2, s2lo = sums
     # s1 - 2 s1lo = sum_j w_j / |d_j - z| scales the rounding of the sum
     err = EPS * (8.0 * (np.abs(mu) + s1 - 2.0 * s1lo) + 2.0 * np.abs(d[origin] + tau) * mu_p)

@@ -141,14 +141,18 @@ _COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "poles": _cmd_poles,
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="pbgpair: %(message)s")
     parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     command = args.command
+    # the log lines of this call go to its own sys.stderr
+    log, handler = logging.getLogger("pbgpair"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("pbgpair: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return _COMMANDS[command](args)
     except ConfigError as exc:
@@ -166,6 +170,9 @@ def main(argv=None) -> int:
         print(f"pbgpair {command}: numerical failure in {_stage(exc)}: "
               f"{type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

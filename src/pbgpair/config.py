@@ -2,7 +2,7 @@
 
 All frequencies are dimensionless, expressed in units of the band-edge
 coupling constant beta, and times in units of 1/beta.  Sign
-conventions follow the transform-domain treatment in :mod:`pbgpair.kernel`:
+conventions follow the band-edge kernel beta' = 1 / (i sqrt(-i x - omega1c)):
 ``omega1c``/``omega2c`` are the detunings of the two upper levels from the
 band edge, negative values placing a level inside the gap.
 """

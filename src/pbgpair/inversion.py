@@ -46,14 +46,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernel, poles, transform
+from . import poles, transform
 from .config import AmplitudeTrajectory
-from .errors import CompletenessError, DomainError, NumericalError, QuadratureError
+from .errors import (BranchPointError, CompletenessError, DomainError, NumericalError,
+                     QuadratureError)
 from .poles import PoleSet, sector_parameters
 
 COMPLETENESS_TOL = 1e-9
 EXP_MAX = 700.0  # e^{x t} of a sheet root stays below ~1e304 up to x t = EXP_MAX
-CUT_ABS_TOL = 1e-10
 CUT_FAIL_TOL = 1e-9
 CUT_MAX_ROUNDS = 60  # panel refinement rounds of CutIntegrator
 EXP_FLOOR = 32.3  # e^{-q^2 t} < 1e-14 beyond q^2 t = EXP_FLOOR
@@ -257,6 +257,17 @@ def closed_form(t, config, terms: Terms):
     return out
 
 
+def _beta_prime_sheet(x, omega1c: float):
+    """beta' = 1 / (i S) on the inversion sheet, S = e^{-i pi/4} sqrt(x - i omega1c)
+    with the principal root: cut along {x = i omega1c - u, u > 0}, with the
+    limit from above on it.  The second branch is its negative."""
+    z = np.asarray(x, dtype=complex) - 1j * omega1c
+    if np.any(z == 0):
+        raise BranchPointError(f"kernel branch point at x = i*omega1c (omega1c={omega1c})")
+    val = 1 / (1j * (np.exp(-0.25j * np.pi) * np.sqrt(np.where(z.imag == 0, z.real + 0j, z))))
+    return val if val.ndim else complex(val)
+
+
 def residue_numerators(record, config, init):
     """Per-amplitude residue numerators N_i with Res[A_i] = N_i * weight.
 
@@ -280,7 +291,7 @@ def residue_numerators(record, config, init):
     if record.kind != "u":
         return np.zeros(4, dtype=complex)
     x0 = record.x
-    g = kernel.beta_prime_sheet(x0, config.omega1c)
+    g = _beta_prime_sheet(x0, config.omega1c)
     c = config.cos_eta
     u10, u20 = a10 + a30, a20 + a40
     f1 = x0 + 1j * config.gamma1 + 2 * g

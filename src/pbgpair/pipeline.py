@@ -70,8 +70,6 @@ def run_spec(spec: RunSpec, n_modes: int):
                                   f"{horizon:.6g} of {n_modes} modes; raise --modes or "
                                   "lower t_max")
             t_oracle = spec.dt_out * np.floor(horizon / spec.dt_out)
-            log.info("oracle horizon %.6g limits the reference run to t=%.6g",
-                     horizon, t_oracle)
         points = n_points(t_oracle, spec.dt_out)
         if points > MAX_ORACLE_POINTS:
             raise DomainError(f"oracle output grid of {points} points exceeds the budget of "
@@ -80,6 +78,9 @@ def run_spec(spec: RunSpec, n_modes: int):
             raise DomainError(f"oracle time sum of {points * dim} terms (points x block "
                               f"dimension) exceeds the budget of {MAX_PROPAGATION_SIZE}; "
                               "raise dt_out or lower t_max")
+        if t_oracle < spec.t_max:
+            log.info("oracle horizon %.6g limits the reference run to t=%.6g",
+                     horizon, t_oracle)
     if spec.engine != "oracle":
         traj = analytic_trajectory(spec.config, spec.init, spec.t_max, spec.dt_out)
     deviation = None

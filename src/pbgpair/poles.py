@@ -8,6 +8,8 @@ that the ``poles`` CSVs and the acceptance tests read:
   poles), -gamma1, omega12 - gamma2 (the exchange-split lower levels) and
   y = omega1c - 4 (the band-edge interference factor 1 + 2*beta').
   These are what the pole report lists and the regression tables quote.
+  On the axis the table takes the principal S = sqrt(y - omega1c),
+  +i sqrt(omega1c - y) below the edge (the value on the cut from above).
 
 * the dynamic poles of the transform amplitudes on the inversion sheet:
   the exchange poles x = i*gamma1 and x = i*(gamma2 + omega12), and the
@@ -49,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel
 from .errors import DegeneratePole, NumericalError
 
 MERGE_TOL = 1e-8
@@ -104,20 +105,20 @@ def _table_roots(config):
 
 def _table_weight(x, config):
     """Reciprocal slope of H1 = i * prefactor * lower1 * lower2 *
-    (1 + 2 beta') at its root x, by the product rule (principal kernel).
+    (1 + 2 beta') at its root x = i y, by the product rule: with the
+    principal S = sqrt(y - omega1c), 1 + 2 beta' = 1 - 2i/S has slope 1/S^3.
 
     Factors within MERGE_TOL of zero count as zero; the weight is 0 at a
     double root (slope 0) and at the branch point (slope unbounded).
     """
-    w = x - 1j * config.omega1c
-    if w == 0:
+    s = np.sqrt(complex(x.imag - config.omega1c))
+    if s == 0:
         return 0j
-    g = kernel.beta_prime(x, config.omega1c)
     ix = 1j * x
     pre = config.omega12 + config.gamma2
-    factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 + 2 * g]
+    factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 - 2j / s]
     factors = [f if abs(f) > MERGE_TOL else 0j for f in factors]
-    slopes = [1j, 1j, 1j, -g / w]
+    slopes = [1j, 1j, 1j, 1 / s ** 3]
     deriv = 1j * sum(slopes[k] * np.prod(factors[:k] + factors[k + 1:]) for k in range(4))
     return 0j if deriv == 0 else complex(1.0 / deriv)
 

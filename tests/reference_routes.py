@@ -26,7 +26,10 @@ transpose and a Hermitian eigensolve (``log_negativity``,
 ``negativity_series``), against the closed form of
 :func:`pbgpair.negativity.entanglement_series`.
 
-Transform domain: the exchange-symmetric closed form ``uv_solution``, the
+Transform domain: the band-edge kernel ``beta_prime`` on the principal
+branch (the package works in S = sqrt(-i x - omega1c) alone), the
+table weights ``table_weight_kernel`` from it, against the weights in S of
+the pole table, the exchange-symmetric closed form ``uv_solution``, the
 single-point solve ``transform_amplitudes`` with its denominator, the
 classification functions ``spectral_functions``, the kernel triple
 ``kernel_values`` and the published single-denominator amplitudes
@@ -43,9 +46,9 @@ near/far-field evaluation of the secular solver.  ``mode_probs`` and
 spectrum, against the dense route's.
 
 Measures read only by the tests: the band-edge ``spectral_density`` and
-the time-domain ``memory_kernel``, checked against
-:func:`pbgpair.kernel.beta_prime` by quadrature, and the E_N
-``oscillation_envelope`` of acceptance criterion 8.
+the time-domain ``memory_kernel``, checked against ``beta_prime`` by
+quadrature, and the E_N ``oscillation_envelope`` of acceptance
+criterion 8.
 """
 
 import cmath
@@ -55,19 +58,20 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from pbgpair import kernel, transform
+from pbgpair import poles, transform
 from pbgpair.bath import (CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath,
                           _symmetric_spectrum)
 from pbgpair.config import AmplitudeTrajectory
-from pbgpair.errors import (DomainError, NormError, QuadratureError,
+from pbgpair.errors import (BranchPointError, DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
-from pbgpair.inversion import CUT_FAIL_TOL, EXP_FLOOR, cut_discontinuity
+from pbgpair.inversion import CUT_FAIL_TOL, EXP_FLOOR, _beta_prime_sheet, cut_discontinuity
 from pbgpair.negativity import NORM_SLACK
 
 # populated product states: |a1 a6>, |a2 a6>, |a3 a4>, |a3 a5>, |a3 a6>
 _IDX = (2, 5, 6, 7, 8)
 EIG_CLAMP = -1e-12
 SINGULAR_TOL = 1e-12
+CUT_ABS_TOL = 1e-10  # absolute tolerance of the tests' CutIntegrator runs
 RK4_NORM_TOL = 1e-6  # stiff-tail aliasing floor of the stepper
 REFERENCE_DPS = 40
 _ZERO = np.zeros(0, dtype=complex)
@@ -116,7 +120,7 @@ def branch_cut_integral(t: float, config, init):
 def delta_sheet(x, config):
     """Symmetric-sector determinant Delta(x) on the inversion sheet."""
     x = np.asarray(x, dtype=complex)
-    g = kernel.beta_prime_sheet(x, config.omega1c)
+    g = _beta_prime_sheet(x, config.omega1c)
     f1 = x + 1j * config.gamma1 + 2 * g
     f2 = x - 1j * config.omega12 + 1j * config.gamma2 + 2 * g
     return f1 * f2 - 4 * g * g * config.cos_eta ** 2
@@ -136,7 +140,7 @@ def residue_weight_fd(record, config, step=1e-6):
     def denom(x):
         if record.kind in ("u+", "u-"):
             sign = 1.0 if record.kind == "u+" else -1.0
-            g = kernel.beta_prime_sheet(x, config.omega1c)
+            g = _beta_prime_sheet(x, config.omega1c)
             return x + 1j * config.gamma1 + 2 * g * (1.0 + sign * config.cos_eta)
         return delta_sheet(x, config)
 
@@ -155,7 +159,7 @@ def residue_by_limit(record, config, init, eps=1e-5):
     def ring(r):
         ang = np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
         xs = x0 + r * ang
-        g = kernel.beta_prime_sheet(xs, config.omega1c)
+        g = _beta_prime_sheet(xs, config.omega1c)
         sol = transform.solve_system(xs, config, init, g)
         return np.mean((xs - x0)[:, None] * sol, axis=0)
 
@@ -354,13 +358,60 @@ class TransformAmplitudes:
     denom: complex
 
 
+def _principal_sqrt_top(w):
+    """Principal sqrt with the negative real axis mapped to +i sqrt(|w|)."""
+    w = np.asarray(w, dtype=complex)
+    on_cut = (w.imag == 0.0) & (w.real < 0.0)
+    s = np.sqrt(np.where(on_cut, w.real + 0j, w))
+    if np.any(on_cut):
+        s = np.where(on_cut, 1j * np.sqrt(-w.real + 0j), s)
+    return s
+
+
+def beta_prime(x, omega1c: float):
+    """Band-edge kernel beta' = 1 / (i sqrt(-i x - omega1c)).
+
+    Principal square root (cut on the negative real axis of the argument,
+    approached from above).  Accepts scalars or arrays; raises
+    BranchPointError if any point sits exactly on the branch point.
+    """
+    x = np.asarray(x, dtype=complex)
+    w = -1j * x - omega1c
+    if np.any(w == 0):
+        raise BranchPointError(f"kernel branch point: -i x - omega1c = 0 at omega1c={omega1c}")
+    val = 1 / (1j * _principal_sqrt_top(w))
+    return val if val.ndim else complex(val)
+
+
+def table_weight_kernel(x, config):
+    """Reciprocal slope of H1 at a table root x from the principal kernel,
+    against the weight in S of :func:`pbgpair.poles._table_weight`.
+
+    H1 = i * prefactor * lower1 * lower2 * (1 + 2 beta') by the product
+    rule, with d beta'/dx = -beta' / (x - i omega1c); factors within
+    MERGE_TOL of zero count as zero, and the weight is 0 at a double root
+    and at the branch point.
+    """
+    w = x - 1j * config.omega1c
+    if w == 0:
+        return 0j
+    g = beta_prime(x, config.omega1c)
+    ix = 1j * x
+    pre = config.omega12 + config.gamma2
+    factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 + 2 * g]
+    factors = [f if abs(f) > poles.MERGE_TOL else 0j for f in factors]
+    slopes = [1j, 1j, 1j, -g / w]
+    deriv = 1j * sum(slopes[k] * np.prod(factors[:k] + factors[k + 1:]) for k in range(4))
+    return 0j if deriv == 0 else complex(1.0 / deriv)
+
+
 def kernel_values(x, config):
     """(Gamma11, Gamma22, Gamma12) at x for identical atoms.
 
     Gamma11 = Gamma22 = beta'(x); the cross kernel carries the dipole
     angle as Gamma12 = beta'(x) * cos(eta), exactly.
     """
-    g = kernel.beta_prime(x, config.omega1c)
+    g = beta_prime(x, config.omega1c)
     return g, g, g * config.cos_eta
 
 
@@ -423,7 +474,7 @@ def transform_amplitudes(x, config, init) -> TransformAmplitudes:
     Raises SingularSystem when x is a pole of the system and propagates
     BranchPointError from the kernel.
     """
-    g = kernel.beta_prime(x, config.omega1c)
+    g = beta_prime(x, config.omega1c)
     m = transform.system_matrix(complex(x), config, g)
     scale = np.max(np.abs(m))
     det = np.linalg.det(m)
@@ -481,7 +532,7 @@ def spectral_functions(x, config):
     uses the transform denominator, not these functions.
     """
     x = np.asarray(x, dtype=complex)
-    g = kernel.beta_prime(x, config.omega1c)
+    g = beta_prime(x, config.omega1c)
     ix = 1j * x
     lower1 = ix - config.gamma1                      # root x = -i gamma1
     lower2 = ix + config.omega12 - config.gamma2     # root x = -i (gamma2 - omega12)

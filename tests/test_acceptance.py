@@ -32,20 +32,30 @@ asserted at its stated tolerance.
   bound-state plateau, flat to about 1% (2.6e-4 against 2.5e-5).  The
   paper attributes the expected suppression to resonant energy exchange
   through evanescent modes falling exponentially with depth, i.e. gamma
-  falling with depth; the fig7 ladder holds gamma = 5 and SystemConfig
-  takes gamma as a free constant, so that mechanism is absent by
-  construction.  No gamma(depth) law is available in the repository, so
-  whether the ladder or the integrated-E_N measure is at fault is not
-  settled, and the assertion stays as it is.  Beside it, the
+  falling with depth.  In this model that cannot produce it.  With
+  orthogonal dipoles and the bright start only transition 1 is
+  populated, and u1 = -i S u10 / (S^3 + a1 S - 2) sees omega1c and gamma1
+  only through a1 = omega1c + gamma1: |A_i| of fig7d at gamma 5 and of
+  fig7c at gamma 4 agree to 1.8e-15.  The ladder at fixed gamma is a scan
+  in a1, and a gamma that falls with depth lowers a1 further: the deep
+  [0, 500] integral rises as gamma falls, 0.4514, 1.835, 14.21, 68.24 and
+  257.8 at gamma 5, 4, 3, 2 and 0, against 0.3398 for the shallow rung.
+  It falls below the shallow one for a1 in (4.400, 5.139), gamma at fig7d
+  in (6.000, 6.739) (``test_criterion_5_depth_enters_through_a1``).  The
+  paper's Fig. 7 parameters, if its deep panel has the larger a1, or a
+  measure other than the integral of E_N could mend the verdict; neither
+  is in the repository, and the assertion stays as it is.  Beside it, the
   discretised-bath oracle at n_modes = 8000 (horizon 503) reproduces both
   integrals within 1e-5, so the verdict belongs to the model, not to the
   analytic engine.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
+from scipy.optimize import brentq
 
 from pbgpair import bath, inversion, negativity as neg
 from pbgpair.config import (AmplitudeTrajectory, InitialState, SystemConfig,
@@ -226,6 +236,44 @@ def test_criterion_5_deep_gap_ordering():
         "the excess comes from the late bound-state plateau: the fig7 ladder "
         "holds gamma = 5 at every depth, so the suppression of the exchange "
         "strength with depth that the paper invokes is absent from the model")
+
+
+def test_criterion_5_depth_enters_through_a1():
+    # beside criterion 5, not part of it: with orthogonal dipoles and the
+    # bright start only transition 1 is populated, and
+    # u1 = -i S u10 / (S^3 + a1 S - 2) sees omega1c and gamma1 only through
+    # a1 = omega1c + gamma1.  So fig7d at gamma 5 is fig7c at gamma 4 up to
+    # a phase, the ladder at fixed gamma is a scan in a1, and a gamma that
+    # falls with depth raises the deep integral further
+    _, _, s_ref = preset_series("fig7c")
+    i_ref = neg.integrated_en(s_ref.times, s_ref.log_negativity, 500.0)
+    p_deep, deep, _ = preset_series("fig7d")
+
+    def rung(name, gamma):
+        p = get_preset(name)
+        config = dataclasses.replace(p.config, gamma1=gamma, gamma2=gamma)
+        return analytic_trajectory(config, p.init, p.t_max, p.dt_out)
+
+    def integral(gamma):
+        series = neg.entanglement_series(rung("fig7d", gamma))
+        return neg.integrated_en(series.times, series.log_negativity, 500.0)
+
+    dev = float(np.max(np.abs(np.abs(deep.amps) - np.abs(rung("fig7c", 4.0).amps))))
+    gammas = (5.0, 4.0, 3.0, 2.0, 0.0)
+    rising = [integral(g) for g in gammas]
+    # the deep integral falls below the shallow one between these two gammas
+    lo, hi = (brentq(lambda g: integral(g) - i_ref, a, b, xtol=1e-4)
+              for a, b in ((5.9, 6.4), (6.4, 6.8)))
+    ok = (dev <= 1e-13 and all(a < b for a, b in zip(rising, rising[1:]))
+          and rising[0] > i_ref and 5.99 < lo < 6.01 and 6.73 < hi < 6.75
+          and integral(6.4) < i_ref)
+    assert report("5 (a1)", ok,
+                  f"max ||A_i| of fig7d at gamma 5 - |A_i| of fig7c at gamma 4| {dev:.1e} "
+                  f"(tol 1e-13); fig7d integral over [0,500] at gamma "
+                  f"{'/'.join(f'{g:g}' for g in gammas)}: "
+                  f"{'/'.join(f'{v:.4g}' for v in rising)} against shallow {i_ref:.4g}; "
+                  f"deep < shallow for gamma in ({lo:.3f}, {hi:.3f}), a1 in "
+                  f"({lo + p_deep.config.omega1c:.3f}, {hi + p_deep.config.omega1c:.3f})")
 
 
 def test_criterion_5_oracle_cross_check():

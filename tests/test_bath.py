@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import bath, kernel, pipeline
+from pbgpair import bath, pipeline
 from pbgpair.config import InitialState, RunSpec, SystemConfig, preset_initial
 from pbgpair.errors import (
     DiscretizationError,
@@ -16,8 +16,8 @@ from pbgpair.errors import (
     StepSizeError,
 )
 from pbgpair.presets import get_preset
-from reference_routes import (evaluate_direct, integrate_dense, integrate_rk4, mode_probs,
-                              mode_spectrum)
+from reference_routes import (beta_prime, evaluate_direct, integrate_dense, integrate_rk4,
+                              mode_probs, mode_spectrum)
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -27,7 +27,7 @@ FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
 def test_build_bath_resolvent_reproduction():
     b = bath.build_bath(FIG2B, n_modes=4000)
     xs = np.array([1.0 + 0j, 0.5 + 0j, 2.0 + 0j, 1.0 + 1.0j])
-    target = kernel.beta_prime(xs, FIG2B.omega1c)
+    target = beta_prime(xs, FIG2B.omega1c)
     err = np.max(np.abs(b.resolvent(xs, FIG2B.omega1c) - target))
     assert err <= 1e-3
 
@@ -40,7 +40,7 @@ def test_build_bath_without_tail_misses_kernel():
                                  g=np.full(n, np.sqrt(2.0 / np.pi * du)), n_main=n)
     xs = np.array([0.5, 1.0, 2.0, 0.5 + 1j, 1.0 - 0.7j])
     err = np.max(np.abs(untailed.resolvent(xs, FIG2B.omega1c)
-                        - kernel.beta_prime(xs, FIG2B.omega1c)))
+                        - beta_prime(xs, FIG2B.omega1c)))
     assert err > bath.RESOLVENT_TOL
 
 
@@ -57,7 +57,7 @@ def test_build_bath_refinement_does_not_worsen():
     for n in (1000, 2000):
         b = bath.build_bath(FIG2B, n_modes=n)
         x = np.array([1.0 + 0j])
-        errs.append(abs(b.resolvent(x, FIG2B.omega1c)[0] - kernel.beta_prime(1.0, FIG2B.omega1c)))
+        errs.append(abs(b.resolvent(x, FIG2B.omega1c)[0] - beta_prime(1.0, FIG2B.omega1c)))
     assert errs[1] <= errs[0] + 1e-6
     assert errs[0] < 2e-4
 

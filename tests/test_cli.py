@@ -469,6 +469,38 @@ def test_oracle_past_the_horizon_is_a_budget(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_each_call_logs_to_its_own_stderr(tmp_path):
+    # the log handler is bound to the sys.stderr of each main call, so two
+    # in-process calls capture their own log lines, and none is left behind
+    captured = []
+    for k in range(2):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            assert main(["preset", "fig2a", "--engine", "both", "--modes", "200",
+                         "--tmax", "5", "-o", str(tmp_path / f"{k}.csv")]) == 0
+        captured.append(stream.getvalue().splitlines())
+    for lines in captured:
+        assert len(lines) == 2, lines
+        assert lines[0].startswith("pbgpair: oracle: ")
+        assert lines[1].startswith("pbgpair: engine=both: ")
+
+
+def test_refused_oracle_run_prints_one_line(tmp_path):
+    # in a real process the horizon-clip log line is emitted only once every
+    # budget has passed: a refusal is the one stderr line
+    import pbgpair
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "pbgpair.cli", "preset", "fig5c", "--engine",
+                           "both", "--modes", "12000", "--dt", "0.01",
+                           "-o", str(tmp_path / "x.csv")],
+                          env=env, capture_output=True, text=True)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2
+    assert len(err) == 1 and "oracle output grid" in err[0], err
+
+
 @pytest.mark.parametrize("threads,param,values,word", [("1", "eta", "0,200", "eta"),
                                                        ("abc", "gamma", "3", "THREADS")],
                          ids=["bad-value", "bad-threads"])

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy.special import wofz
 
-from pbgpair import bath, inversion, kernel, poles, transform
+from pbgpair import bath, inversion, poles, transform
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial, time_grid
 from pbgpair.errors import CompletenessError, DegeneratePole, DomainError, NumericalError
 from pbgpair.poles import find_poles
 from pbgpair.presets import get_preset
-from reference_routes import branch_cut_integral, closed_form_reference
+from reference_routes import CUT_ABS_TOL, beta_prime, branch_cut_integral, closed_form_reference
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -112,7 +112,7 @@ def test_cut_integral_decay_slope():
     init = preset_initial("unentangled")
     ts = np.array([500.0, 1000.0, 2000.0, 5000.0])
     cut = inversion.CutIntegrator(FIG2B, init, t_min=float(ts[0]),
-                                  abs_tol=inversion.CUT_ABS_TOL)
+                                  abs_tol=CUT_ABS_TOL)
     mags = np.array([np.max(np.abs(cut.evaluate(np.array([t])))) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
     assert slope == pytest.approx(-1.5, abs=0.1)
@@ -134,7 +134,7 @@ def test_cut_integrator_matches_reference_quadrature():
     init = preset_initial("bright")
     config = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6,
                           omega2c=-1.0, eta=PI)
-    cut = inversion.CutIntegrator(config, init, t_min=0.5, abs_tol=inversion.CUT_ABS_TOL)
+    cut = inversion.CutIntegrator(config, init, t_min=0.5, abs_tol=CUT_ABS_TOL)
     for t in (0.5, 3.0, 12.0):
         fast = cut.evaluate(np.array([t]))[0]
         ref = branch_cut_integral(t, config, init)
@@ -162,7 +162,7 @@ def test_amplitudes_analytic_grid_validation():
     with pytest.raises(DomainError):
         inversion.amplitudes_analytic(np.array([-1.0, 0.5]), FIG2B, init)
     with pytest.raises(DomainError):
-        inversion.CutIntegrator(FIG2B, init, t_min=0.0, abs_tol=inversion.CUT_ABS_TOL)
+        inversion.CutIntegrator(FIG2B, init, t_min=0.0, abs_tol=CUT_ABS_TOL)
 
 
 @pytest.mark.parametrize("times", [np.array([]), np.zeros((3, 2))])
@@ -216,7 +216,7 @@ SERIES_PRESETS = ("fig2a", "fig2b", "fig2c", "fig4a", "fig4b", "fig4c", "fig5a",
                   "fig5c", "fig7a", "fig7b", "fig7c", "fig7d")
 
 
-def cut_route(times, config, init, abs_tol=inversion.CUT_ABS_TOL):
+def cut_route(times, config, init, abs_tol=CUT_ABS_TOL):
     """The previous engine: residues at the sheet poles plus the adaptive
     Gauss-Kronrod cut integral, at times t > 0."""
     poles = find_poles(config)
@@ -302,7 +302,7 @@ def laplace_deviation(config, init):
     s = np.sqrt(-1j * x - config.omega1c)
     got = ((-1j / s)[:, None] * ((1.0 / (s[:, None] - s_j)) @ terms.rows)
            + (1.0 / (x[:, None] - terms.xs)) @ terms.exps)
-    ref = transform.solve_system(x, config, init, kernel.beta_prime(x, config.omega1c))
+    ref = transform.solve_system(x, config, init, beta_prime(x, config.omega1c))
     return float(np.max(np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)))
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pbgpair import kernel
+from pbgpair.inversion import _beta_prime_sheet
 from pbgpair.config import SystemConfig
 from pbgpair.errors import BranchPointError, DomainError
-from reference_routes import kernel_values, memory_kernel, spectral_density
+from reference_routes import beta_prime, kernel_values, memory_kernel, spectral_density
 
 CFG0 = SystemConfig(gamma1=1, gamma2=1, omega12=0.0, omega1c=0.0,
                     omega2c=0.0, eta=0.0)
@@ -15,25 +15,25 @@ CFG0 = SystemConfig(gamma1=1, gamma2=1, omega12=0.0, omega1c=0.0,
 
 def test_beta_prime_at_unit_point():
     # sqrt(-i) on the principal branch gives e^{-i pi/4}
-    val = kernel.beta_prime(1.0, 0.0)
+    val = beta_prime(1.0, 0.0)
     assert val == pytest.approx(0.7071067811865475 - 0.7071067811865475j, abs=1e-12)
 
 
 def test_beta_prime_localized_root_value():
     # -i x - w1c = -4 exactly; principal sqrt from above gives 2i
-    val = kernel.beta_prime(-3.4j, 0.6)
+    val = beta_prime(-3.4j, 0.6)
     assert val == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_beta_prime_branch_point_error():
     with pytest.raises(BranchPointError):
-        kernel.beta_prime(0.6j, 0.6)
+        beta_prime(0.6j, 0.6)
     with pytest.raises(BranchPointError):
-        kernel.sheet_sqrt(0.6j, 0.6)
+        _beta_prime_sheet(0.6j, 0.6)
 
 
 def test_sheet_value_on_lower_axis_is_other_branch():
-    assert kernel.beta_prime_sheet(-3.4j, 0.6) == pytest.approx(0.5, abs=1e-12)
+    assert _beta_prime_sheet(-3.4j, 0.6) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kernel_values_angle_dependence():
@@ -59,24 +59,24 @@ def test_gamma12_odd_about_orthogonal():
 def test_branch_continuity_above_discontinuity_below():
     w1c = 0.6
     y_above = w1c + 1.3
-    left = kernel.beta_prime(complex(-1e-9, y_above), w1c)
-    right = kernel.beta_prime(complex(+1e-9, y_above), w1c)
+    left = beta_prime(complex(-1e-9, y_above), w1c)
+    right = beta_prime(complex(+1e-9, y_above), w1c)
     assert abs(left - right) < 1e-8
     y_below = w1c - 2.0
-    left = kernel.beta_prime(complex(-1e-9, y_below), w1c)
-    right = kernel.beta_prime(complex(+1e-9, y_below), w1c)
+    left = beta_prime(complex(-1e-9, y_below), w1c)
+    right = beta_prime(complex(+1e-9, y_below), w1c)
     assert abs(left - right) > 0.5 * abs(left)
 
 
 def test_sheet_continuity_below_cut_across_ray():
     w1c = 0.6
     y_below = w1c - 2.0
-    left = kernel.beta_prime_sheet(complex(-1e-9, y_below), w1c)
-    right = kernel.beta_prime_sheet(complex(+1e-9, y_below), w1c)
+    left = _beta_prime_sheet(complex(-1e-9, y_below), w1c)
+    right = _beta_prime_sheet(complex(+1e-9, y_below), w1c)
     assert abs(left - right) < 1e-8
     # across the leftward horizontal ray the sheet flips sign
-    up = kernel.beta_prime_sheet(complex(-2.0, w1c + 1e-9), w1c)
-    dn = kernel.beta_prime_sheet(complex(-2.0, w1c - 1e-9), w1c)
+    up = _beta_prime_sheet(complex(-2.0, w1c + 1e-9), w1c)
+    dn = _beta_prime_sheet(complex(-2.0, w1c - 1e-9), w1c)
     assert abs(up + dn) < 1e-8
 
 
@@ -104,7 +104,7 @@ def _resolvent(x, cfg):
 
 
 def test_spectral_density_resolvent_identity_unit_point():
-    assert abs(_resolvent(1.0 + 0j, CFG0) - kernel.beta_prime(1.0, 0.0)) < 1e-6
+    assert abs(_resolvent(1.0 + 0j, CFG0) - beta_prime(1.0, 0.0)) < 1e-6
 
 
 def test_spectral_density_resolvent_identity_random_points():
@@ -112,7 +112,7 @@ def test_spectral_density_resolvent_identity_random_points():
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = complex(rng.uniform(0.3, 3.0), rng.uniform(-3.0, 3.0))
-        assert abs(_resolvent(x, cfg) - kernel.beta_prime(x, cfg.omega1c)) < 1e-6
+        assert abs(_resolvent(x, cfg) - beta_prime(x, cfg.omega1c)) < 1e-6
 
 
 def test_memory_kernel_envelope_and_phase():
@@ -164,7 +164,7 @@ def test_memory_kernel_laplace_transform_matches_kernel():
 
     val = quad(fre, 0, 60, limit=400, points=[1e-6, 0.1])[0] \
         + 1j * quad(fim, 0, 60, limit=400, points=[1e-6, 0.1])[0]
-    assert abs(val - kernel.beta_prime(1.0, 0.0)) < 1e-6
+    assert abs(val - beta_prime(1.0, 0.0)) < 1e-6
 
 
 def test_memory_kernel_domain():

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbgpair import bath, csvio, inversion
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DegeneratePole, NumericalError
 from pbgpair.poles import MAX_DETUNING, MERGE_TOL, find_poles, symmetric_sectors
-from reference_routes import residue_by_limit, residue_weight_fd
+from reference_routes import residue_by_limit, residue_weight_fd, table_weight_kernel
 
 PI = math.pi
 
@@ -282,3 +282,20 @@ def test_exchange_poles_are_rows_of_their_own(case):
         rows = [r for r in records if r.kind == kind]
         assert [(r.tag, r.x, r.weight, r.dynamic) for r in rows] == [(tag, 1j * y, 1.0, True)]
         assert rows[0].klass == ("localized" if y + config.omega1c < 0 else "bandpass")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(configs_and_states())
+@example((SystemConfig(gamma1=1.5, gamma2=1.5, omega12=0.4, omega1c=-1.5, omega2c=-1.9,
+                       eta=PI / 3), InitialState(1.0, 0.0, 0.0, 0.0)))
+def test_table_weights_in_s_match_the_kernel_route(case):
+    # the table-only rows are weighted in S; the principal kernel's product
+    # rule is the reference, and a row at the branch point (gamma1 = -omega1c
+    # in the example) has weight 0 on both
+    config, _ = case
+    rows = [r for r in find_poles(config).records if r.kind == "table"]
+    for r in rows:
+        ref = table_weight_kernel(r.x, config)
+        assert abs(r.weight - ref) <= 1e-14 * abs(ref)
+        if r.x.imag == config.omega1c:
+            assert r.weight == ref == 0

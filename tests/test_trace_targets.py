@@ -1,9 +1,12 @@
-"""Every name the benchmark reaches into the package for still resolves.
+"""Every name the benchmark reaches into the package for still resolves,
+and the package defines no name that only the tests read.
 
 ``perfbench/tracing.py`` patches the functions in its ``TARGETS`` by name
 and raises when one is missing, and ``perfbench/checks.py`` imports a few
 names directly; a missing one makes ``perfbench/run.py`` exit non-zero.
 These tests read the benchmark's files and change nothing in them.
+Cross-check routes and the constants only they read belong in
+``tests/reference_routes.py``.
 """
 
 import ast
@@ -15,6 +18,7 @@ import sys
 import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbgpair"
 
 
 def _load_tracing():
@@ -65,3 +69,36 @@ def test_checks_imports_resolve():
             ("pbgpair.config", "preset_initial"), ("pbgpair.presets", "get_preset")} <= names
     for module, name in sorted(names):
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def _top_level_names(tree):
+    """Names a module binds at its top level: defs, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_src_defines_nothing_only_the_tests_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    benchmark = {(module.rpartition(".")[2], attr.split(".")[0])
+                 for _, module, attr, _ in TRACING.TARGETS}
+    benchmark |= {(module.rpartition(".")[2], name)
+                  for module, name in _package_imports(PERFBENCH / "checks.py")}
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name in _top_level_names(tree)
+              if name not in loaded and (module, name) not in benchmark
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == [], "move what only the tests read to tests/reference_routes.py"
