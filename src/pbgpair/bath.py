@@ -26,15 +26,15 @@ Gu & Eisenstat 1994, the scheme of LAPACK dlaed4).  Each secular sum is
 split into a near field, the poles of the root's own panel of PANEL poles
 and its neighbours, and a far field taken from Chebyshev interpolants at
 the panel's own points, built once per equation (Greengard & Rokhlin
-1987; Gu & Eisenstat 1995).  Within the near field, groups of panels far
-enough from the root's panel are summed through CHEB_DEGREE + 1 Chebyshev
-proxy poles each, and the rest directly, so every panel sums a few
+1987; Gu & Eisenstat 1995).  Dyadic groups of panels far enough from the
+root's panel are summed through CHEB_DEGREE + 1 Chebyshev proxy poles
+each, in the near field and into the far field's interpolants alike, and
+the rest directly, so the build costs O(N log N), every panel sums a few
 hundred near terms, the panels of the geometric tail too, and an
 evaluation pass costs O(N PANEL) instead of O(N^2).  Unitarity shows as
-the atomic parts of the eigenvectors
-resolving the identity, which every run checks.  The sum over the roots
-at every output time is blocked into two short exponential tables and
-one complex matrix product.
+the atomic parts of the eigenvectors resolving the identity, which every
+run checks.  The sum over the roots at every output time is blocked into
+two short exponential tables and one complex matrix product.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ DENSE_WINDOW = 50.0     # densely sampled window above the edge
 SIN_ETA_FLOOR = 1e-8
 EPS = np.finfo(float).eps
 SECULAR_MAX_ITER = 100
-CHUNK_ELEMS = 1 << 20   # entries per work array of the far-field build and the time sum
+CHUNK_ELEMS = 1 << 20   # entries per work array of the time sum
 # Far field of the secular sums: panels of PANEL consecutive poles; a pole
 # at least ADMISSIBLE half-widths from a panel's centre is summed through
 # Chebyshev interpolants of degree CHEB_DEGREE on the panel's interval, and
@@ -172,11 +172,12 @@ class _FarField:
     interval's centre.  The poles outside the near range are its far
     field, and ``values[P]`` holds their four sums sum w/(d - z) and
     sum w/(d - z)^2, below and above, at the Chebyshev points of the
-    interval: shape (panels, CHEB_DEGREE + 1, 4).  The near range is summed
-    from the sources ``ptr[P]:ptr[P + 1]``, each a pole ``base + offset``
-    of weight ``weight``: the poles themselves (offset 0) and the
-    CHEB_DEGREE + 1 proxies of each group of panels far enough from the
-    interval (``_far_field``), as offsets from the group's first pole.
+    interval, shape (panels, CHEB_DEGREE + 1, 4).  The near range is
+    summed from the sources ``ptr[P]:ptr[P + 1]``, each a pole
+    ``base + offset`` of weight ``weight``: the poles themselves (offset 0)
+    and the CHEB_DEGREE + 1 proxies of each group of panels far enough
+    from the interval, as offsets from the group's first pole.  The far
+    sums are taken through the same groups (``_far_field``).
     """
 
     anchor: np.ndarray
@@ -202,18 +203,19 @@ def _far_field(d, w) -> _FarField:
     """Panels, far-field interpolants and near sources of the poles ``d``
     with weights ``w`` (Greengard & Rokhlin 1987).
 
-    Target side: each panel's far sums are sampled at the Chebyshev points
-    of its interval, in chunks of at most CHUNK_ELEMS entries.  Source
-    side: in a panel's near range, an aligned dyadic group of 1, 2, 4, ...
-    panels, poles [a, b) on [d[a], d[a] + 2 h], whose centre lies at least
-    ADMISSIBLE h from every point of the panel's interval is summed as
-    CHEB_DEGREE + 1 proxies d[a] + h (1 + X_m) at its Chebyshev points X_m,
-    with weights W_m = sum_j w_j l_m(x_j).  That is the Chebyshev
+    For each panel one dyadic tree of panel groups is walked down from the
+    group of all panels.  A group, poles [a, b) on [d[a], d[a] + 2 h], is
+    split until it lies wholly inside or wholly outside the panel's near
+    range and can be summed: either it is admissible, its centre at least
+    ADMISSIBLE h from every point of the panel's interval and its poles
+    more than CHEB_DEGREE + 1, or it is one panel.  An admissible group is
+    summed as CHEB_DEGREE + 1 proxies d[a] + h (1 + X_m) at its Chebyshev
+    points X_m, with weights W_m = sum_j w_j l_m(x_j): the Chebyshev
     interpolant of 1/(d - z) and 1/(d - z)^2 in d, with the error bound of
-    the target side.  The largest admissible groups are taken, and the
-    poles of the rest are summed directly, so a panel of the geometric
-    tail sums the dense window below it through a few groups in place of
-    every pole.
+    the target side.  A panel's groups in its near range are its near
+    sources; those outside it are summed at the Chebyshev points of its
+    interval into ``values``, so a far group costs CHEB_DEGREE + 1 terms
+    per point in place of its poles, and the build O(N log N).
     """
     n = d.size
     first = np.arange(0, n, PANEL)
@@ -223,56 +225,47 @@ def _far_field(d, w) -> _FarField:
     centre = d[anchor] + half
     inner = np.searchsorted(d, centre - ADMISSIBLE * half, side="right")
     outer = np.searchsorted(d, centre + ADMISSIBLE * half, side="left")
-    start = PANEL * np.maximum(np.minimum(panel - 1, inner // PANEL), 0)
-    stop = np.minimum(PANEL * (np.maximum(panel + 1, (outer - 1) // PANEL) + 1), n)
+    # the near range [start, stop), in panels
+    start = np.maximum(np.minimum(panel - 1, inner // PANEL), 0)
+    stop = np.minimum(np.maximum(panel + 1, (outer - 1) // PANEL) + 1, first.size)
     values = np.zeros((first.size, CHEB_DEGREE + 1, 4))
-    step = max(1, CHUNK_ELEMS // (CHEB_DEGREE + 1))
-    for p in panel:
-        # nodes and poles as offsets from the anchor pole, as for the roots
-        t = half[p] * (1.0 + _CHEB_X)
-        for col, (lo, hi) in ((0, (0, start[p])), (2, (stop[p], n))):
-            for a in range(lo, hi, step):
-                sl = slice(a, min(a + step, hi))
-                r = (d[sl] - d[anchor[p]])[None, :] - t[:, None]
-                np.reciprocal(r, out=r)
-                values[p, :, col] += r @ w[sl]
-                r *= r
-                values[p, :, col + 1] += r @ w[sl]
-
-    # near sources, panel by panel: each group is split until it is
-    # admissible or one panel (scalar work, so in Python floats and ints)
-    dl, zeros = d.tolist(), np.zeros(PANEL)
+    # scalar work, so in Python floats and ints
+    dl, zeros, top = d.tolist(), np.zeros(PANEL), 1 << (first.size - 1).bit_length()
     proxies, parts, ptr = {}, [], [0]
-    for s, e, lo, h2 in zip(start.tolist(), stop.tolist(), d[anchor].tolist(),
-                            (2.0 * half).tolist()):
-        # the near range as its largest aligned groups (first panel, panels)
-        g, end, todo = s // PANEL, -(-e // PANEL), []
-        while g < end:
-            size = g & -g or 1 << end.bit_length()
-            while g + size > end:
-                size //= 2
-            todo.insert(0, (g, size))
-            g += size
-        hi, count = lo + h2, 0
+    for p, s, e, lo, h2 in zip(panel.tolist(), start.tolist(), stop.tolist(),
+                               d[anchor].tolist(), (2.0 * half).tolist()):
+        hi, near, far, todo = lo + h2, [], ([], []), [(0, top)]
         while todo:
             g, size = todo.pop()
             a, b = PANEL * g, min(PANEL * (g + size), n)
+            if a >= n:
+                continue
             h = 0.5 * (dl[b - 1] - dl[a])
-            # proxies for an admissible group with more poles than proxies
-            if (b - a > CHEB_DEGREE + 1
-                    and max(lo - dl[a] - h, dl[a] + h - hi) >= ADMISSIBLE * h):
-                if (a, b) not in proxies:
-                    q, total = _barycentric((d[a:b] - dl[a]) / h - 1.0)
-                    proxies[a, b] = (np.full(CHEB_DEGREE + 1, dl[a]), h * (1.0 + _CHEB_X),
-                                     (w[a:b] / total) @ q)
-                parts.append(proxies[a, b])
-                count += CHEB_DEGREE + 1
-            elif size == 1:
-                parts.append((d[a:b], zeros[:b - a], w[a:b]))
-                count += b - a
-            else:
+            admissible = (b - a > CHEB_DEGREE + 1
+                          and max(lo - dl[a] - h, dl[a] + h - hi) >= ADMISSIBLE * h)
+            inside = s <= g and g + size <= e
+            if not (admissible or b - a <= PANEL) or not (inside or g + size <= s or g >= e):
                 todo += [(g + size // 2, size // 2), (g, size // 2)]
-        ptr.append(ptr[-1] + count)
+                continue
+            if admissible and (a, b) not in proxies:
+                q, total = _barycentric((d[a:b] - dl[a]) / h - 1.0)
+                proxies[a, b] = (np.full(CHEB_DEGREE + 1, dl[a]), h * (1.0 + _CHEB_X),
+                                 (w[a:b] / total) @ q)
+            src = proxies[a, b] if admissible else (d[a:b], zeros[:b - a], w[a:b])
+            (near if inside else far[g >= e]).append(src)
+        # the far sums below and above at the interval's points, as offsets
+        # from the anchor pole, as for the roots
+        t = half[p] * (1.0 + _CHEB_X)
+        for col, sources in zip((0, 2), far):
+            if sources:
+                base, offset, weight = (np.concatenate(x) for x in zip(*sources))
+                r = ((base - lo) + offset)[None, :] - t[:, None]
+                np.reciprocal(r, out=r)
+                values[p, :, col] = r @ weight
+                r *= r
+                values[p, :, col + 1] = r @ weight
+        ptr.append(ptr[-1] + sum(src[2].size for src in near))
+        parts += near
     base, offset, weight = (np.concatenate(x) for x in zip(*parts))
     return _FarField(anchor, half, values, np.array(ptr), base, offset, weight)
 
@@ -619,13 +612,13 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     e^{i gamma1 t} and e^{i (omega12 + gamma2) t}.  The symmetric sector's
     eigenvalues are the roots of a scalar secular equation, one per mode
     interval and branch (``_symmetric_spectrum``).  Each equation builds
-    its far-field interpolants once, in about N^2 CHEB_DEGREE / PANEL
-    work, and its proxies in about N log N CHEB_DEGREE.  Every iteration
-    then costs a few hundred near terms per root (at most 367 at 4,000
-    modes, 492 at 51,000) and one far-field product per panel.  The atomic
-    amplitudes are sums over those eigenpairs at every output time
-    (``_time_sum``, output points x N multiply-adds).  A part of the
-    sector whose initial amplitudes vanish is not solved.
+    its proxies, far-field interpolants and near sources once, in about
+    N log N CHEB_DEGREE work.  Every iteration then costs a few hundred
+    near terms per root (at most 367 at 4,000 modes, 492 at 51,000) and
+    one far-field product per panel.  The atomic amplitudes are sums over
+    those eigenpairs at every output time (``_time_sum``, output points x
+    N multiply-adds).  A part of the sector whose initial amplitudes
+    vanish is not solved.
 
     Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
     ``t_max`` exceeds the bath rephasing time, and StepSizeError when the

@@ -108,8 +108,10 @@ def _table_weight(x, config):
     (1 + 2 beta') at its root x = i y, by the product rule: with the
     principal S = sqrt(y - omega1c), 1 + 2 beta' = 1 - 2i/S has slope 1/S^3.
 
-    Factors within MERGE_TOL of zero count as zero; the weight is 0 at a
-    double root (slope 0) and at the branch point (slope unbounded).
+    Factors within MERGE_TOL of zero count as zero, and only the term of
+    the one vanishing factor is formed (beside the branch point the slope
+    1/S^3 of another factor overflows); the weight is 0 at a double root
+    (slope 0) and at the branch point (slope unbounded).
     """
     s = np.sqrt(complex(x.imag - config.omega1c))
     if s == 0:
@@ -117,9 +119,12 @@ def _table_weight(x, config):
     ix = 1j * x
     pre = config.omega12 + config.gamma2
     factors = [ix + pre, ix - config.gamma1, ix + config.omega12 - config.gamma2, 1 - 2j / s]
-    factors = [f if abs(f) > MERGE_TOL else 0j for f in factors]
-    slopes = [1j, 1j, 1j, 1 / s ** 3]
-    deriv = 1j * sum(slopes[k] * np.prod(factors[:k] + factors[k + 1:]) for k in range(4))
+    zero = [k for k, f in enumerate(factors) if abs(f) <= MERGE_TOL]
+    if len(zero) != 1:
+        return 0j
+    k = zero[0]
+    slope = 1 / s ** 3 if k == 3 else 1j
+    deriv = 1j * (slope * np.prod(factors[:k] + factors[k + 1:]))
     return 0j if deriv == 0 else complex(1.0 / deriv)
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 from . import csvio, negativity
 from .config import RunSpec
 from .errors import DomainError
-from .pipeline import run_spec
+from .pipeline import check_budgets, run_spec
 
 SWEEP_PARAMS = ("gamma", "eta", "omega1c_omega2c_pair")
 INTEGRAL_WINDOW = 500.0
@@ -83,8 +83,8 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
     """Run every value, write per-value CSVs and the summary; returns rows.
 
     ``n_modes`` sizes the oracle bath of engine=oracle|both runs.  Every
-    value's run and label (two values may not share a file) and THREADS
-    are checked before ``out_dir`` is created.
+    value's run, its size budgets and its label (two values may not share
+    a file) and THREADS are checked before ``out_dir`` is created.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
@@ -95,7 +95,9 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
             raise DomainError(f"sweep values {seen[label]!r} and {value!r} share the "
                               f"label {label!r}")
         seen[label] = value
-        jobs.append((label, apply_parameter(spec, parameter, value), n_modes))
+        run = apply_parameter(spec, parameter, value)
+        check_budgets(run, n_modes)
+        jobs.append((label, run, n_modes))
     n_workers = min(worker_count(), len(jobs))
     os.makedirs(out_dir, exist_ok=True)
     if n_workers > 1:

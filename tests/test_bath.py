@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbgpair import bath, pipeline
 from pbgpair.config import InitialState, RunSpec, SystemConfig, preset_initial
@@ -312,6 +312,14 @@ def test_oracle_reports_spectral_completeness(caplog):
                for r in caplog.records)
 
 
+def bath_poles(w1c, n_modes):
+    """Poles and weights of the secular sums of a bath grid."""
+    config = SystemConfig(gamma1=1.0, gamma2=1.0, omega12=0.4, omega1c=w1c,
+                          omega2c=w1c - 0.4, eta=PI)
+    b = bath.build_bath(config, n_modes=n_modes)
+    return b.nu - w1c, b.g ** 2
+
+
 @st.composite
 def pole_sets(draw):
     """Ascending distinct poles with positive weights: a uniform-in-u bath
@@ -320,11 +328,7 @@ def pole_sets(draw):
     spacing 1e-10 among scattered poles."""
     kind = draw(st.sampled_from(["bath", "one panel", "h22", "clusters"]))
     if kind in ("bath", "h22"):
-        w1c = draw(st.floats(-2.0, 1.5))
-        config = SystemConfig(gamma1=1.0, gamma2=1.0, omega12=0.4, omega1c=w1c,
-                              omega2c=w1c - 0.4, eta=PI)
-        b = bath.build_bath(config, n_modes=draw(st.integers(100, 700)))
-        d, w = b.nu - w1c, b.g ** 2
+        d, w = bath_poles(draw(st.floats(-2.0, 1.5)), draw(st.integers(100, 700)))
         if kind == "h22":
             k = draw(st.integers(0, d.size - 2))
             h22 = d[k] + draw(st.floats(0.01, 0.99)) * (d[k + 1] - d[k])
@@ -344,6 +348,8 @@ def pole_sets(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(pole_sets(), st.floats(-3.0, 3.0), st.floats(0.1, 8.0))
+# 191 panels: far groups from every level of an eight-level tree
+@example(bath_poles(0.6, 12000), 0.7, 2.0)
 def test_far_field_matches_direct_sums(poles, h, kappa):
     # F, F', s2lo and sigma at points across every pole interval (as offsets
     # from the nearer pole, beside the pole too) and past the outer poles

@@ -341,6 +341,18 @@ def test_subnormal_exchange_strength(tmp_path, capsys, command, gamma1):
         assert len(rows) == 6 and all(np.isfinite(float(v)) for r in rows for v in r[1:3] + r[4:])
 
 
+def test_table_row_beside_the_branch_point(tmp_path, capsys):
+    # the table root x = 0 lies 1e-300 from the branch point, where the slope
+    # 1/S^3 of 1 + 2 beta' overflows: its weight is finite, and nothing warns
+    cfgfile = _write(tmp_path, "edge.cfg", "gamma1 = 1\ngamma2 = 1\nomega12 = 1\n"
+                     "omega1c = 1e-300\nomega2c = -1\neta_degrees = 90\ninitial = bright\n"
+                     "t_max = 20\ndt_out = 0.5\n")
+    out = tmp_path / "p.csv"
+    assert main(["poles", cfgfile, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in out.read_text()
+
+
 @pytest.mark.parametrize("command,detuning", [("run", "-1e18"), ("poles", "-1e12")])
 def test_far_detuning_exit_code(tmp_path, capsys, command, detuning):
     # both levels far below the edge: x = i (S^2 + omega1c) and the phase
@@ -501,22 +513,29 @@ def test_refused_oracle_run_prints_one_line(tmp_path):
     assert len(err) == 1 and "oracle output grid" in err[0], err
 
 
-@pytest.mark.parametrize("threads,param,values,word", [("1", "eta", "0,200", "eta"),
-                                                       ("abc", "gamma", "3", "THREADS")],
-                         ids=["bad-value", "bad-threads"])
-def test_sweep_refuses_before_anything_runs(tmp_path, monkeypatch, capsys, threads, param,
-                                            values, word):
-    # every value's run and THREADS are checked before the output directory
-    # is made and before any value runs
+SWEEP_TEMPLATE = SHORT_FILE.replace("omega1c = 0.2", "omega1c = -0.6").replace(
+    "omega2c = -0.2", "omega2c = -1").replace("t_max = 20", "t_max = 300")
+ORACLE_SWEEP = ["--param", "eta", "--values", "90,120", "--engine", "oracle", "--modes", "200"]
+
+
+@pytest.mark.parametrize("threads,text,args,word", [
+    ("1", SHORT_FILE, ["--param", "eta", "--values", "0,200", "--tmax", "5"], "eta"),
+    ("abc", SHORT_FILE, ["--param", "gamma", "--values", "3", "--tmax", "5"], "THREADS"),
+    ("1", SWEEP_TEMPLATE, ORACLE_SWEEP, "horizon"),
+    ("1", SWEEP_TEMPLATE, ORACLE_SWEEP + ["--tmax", "1e9", "--dt", "1e-3"], "output grid"),
+], ids=["bad-value", "bad-threads", "oracle-horizon", "output-grid"])
+def test_sweep_refuses_before_anything_runs(tmp_path, monkeypatch, capsys, threads, text, args,
+                                            word):
+    # every value's run, its size budgets and THREADS are checked before the
+    # output directory is made and before any value runs
     def fail(*args, **kwargs):
         raise AssertionError("a value ran")
 
     monkeypatch.setattr("pbgpair.sweep.run_spec", fail)
     monkeypatch.setenv("THREADS", threads)
-    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    cfgfile = _write(tmp_path, "s.cfg", text)
     outdir = tmp_path / "sweep"
-    assert main(["sweep", cfgfile, "--param", param, "--values", values,
-                 "-o", str(outdir), "--tmax", "5"]) == 2
+    assert main(["sweep", cfgfile, *args, "-o", str(outdir)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and word in err[0]
     assert not outdir.exists()
