@@ -528,7 +528,7 @@ def test_sweep_refuses_before_anything_runs(tmp_path, monkeypatch, capsys, threa
                                             word):
     # every value's run, its size budgets and THREADS are checked before the
     # output directory is made and before any value runs
-    def fail(*args, **kwargs):
+    def fail(*_, **__):
         raise AssertionError("a value ran")
 
     monkeypatch.setattr("pbgpair.sweep.run_spec", fail)
