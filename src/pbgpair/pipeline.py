@@ -16,20 +16,21 @@ log = logging.getLogger("pbgpair")
 # Size budget, checked before either engine starts.  An analytic run peaks
 # at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
 # fig2b and fig5c), and formatting and writing its CSV at about 0.2 kB per
-# point (21 MB for the 11 MB text of fig2b).  The oracle never forms its (dim x dim)
-# generator: its memory is the CHUNK_ELEMS work arrays of bath.py plus a few
-# hundred bytes per mode for the roots, the far-field interpolants and the
-# near-field sources (a 70-76 MB process at dim 51,212).  Its work is the
-# far-field build, about dim CHEB_DEGREE log2(dim / PANEL) terms per
-# secular equation (0.4-0.5 s at dim 51,212; 1.6-1.9 s for the two
+# point (21 MB for the 11 MB text of fig2b).  The oracle never forms its
+# (dim x dim) generator: its memory is the CHUNK_ELEMS work arrays of
+# bath.py plus a few hundred bytes per mode for the roots, the barycentric
+# terms of a pass, the far-field interpolants and the near-field sources
+# (a 77-78 MB process at dim 51,212, 121-122 MB at MAX_BLOCK_DIM).  Its
+# work is the far-field build, about dim CHEB_DEGREE log2(dim / PANEL)
+# terms once per spectrum (0.3-0.4 s at dim 51,212; 0.8-0.9 s for the two
 # equations of orthogonal dipoles with both transitions populated at
-# MAX_BLOCK_DIM, whose whole oracle run takes 4-5 s), a
-# few passes of about 4 PANEL near-field terms per root (direct poles and
-# Chebyshev proxies, 492 at most at dim 51,212), and the time sum, output
-# points x dim complex multiply-adds (MAX_PROPAGATION_SIZE; 0.5 s at
-# 3.3e8).  The oracle's output grid is a cross-check of a run's window and
-# is capped at MAX_ORACLE_POINTS, six times the longest preset grid (fig5c,
-# 8,401 points).
+# MAX_BLOCK_DIM, whose whole oracle run takes 3-4 s), a few passes of
+# about 4 PANEL near-field terms per root (direct poles and Chebyshev
+# proxies, 492 at most at dim 51,212), and the time sum, two exponentials
+# per root and output points x dim complex multiply-adds
+# (MAX_PROPAGATION_SIZE; 0.3 s at 3.3e8).  The oracle's output grid is a
+# cross-check of a run's window and is capped at MAX_ORACLE_POINTS, six
+# times the longest preset grid (fig5c, 8,401 points).
 MAX_POINTS = 1_000_000
 MAX_BLOCK_DIM = 100_000
 MAX_PROPAGATION_SIZE = 1_000_000_000
