@@ -4,8 +4,8 @@ Verbs: ``run`` (key-value config file), ``preset`` (named scenario),
 ``poles`` (dressed-state table), ``sweep`` (parameter ladder).  Exit
 codes: 0 success, 2 usage/validation, 3 I/O, 4 numerical failure (the
 message names the failing operation; numpy's LinAlgError and a
-FloatingPointError count as numerical failures).  THREADS caps sweep
-workers.
+FloatingPointError count as numerical failures).  THREADS caps the
+processes a sweep computes on.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import functools
 import logging
 import os
+import re
 import sys
 import traceback
 from dataclasses import replace
@@ -126,14 +127,20 @@ def _cmd_sweep(args) -> int:
 
 def _stage(exc) -> str:
     """``module.function`` of the innermost frame of this package that
-    ``exc`` passed through."""
+    ``exc`` passed through, in a sweep worker too: there the worker's
+    frames come as the text that concurrent.futures attaches as
+    ``exc.__cause__.tb``."""
     here = os.path.dirname(os.path.abspath(__file__))
-    frames = [f for f in traceback.extract_tb(exc.__traceback__)
-              if os.path.dirname(os.path.abspath(f.filename)) == here]
+    frames = [(f.filename, f.name) for f in traceback.extract_tb(exc.__traceback__)]
+    remote = getattr(exc.__cause__, "tb", None)
+    if isinstance(remote, str):
+        frames += re.findall(r'File "(.+)", line \d+, in (\S+)', remote)
+    frames = [(path, name) for path, name in frames
+              if os.path.dirname(os.path.abspath(path)) == here]
     if not frames:
         return "an unknown stage"
-    module = os.path.splitext(os.path.basename(frames[-1].filename))[0]
-    return f"{module}.{frames[-1].name}"
+    path, name = frames[-1]
+    return f"{os.path.splitext(os.path.basename(path))[0]}.{name}"
 
 
 _COMMANDS = {"run": _cmd_run, "preset": _cmd_preset, "poles": _cmd_poles,

@@ -1,8 +1,11 @@
 """Parameter sweeps: one entanglement CSV per value plus a summary table.
 
-Values run in parallel across processes; the worker count is capped by the
-THREADS environment variable.  Outputs are independent of the worker count
-(each value writes its own file and the summary preserves input order).
+Values run in parallel across processes: the values are cut into one
+contiguous share per process, the calling process runs the first share
+and forked workers one share each.  THREADS and the CPUs this process may
+run on cap the number of processes.  Outputs are independent of it: results
+are taken in input order, and the calling process writes every file once
+every value has run.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ INTEGRAL_WINDOW = 500.0
 
 
 def worker_count() -> int:
+    """Processes a sweep may compute on: the CPUs this process may run on,
+    capped by THREADS."""
     cap = os.environ.get("THREADS")
-    n = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
     if cap:
         try:
             n = min(n, max(1, int(cap)))
@@ -84,7 +92,12 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
 
     ``n_modes`` sizes the oracle bath of engine=oracle|both runs.  Every
     value's run, its size budgets and its label (two values may not share
-    a file) and THREADS are checked before ``out_dir`` is created.
+    a file) and THREADS are checked before ``out_dir`` is created.  With
+    ``n = worker_count()`` the values go in contiguous shares of
+    ceil(len(values) / n), at most ``n`` of them: this process runs the
+    first share while a pool with one worker per other share runs the
+    rest, and the results are taken in input order.  Nothing is written
+    unless every value ran.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
@@ -102,8 +115,10 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
     os.makedirs(out_dir, exist_ok=True)
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_one, jobs))
+        size = -(-len(jobs) // n_workers)
+        with ProcessPoolExecutor(max_workers=-(-len(jobs) // size) - 1) as pool:
+            rest = pool.map(_run_one, jobs[size:], chunksize=size)
+            results = [_run_one(j) for j in jobs[:size]] + list(rest)
     else:
         results = [_run_one(j) for j in jobs]
     entries = []

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -209,6 +210,71 @@ def test_sweep_gamma_outputs(tmp_path, monkeypatch):
                  "-o", str(outdir2), "--tmax", "30"]) == 0
     for name in ("summary.csv", "gamma_2.csv", "gamma_5.csv"):
         assert (outdir / name).read_bytes() == (outdir2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("param,values", [
+    ("gamma", "2,3,4,5,6"),
+    ("omega1c_omega2c_pair", "-0.6:-1;-1:-1;0.2:-0.2;0.5:0.5;-0.3:0.1"),
+])
+def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, param, values):
+    # 5 values in shares of 5, 3+2 and 2+2+1; THREADS 7 is past the number
+    # of values, and three CPUs keep every run to three processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    runs = {}
+    for threads in ("1", "2", "3", "7"):
+        monkeypatch.setenv("THREADS", threads)
+        outdir = tmp_path / f"sweep{threads}"
+        assert main(["sweep", cfgfile, "--param", param, f"--values={values}",
+                     "-o", str(outdir), "--tmax", "30"]) == 0
+        runs[threads] = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert len(runs["1"]) == 6
+    for threads in ("2", "3", "7"):
+        assert runs[threads] == runs["1"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the failing stand-in reaches the workers by fork")
+def test_failing_sweep_value_names_one_stage(tmp_path, monkeypatch, capsys):
+    # a value that fails in this process and one that fails in a worker
+    # print the same line, write no value's file and leave no process behind
+    from pbgpair.pipeline import run_spec
+
+    def run_or_fail(spec, n_modes):
+        if spec.config.gamma1 == bad:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return run_spec(spec, n_modes=n_modes)
+
+    monkeypatch.setattr("pbgpair.sweep.run_spec", run_or_fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    lines = set()
+    # at THREADS 2 this process runs 2, 3, 4 and the worker 5, 6
+    for threads, bad in (("1", 2.0), ("1", 6.0), ("2", 2.0), ("2", 6.0)):
+        monkeypatch.setenv("THREADS", threads)
+        outdir = tmp_path / f"sweep{threads}_{bad:g}"
+        assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3,4,5,6",
+                     "-o", str(outdir), "--tmax", "5"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        lines.add(err[0])
+        assert list(outdir.iterdir()) == []
+        assert multiprocessing.active_children() == []
+    assert lines == {"pbgpair sweep: numerical failure in sweep._run_one: "
+                     "LinAlgError: Singular matrix"}
+
+
+def test_worker_count_reads_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("THREADS", "4")
+    assert worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setenv("THREADS", "2")
+    assert worker_count() == 2
 
 
 def test_amplitude_dump_option(tmp_path):
