@@ -87,35 +87,38 @@ def _apply_overrides(spec: RunSpec, args) -> RunSpec:
                    dt_out=spec.dt_out if args.dt is None else args.dt)
 
 
-def _emit_series(spec: RunSpec, path, n_modes, amplitudes_path):
-    series, traj, _ = run_spec(spec, n_modes=n_modes)
-    csvio.write_atomic(path, csvio.entanglement_csv(series, traj))
-    if amplitudes_path:
-        csvio.write_atomic(amplitudes_path, csvio.trajectory_csv(traj))
+def _emit_series(spec: RunSpec, args) -> int:
+    """Run ``spec`` under the --engine, --tmax and --dt given; write its CSVs."""
+    series, traj, _ = run_spec(_apply_overrides(spec, args), n_modes=args.modes)
+    csvio.write_atomic(args.output, csvio.entanglement_csv(series, traj))
+    if args.amplitudes:
+        csvio.write_atomic(args.amplitudes, csvio.trajectory_csv(traj))
+    return EXIT_OK
+
+
+def _emit_poles(config, path) -> int:
+    csvio.write_atomic(path, csvio.poles_csv(find_poles(config)))
+    return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    spec = _apply_overrides(parse_run_file(args.config), args)
-    _emit_series(spec, args.output, args.modes, args.amplitudes)
-    return EXIT_OK
+    return _emit_series(parse_run_file(args.config), args)
 
 
 def _cmd_preset(args) -> int:
     preset = get_preset(args.name)
-    if preset.kind == "poles":
-        csvio.write_atomic(args.output, csvio.poles_csv(find_poles(preset.config)))
-        return EXIT_OK
-    spec = RunSpec(config=preset.config, init=preset.init, t_max=preset.t_max,
-                   dt_out=preset.dt_out)
-    spec = _apply_overrides(spec, args)
-    _emit_series(spec, args.output, args.modes, args.amplitudes)
-    return EXIT_OK
+    if isinstance(preset, RunSpec):
+        return _emit_series(preset, args)
+    given = [f"--{k}" for k in ("amplitudes", "engine", "tmax", "dt")
+             if getattr(args, k) is not None]
+    if given:
+        raise ConfigError(f"{args.name} is a pole table; {', '.join(given)} "
+                          "apply to series presets only")
+    return _emit_poles(preset, args.output)
 
 
 def _cmd_poles(args) -> int:
-    spec = parse_run_file(args.config)
-    csvio.write_atomic(args.output, csvio.poles_csv(find_poles(spec.config)))
-    return EXIT_OK
+    return _emit_poles(parse_run_file(args.config).config, args.output)
 
 
 def _cmd_sweep(args) -> int:
@@ -128,7 +131,7 @@ def _cmd_sweep(args) -> int:
 def _stage(exc) -> str:
     """``module.function`` of the innermost frame of this package that
     ``exc`` passed through, in a sweep worker too: there the worker's
-    frames come as the text that concurrent.futures attaches as
+    frames come as the text that multiprocessing attaches as
     ``exc.__cause__.tb``."""
     here = os.path.dirname(os.path.abspath(__file__))
     frames = [(f.filename, f.name) for f in traceback.extract_tb(exc.__traceback__)]

@@ -161,6 +161,8 @@ class RunSpec:
     engine: str = "analytic"
 
     def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise DomainError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not abs(self.init.norm_sq - 1.0) <= NORM_TOL:
             raise NormalizationError(
                 f"initial amplitudes have norm^2 = {self.init.norm_sq!r}, expected 1"

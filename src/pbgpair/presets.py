@@ -1,25 +1,16 @@
-"""Named run configurations for the figure and pole-table scenarios."""
+"""Named runs of the paper's figures and dressed-state tables: a series
+preset (``fig*``) is the :class:`RunSpec` of its run file, a pole preset
+(``poles*``) the :class:`SystemConfig` whose table the ``poles`` verb writes."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
-from .config import InitialState, SystemConfig, preset_initial
+from .config import RunSpec, SystemConfig, preset_initial
 from .errors import UnknownPreset
 
 PI = math.pi
-
-
-@dataclass(frozen=True)
-class FigurePreset:
-    name: str
-    config: SystemConfig
-    init: InitialState
-    t_max: float
-    kind: str = "series"  # 'series' -> entanglement CSV, 'poles' -> pole CSV
-    dt_out: ClassVar[float] = 0.5  # the output spacing of every preset
+DT_OUT = 0.5  # the output spacing of every series preset
 
 
 def _cfg(gamma, eta, w1c, w2c):
@@ -29,54 +20,38 @@ def _cfg(gamma, eta, w1c, w2c):
     )
 
 
-def _series(name, gamma, eta, w1c, w2c, initial, t_max):
-    return FigurePreset(
-        name=name, config=_cfg(gamma, eta, w1c, w2c),
-        init=preset_initial(initial), t_max=t_max,
-    )
-
-
-def _poles(name, gamma, eta, w1c, w2c):
-    return FigurePreset(
-        name=name, config=_cfg(gamma, eta, w1c, w2c),
-        init=preset_initial("unentangled"), t_max=0.0, kind="poles",
-    )
-
-
 _PRESETS = {
-    p.name: p
-    for p in [
-        # unentangled start, anti-parallel dipoles, levels above the edge
-        _series("fig2a", 1.5, PI, 0.6, 0.2, "unentangled", 300.0),
-        _series("fig2b", 6.0, PI, 0.6, 0.2, "unentangled", 1200.0),
-        _series("fig2c", 10.0, PI, 0.6, 0.2, "unentangled", 3200.0),
-        # bright start, anti-parallel dipoles, levels inside the gap
-        _series("fig4a", 1.5, PI, -0.6, -1.0, "bright", 200.0),
-        _series("fig4b", 6.0, PI, -0.6, -1.0, "bright", 1200.0),
-        _series("fig4c", 10.0, PI, -0.6, -1.0, "bright", 2500.0),
-        # bright start, orthogonal dipoles
-        _series("fig5a", 1.5, PI / 2, -0.6, -1.0, "bright", 200.0),
-        _series("fig5b", 6.0, PI / 2, -0.6, -1.0, "bright", 1200.0),
-        _series("fig5c", 10.0, PI / 2, -0.6, -1.0, "bright", 4200.0),
-        # edge-position ladder at fixed exchange strength; fig7a and fig7b
-        # differ only in omega2c, which the bright orthogonal start never
-        # populates, so their series are identical (to 8.6e-16)
-        _series("fig7a", 5.0, PI / 2, 0.6, 0.2, "bright", 500.0),
-        _series("fig7b", 5.0, PI / 2, 0.6, -0.4, "bright", 500.0),
-        _series("fig7c", 5.0, PI / 2, -0.6, -1.0, "bright", 500.0),
-        _series("fig7d", 5.0, PI / 2, -1.6, -2.6, "bright", 500.0),
-        # dressed-state tables
-        _poles("poles3a", 6.0, PI / 2, 0.6, 0.2),
-        _poles("poles3b", 6.0, PI, 0.6, 0.2),
-        _poles("poles6a", 10.0, PI / 2, -0.6, -1.0),
-        _poles("poles6b", 6.0, PI, -0.6, -1.0),
-    ]
+    # unentangled start, anti-parallel dipoles, levels above the edge
+    "fig2a": RunSpec(_cfg(1.5, PI, 0.6, 0.2), preset_initial("unentangled"), 300.0, DT_OUT),
+    "fig2b": RunSpec(_cfg(6.0, PI, 0.6, 0.2), preset_initial("unentangled"), 1200.0, DT_OUT),
+    "fig2c": RunSpec(_cfg(10.0, PI, 0.6, 0.2), preset_initial("unentangled"), 3200.0, DT_OUT),
+    # bright start, anti-parallel dipoles, levels inside the gap
+    "fig4a": RunSpec(_cfg(1.5, PI, -0.6, -1.0), preset_initial("bright"), 200.0, DT_OUT),
+    "fig4b": RunSpec(_cfg(6.0, PI, -0.6, -1.0), preset_initial("bright"), 1200.0, DT_OUT),
+    "fig4c": RunSpec(_cfg(10.0, PI, -0.6, -1.0), preset_initial("bright"), 2500.0, DT_OUT),
+    # bright start, orthogonal dipoles
+    "fig5a": RunSpec(_cfg(1.5, PI / 2, -0.6, -1.0), preset_initial("bright"), 200.0, DT_OUT),
+    "fig5b": RunSpec(_cfg(6.0, PI / 2, -0.6, -1.0), preset_initial("bright"), 1200.0, DT_OUT),
+    "fig5c": RunSpec(_cfg(10.0, PI / 2, -0.6, -1.0), preset_initial("bright"), 4200.0, DT_OUT),
+    # edge-position ladder at fixed exchange strength; fig7a and fig7b
+    # differ only in omega2c, which the bright orthogonal start never
+    # populates, so their series are identical (to 8.6e-16)
+    "fig7a": RunSpec(_cfg(5.0, PI / 2, 0.6, 0.2), preset_initial("bright"), 500.0, DT_OUT),
+    "fig7b": RunSpec(_cfg(5.0, PI / 2, 0.6, -0.4), preset_initial("bright"), 500.0, DT_OUT),
+    "fig7c": RunSpec(_cfg(5.0, PI / 2, -0.6, -1.0), preset_initial("bright"), 500.0, DT_OUT),
+    "fig7d": RunSpec(_cfg(5.0, PI / 2, -1.6, -2.6), preset_initial("bright"), 500.0, DT_OUT),
+    # dressed-state tables
+    "poles3a": _cfg(6.0, PI / 2, 0.6, 0.2),
+    "poles3b": _cfg(6.0, PI, 0.6, 0.2),
+    "poles6a": _cfg(10.0, PI / 2, -0.6, -1.0),
+    "poles6b": _cfg(6.0, PI, -0.6, -1.0),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def get_preset(name: str) -> FigurePreset:
+def get_preset(name: str) -> RunSpec | SystemConfig:
+    """The run of a series preset, or the configuration of a pole preset."""
     try:
         return _PRESETS[name]
     except KeyError:

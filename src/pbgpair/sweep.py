@@ -96,8 +96,10 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
     ``n = worker_count()`` the values go in contiguous shares of
     ceil(len(values) / n), at most ``n`` of them: this process runs the
     first share while a pool with one worker per other share runs the
-    rest, and the results are taken in input order.  Nothing is written
-    unless every value ran.
+    rest, and the results are taken in input order.  A value that fails
+    ends the workers without waiting for their shares: at once in this
+    process's share, else once this process has run its own.  Nothing is
+    written unless every value ran.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
@@ -114,11 +116,11 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
     n_workers = min(worker_count(), len(jobs))
     os.makedirs(out_dir, exist_ok=True)
     if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Pool
         size = -(-len(jobs) // n_workers)
-        with ProcessPoolExecutor(max_workers=-(-len(jobs) // size) - 1) as pool:
-            rest = pool.map(_run_one, jobs[size:], chunksize=size)
-            results = [_run_one(j) for j in jobs[:size]] + list(rest)
+        with Pool(-(-len(jobs) // size) - 1) as pool:
+            rest = pool.map_async(_run_one, jobs[size:], chunksize=size)
+            results = [_run_one(j) for j in jobs[:size]] + rest.get()
     else:
         results = [_run_one(j) for j in jobs]
     entries = []

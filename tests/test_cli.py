@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import multiprocessing
 import os
 import subprocess
@@ -16,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 from pbgpair import bath
 from pbgpair.cli import main
 from pbgpair.sweep import apply_parameter, parse_values, worker_count
-from pbgpair.config import parse_run_file
+from pbgpair.config import parse_run_file, preset_initial, RunSpec
 from pbgpair.errors import DomainError
 from pbgpair.pipeline import n_points
-from pbgpair.presets import get_preset
+from pbgpair.presets import get_preset, PRESET_NAMES
 
 FIG4B_FILE = """
 gamma1 = 6
@@ -69,6 +70,47 @@ def test_run_config_equals_preset(tmp_path):
     assert main(["run", cfgfile, "-o", str(out_a), "--tmax", "40"]) == 0
     assert main(["preset", "fig4b", "-o", str(out_b), "--tmax", "40"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def _preset_run_file(tmp_path, name):
+    """The run file with the values of preset ``name``, its amplitudes
+    custom; a pole preset's file adds a start and a grid of its own."""
+    preset = get_preset(name)
+    if not isinstance(preset, RunSpec):
+        preset = RunSpec(preset, preset_initial("unentangled"), t_max=1.0, dt_out=0.5)
+    cfg = preset.config
+    eta_degrees = {math.pi: 180, math.pi / 2: 90}[cfg.eta]
+    lines = [f"{key} = {getattr(cfg, key)!r}"
+             for key in ("gamma1", "gamma2", "omega12", "omega1c", "omega2c")]
+    lines += [f"eta_degrees = {eta_degrees}", "initial = custom",
+              f"t_max = {preset.t_max!r}", f"dt_out = {preset.dt_out!r}"]
+    lines += [f"a{i}_{part} = {getattr(a, attr)!r}"
+              for i, a in enumerate(preset.init.as_tuple(), start=1)
+              for part, attr in (("re", "real"), ("im", "imag"))]
+    return _write(tmp_path, f"{name}.cfg", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_is_its_run_file(tmp_path, name):
+    # a series preset writes what `run` writes for its run file, a pole
+    # preset what `poles` writes
+    verb = "run" if isinstance(get_preset(name), RunSpec) else "poles"
+    by_file, by_name = tmp_path / "file.csv", tmp_path / "name.csv"
+    assert main([verb, _preset_run_file(tmp_path, name), "-o", str(by_file)]) == 0
+    assert main(["preset", name, "-o", str(by_name)]) == 0
+    assert by_file.read_bytes() == by_name.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [["--amplitudes", "amps.csv"], ["--engine", "both"],
+                                   ["--tmax", "5"], ["--dt", "0.1"]])
+def test_pole_preset_refuses_series_options(tmp_path, monkeypatch, capsys, extra):
+    # like the poles verb, a pole preset refuses the options of a series
+    # and writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "poles3a", *extra, "-o", "p.csv"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and extra[0] in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_preset_output_deterministic(tmp_path):
@@ -262,6 +304,28 @@ def test_failing_sweep_value_names_one_stage(tmp_path, monkeypatch, capsys):
         assert multiprocessing.active_children() == []
     assert lines == {"pbgpair sweep: numerical failure in sweep._run_one: "
                      "LinAlgError: Singular matrix"}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in reaches the worker by fork")
+def test_failing_sweep_value_stops_the_other_shares(tmp_path, monkeypatch, capsys):
+    # the value in this process's share fails at once and the worker's
+    # sleeps: the sweep exits without waiting for the worker, and ends it
+    def fail_or_sleep(spec, n_modes):
+        if spec.config.gamma1 == 2.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        time.sleep(2.0)
+
+    monkeypatch.setattr("pbgpair.sweep.run_spec", fail_or_sleep)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("THREADS", "2")
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    start = time.perf_counter()
+    assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3",
+                 "-o", str(tmp_path / "sweep")]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_reads_the_cpus_this_process_may_run_on(monkeypatch):
@@ -636,13 +700,13 @@ def test_antisymmetric_start_needs_no_secular_root(tmp_path, caplog):
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    # concurrent.futures loads only for a sweep with more than one worker;
+    # the process pool loads only for a sweep with more than one worker;
     # the benchmark's tracer needs pbgpair.bath loaded
     import pbgpair
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
     code = ("import sys, pbgpair.cli; "
-            "print('concurrent.futures.process' in sys.modules, 'pbgpair.bath' in sys.modules)")
+            "print('multiprocessing.pool' in sys.modules, 'pbgpair.bath' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()

@@ -75,6 +75,14 @@ def test_replace_checks_the_run(t_max, dt_out):
         dataclasses.replace(spec, t_max=t_max, dt_out=dt_out)
 
 
+@pytest.mark.parametrize("engine", ["orcale", "", "Analytic"])
+def test_replace_checks_the_engine(engine):
+    # an engine other than analytic or oracle ran as both
+    spec = RunSpec(PAPER_CFG, preset_initial("bright"), t_max=1.0, dt_out=0.5)
+    with pytest.raises(DomainError, match="engine must be one of .* got"):
+        dataclasses.replace(spec, engine=engine)
+
+
 def test_preset_initial_values():
     u = preset_initial("unentangled")
     assert u.as_tuple() == (1, 0, 0, 0)
