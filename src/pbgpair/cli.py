@@ -22,7 +22,7 @@ from dataclasses import replace
 from numpy.linalg import LinAlgError
 
 from . import csvio, sweep as sweep_mod
-from .config import ENGINES, parse_run_file, RunSpec
+from .config import DEFAULT_MODES, ENGINES, parse_run_file, RunSpec
 from .errors import ConfigError, NumericalError
 from .pipeline import run_spec
 from .poles import find_poles
@@ -32,7 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-DEFAULT_MODES = 4000  # --modes, the oracle bath size
 
 
 @functools.cache
@@ -48,8 +47,8 @@ def _parser():
                         help="trajectory engine (default from the run file, else analytic)")
         sp.add_argument("--tmax", type=float, help="override horizon (units 1/beta)")
         sp.add_argument("--dt", type=float, help="override output spacing")
-        sp.add_argument("--modes", type=int, default=DEFAULT_MODES,
-                        help=f"oracle bath size (default {DEFAULT_MODES})")
+        sp.add_argument("--modes", type=int,
+                        help=f"override the oracle bath size (default {DEFAULT_MODES})")
 
     def series_options(sp):
         sp.add_argument("-o", "--output", required=True, help="output CSV path")
@@ -81,15 +80,16 @@ def _parser():
 
 
 def _apply_overrides(spec: RunSpec, args) -> RunSpec:
-    """``spec`` with the --engine, --tmax and --dt given, checked as one run."""
+    """``spec`` with the --engine, --tmax, --dt and --modes given, checked as one run."""
     return replace(spec, engine=args.engine or spec.engine,
                    t_max=spec.t_max if args.tmax is None else args.tmax,
-                   dt_out=spec.dt_out if args.dt is None else args.dt)
+                   dt_out=spec.dt_out if args.dt is None else args.dt,
+                   n_modes=spec.n_modes if args.modes is None else args.modes)
 
 
 def _emit_series(spec: RunSpec, args) -> int:
-    """Run ``spec`` under the --engine, --tmax and --dt given; write its CSVs."""
-    series, traj, _ = run_spec(_apply_overrides(spec, args), n_modes=args.modes)
+    """Run ``spec`` under the options given; write its CSVs."""
+    series, traj, _ = run_spec(_apply_overrides(spec, args))
     csvio.write_atomic(args.output, csvio.entanglement_csv(series, traj))
     if args.amplitudes:
         csvio.write_atomic(args.amplitudes, csvio.trajectory_csv(traj))
@@ -109,7 +109,7 @@ def _cmd_preset(args) -> int:
     preset = get_preset(args.name)
     if isinstance(preset, RunSpec):
         return _emit_series(preset, args)
-    given = [f"--{k}" for k in ("amplitudes", "engine", "tmax", "dt")
+    given = [f"--{k}" for k in ("amplitudes", "engine", "tmax", "dt", "modes")
              if getattr(args, k) is not None]
     if given:
         raise ConfigError(f"{args.name} is a pole table; {', '.join(given)} "
@@ -124,7 +124,7 @@ def _cmd_poles(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _apply_overrides(parse_run_file(args.config), args)
     values = sweep_mod.parse_values(args.param, args.values)
-    sweep_mod.run_sweep(spec, args.param, values, args.output, n_modes=args.modes)
+    sweep_mod.run_sweep(spec, args.param, values, args.output)
     return EXIT_OK
 
 

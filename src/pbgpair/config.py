@@ -148,17 +148,19 @@ _AMP_KEYS = {
     f"a{i}_{part}" for i in (1, 2, 3, 4) for part in ("re", "im")
 }
 ENGINES = ("analytic", "oracle", "both")
+DEFAULT_MODES = 4000  # the oracle bath size
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A run: physics, initial state, output grid and engine, checked when built."""
+    """A run: physics, initial state, output grid, engine and bath size, checked when built."""
 
     config: SystemConfig
     init: InitialState
     t_max: float
     dt_out: float
     engine: str = "analytic"
+    n_modes: int = DEFAULT_MODES  # the oracle's, checked by bath.build_bath
 
     def __post_init__(self):
         if self.engine not in ENGINES:

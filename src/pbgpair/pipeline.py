@@ -1,5 +1,5 @@
 """Run orchestration shared by the command line and the sweep driver.  A
-run is refused, if at all, before either engine starts."""
+run is one :class:`RunSpec`; it is refused, if at all, before either engine starts."""
 
 from __future__ import annotations
 
@@ -37,19 +37,14 @@ MAX_PROPAGATION_SIZE = 1_000_000_000
 MAX_ORACLE_POINTS = 50_000
 
 
-def analytic_trajectory(config, init, t_max, dt_out):
-    times = time_grid(t_max, dt_out)
-    return inversion.amplitudes_analytic(times, config, init)
-
-
-def check_budgets(spec: RunSpec, n_modes: int):
+def check_budgets(spec: RunSpec):
     """Check every size budget of a run, before any engine work.
 
-    For engine='oracle' or 'both' the oracle's bath is built, and its
-    recurrence horizon is one of the budgets for engine='oracle'; for
-    engine='both' the oracle is clipped to it instead.  Returns the bath
-    and the end of the oracle's window, or (None, None) for
-    engine='analytic'.
+    For engine='oracle' or 'both' the oracle's bath of ``spec.n_modes``
+    modes is built, and its recurrence horizon is one of the budgets for
+    engine='oracle'; for engine='both' the oracle is clipped to it
+    instead.  Returns the bath and the end of the oracle's window, or
+    (None, None) for engine='analytic'.
     """
     # n_points > MAX_POINTS, decided on the float: past the budget the ratio
     # may not fit an int
@@ -59,17 +54,17 @@ def check_budgets(spec: RunSpec, n_modes: int):
                           f"{MAX_POINTS}; raise dt_out or lower t_max")
     if spec.engine == "analytic":
         return None, None
-    dim = bath.block_dim(spec.config, n_modes)
+    dim = bath.block_dim(spec.config, spec.n_modes)
     if dim > MAX_BLOCK_DIM:
         raise DomainError(f"oracle block of dimension {dim} exceeds the budget of "
                           f"{MAX_BLOCK_DIM}; lower the number of modes")
-    b = bath.build_bath(spec.config, n_modes=n_modes)
+    b = bath.build_bath(spec.config, n_modes=spec.n_modes)
     horizon = b.recurrence_time()
     t_oracle = spec.t_max
     if t_oracle > horizon:
         if spec.engine == "oracle":
             raise DomainError(f"t_max={spec.t_max:g} exceeds the oracle horizon "
-                              f"{horizon:.6g} of {n_modes} modes; raise --modes or "
+                              f"{horizon:.6g} of {spec.n_modes} modes; raise --modes or "
                               "lower t_max")
         t_oracle = spec.dt_out * np.floor(horizon / spec.dt_out)
     points = n_points(t_oracle, spec.dt_out)
@@ -83,7 +78,7 @@ def check_budgets(spec: RunSpec, n_modes: int):
     return b, t_oracle
 
 
-def run_spec(spec: RunSpec, n_modes: int):
+def run_spec(spec: RunSpec):
     """Execute a run: returns (series, trajectory, deviation).
 
     Every size budget is checked, and the oracle's bath built, before
@@ -92,12 +87,13 @@ def run_spec(spec: RunSpec, n_modes: int):
     difference between the engines over the oracle horizon, to which that
     run's oracle is clipped (both are written to the run log).
     """
-    b, t_oracle = check_budgets(spec, n_modes)
+    b, t_oracle = check_budgets(spec)
     if spec.engine != "analytic" and t_oracle < spec.t_max:
         log.info("oracle horizon %.6g limits the reference run to t=%.6g",
                  b.recurrence_time(), t_oracle)
     if spec.engine != "oracle":
-        traj = analytic_trajectory(spec.config, spec.init, spec.t_max, spec.dt_out)
+        traj = inversion.amplitudes_analytic(time_grid(spec.t_max, spec.dt_out), spec.config,
+                                             spec.init)
     deviation = None
     if spec.engine != "analytic":
         ref = bath.integrate(spec.config, spec.init, b, t_max=t_oracle, dt_out=spec.dt_out)

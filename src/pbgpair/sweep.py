@@ -78,22 +78,21 @@ def value_label(parameter: str, value) -> str:
     return f"{value:g}"
 
 
-def _run_one(args):
-    label, spec, n_modes = args
-    series, traj, _ = run_spec(spec, n_modes=n_modes)
+def _run_one(job):
+    label, spec = job
+    series, traj, _ = run_spec(spec)
     hl = negativity.half_life(series.times, series.log_negativity)
     ien = negativity.integrated_en(series.times, series.log_negativity,
                                    min(INTEGRAL_WINDOW, spec.t_max))
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
-def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> list:
+def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     """Run every value, write per-value CSVs and the summary; returns rows.
 
-    ``n_modes`` sizes the oracle bath of engine=oracle|both runs.  Every
-    value's run, its size budgets and its label (two values may not share
-    a file) and THREADS are checked before ``out_dir`` is created.  With
-    ``n = worker_count()`` the values go in contiguous shares of
+    Every value's run, its size budgets and its label (two values may not
+    share a file) and THREADS are checked before ``out_dir`` is created.
+    With ``n = worker_count()`` the values go in contiguous shares of
     ceil(len(values) / n), at most ``n`` of them: this process runs the
     first share while a pool with one worker per other share runs the
     rest, and the results are taken in input order.  A value that fails
@@ -111,8 +110,8 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir, n_modes: int) -> l
                               f"label {label!r}")
         seen[label] = value
         run = apply_parameter(spec, parameter, value)
-        check_budgets(run, n_modes)
-        jobs.append((label, run, n_modes))
+        check_budgets(run)
+        jobs.append((label, run))
     n_workers = min(worker_count(), len(jobs))
     os.makedirs(out_dir, exist_ok=True)
     if n_workers > 1:

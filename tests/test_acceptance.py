@@ -59,8 +59,7 @@ from scipy.optimize import brentq
 
 from pbgpair import bath, inversion, negativity as neg
 from pbgpair.config import (AmplitudeTrajectory, InitialState, SystemConfig,
-                            preset_initial)
-from pbgpair.pipeline import analytic_trajectory
+                            preset_initial, time_grid)
 from pbgpair.poles import PoleSet, find_poles
 from pbgpair.presets import get_preset
 from reference_routes import branch_cut_integral, negativity_series, oscillation_envelope
@@ -80,7 +79,7 @@ def preset_series(name):
     """Analytic trajectory + entanglement series of a preset, cached."""
     if name not in _SERIES_CACHE:
         p = get_preset(name)
-        traj = analytic_trajectory(p.config, p.init, p.t_max, p.dt_out)
+        traj = inversion.amplitudes_analytic(time_grid(p.t_max, p.dt_out), p.config, p.init)
         series = neg.entanglement_series(traj)
         _SERIES_CACHE[name] = (p, traj, series)
     return _SERIES_CACHE[name]
@@ -149,7 +148,7 @@ def test_criterion_3_interference_null():
     scale = math.sqrt(abs(a1) ** 2 + abs(a3) ** 2)
     worst = 0.0
     for init in (preset_initial("bright"), InitialState(a1 / scale, 0, a3 / scale, 0)):
-        traj = analytic_trajectory(config, init, 50.0, 0.5)
+        traj = inversion.amplitudes_analytic(time_grid(50.0, 0.5), config, init)
         worst = max(worst, float(np.max(np.abs(traj.amps[:, [1, 3]]))))
         b = bath.build_bath(config, n_modes=1500)
         oracle = bath.integrate(config, init, b, t_max=50.0, dt_out=0.5)
@@ -252,7 +251,7 @@ def test_criterion_5_depth_enters_through_a1():
     def rung(name, gamma):
         p = get_preset(name)
         config = dataclasses.replace(p.config, gamma1=gamma, gamma2=gamma)
-        return analytic_trajectory(config, p.init, p.t_max, p.dt_out)
+        return inversion.amplitudes_analytic(time_grid(p.t_max, p.dt_out), config, p.init)
 
     def integral(gamma):
         series = neg.entanglement_series(rung("fig7d", gamma))

@@ -305,7 +305,7 @@ def test_mode_spectrum_matches_dense():
 def test_oracle_reports_spectral_completeness(caplog):
     with caplog.at_level(logging.INFO, logger="pbgpair"):
         _, tr, _ = pipeline.run_spec(RunSpec(FIG2B, preset_initial("unentangled"), 5.0,
-                                             0.5, engine="oracle"), n_modes=150)
+                                             0.5, engine="oracle", n_modes=150))
     assert tr.meta["n_roots"] == bath.block_dim(FIG2B, 150) - 2
     assert 0.0 <= tr.meta["weight_defect"] <= 1e-8
     assert any("secular roots" in r.getMessage() and "weight defect" in r.getMessage()

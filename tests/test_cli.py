@@ -102,7 +102,7 @@ def test_preset_is_its_run_file(tmp_path, name):
 
 
 @pytest.mark.parametrize("extra", [["--amplitudes", "amps.csv"], ["--engine", "both"],
-                                   ["--tmax", "5"], ["--dt", "0.1"]])
+                                   ["--tmax", "5"], ["--dt", "0.1"], ["--modes", "50"]])
 def test_pole_preset_refuses_series_options(tmp_path, monkeypatch, capsys, extra):
     # like the poles verb, a pole preset refuses the options of a series
     # and writes nothing
@@ -282,10 +282,10 @@ def test_failing_sweep_value_names_one_stage(tmp_path, monkeypatch, capsys):
     # print the same line, write no value's file and leave no process behind
     from pbgpair.pipeline import run_spec
 
-    def run_or_fail(spec, n_modes):
+    def run_or_fail(spec):
         if spec.config.gamma1 == bad:
             raise np.linalg.LinAlgError("Singular matrix")
-        return run_spec(spec, n_modes=n_modes)
+        return run_spec(spec)
 
     monkeypatch.setattr("pbgpair.sweep.run_spec", run_or_fail)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -311,7 +311,7 @@ def test_failing_sweep_value_names_one_stage(tmp_path, monkeypatch, capsys):
 def test_failing_sweep_value_stops_the_other_shares(tmp_path, monkeypatch, capsys):
     # the value in this process's share fails at once and the worker's
     # sleeps: the sweep exits without waiting for the worker, and ends it
-    def fail_or_sleep(spec, n_modes):
+    def fail_or_sleep(spec):
         if spec.config.gamma1 == 2.0:
             raise np.linalg.LinAlgError("Singular matrix")
         time.sleep(2.0)
@@ -376,17 +376,33 @@ def test_fig5a_regression_plateau(tmp_path):
     assert 0.05 < en[k100] < 0.09
 
 
-def test_sweep_passes_modes_to_the_oracle(tmp_path, monkeypatch):
+def test_modes_reaches_the_oracle_through_every_verb(tmp_path, monkeypatch, caplog):
+    # --modes is one field of the run whichever verb gives it: the oracle
+    # CSV depends on the bath size (horizon 18.9 at 300 modes), and run,
+    # sweep and preset write the same bytes and log the same roots
     monkeypatch.setenv("THREADS", "1")
+    oracle = ["--engine", "oracle", "--tmax", "15"]
+
+    def call(argv, modes="300"):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="pbgpair"):
+            assert main([*argv, *oracle, "--modes", modes]) == 0
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle:")]
+
     cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
-    single = tmp_path / "run.csv"
-    assert main(["run", cfgfile, "-o", str(single), "--engine", "oracle",
-                 "--tmax", "5", "--modes", "200"]) == 0
+    single, bigger = tmp_path / "run.csv", tmp_path / "run400.csv"
+    logged = call(["run", cfgfile, "-o", str(single)])
+    call(["run", cfgfile, "-o", str(bigger)], modes="400")
+    assert single.read_bytes() != bigger.read_bytes()
     outdir = tmp_path / "sweep"
-    assert main(["sweep", cfgfile, "--param", "gamma", "--values", "3",
-                 "-o", str(outdir), "--engine", "oracle", "--tmax", "5",
-                 "--modes", "200"]) == 0
+    assert call(["sweep", cfgfile, "--param", "gamma", "--values", "3",
+                 "-o", str(outdir)]) == logged
+    assert len(logged) == 1 and "horizon 18.9" in logged[0]
     assert (outdir / "gamma_3.csv").read_bytes() == single.read_bytes()
+    by_file, by_name = tmp_path / "fig2b_file.csv", tmp_path / "fig2b_name.csv"
+    call(["run", _preset_run_file(tmp_path, "fig2b"), "-o", str(by_file)])
+    call(["preset", "fig2b", "-o", str(by_name)])
+    assert by_file.read_bytes() == by_name.read_bytes()
 
 
 def test_bad_threads_value_exit_code(tmp_path, monkeypatch, capsys):
@@ -522,7 +538,7 @@ def test_numpy_numerical_error_exit_code(tmp_path, monkeypatch, capsys, error):
     assert main(["preset", "fig2a", "-o", str(tmp_path / "x.csv")]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "Traceback" not in err[0]
-    assert type(error).__name__ in err[0] and "pipeline.analytic_trajectory" in err[0]
+    assert type(error).__name__ in err[0] and "pipeline.run_spec" in err[0]
     assert not (tmp_path / "x.csv").exists()
 
 

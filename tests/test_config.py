@@ -4,6 +4,7 @@ import math
 import pytest
 
 from pbgpair.config import (
+    DEFAULT_MODES,
     InitialState,
     RunSpec,
     SystemConfig,
@@ -83,6 +84,17 @@ def test_replace_checks_the_engine(engine):
         dataclasses.replace(spec, engine=engine)
 
 
+def test_replace_n_modes_keeps_the_other_fields():
+    # the oracle's bath size is a field of the run like the others
+    spec = RunSpec(PAPER_CFG, preset_initial("bright"), t_max=7.0, dt_out=0.25,
+                   engine="both")
+    assert spec.n_modes == DEFAULT_MODES
+    out = dataclasses.replace(spec, n_modes=300)
+    assert out.n_modes == 300
+    assert all(getattr(out, f.name) == getattr(spec, f.name)
+               for f in dataclasses.fields(spec) if f.name != "n_modes")
+
+
 def test_preset_initial_values():
     u = preset_initial("unentangled")
     assert u.as_tuple() == (1, 0, 0, 0)
@@ -138,7 +150,7 @@ def test_parse_run_file_roundtrip(tmp_path):
     assert spec.config.eta == pytest.approx(math.pi)
     assert spec.init.a1 == pytest.approx(1 / math.sqrt(2))
     assert spec.t_max == 100 and spec.dt_out == 0.5
-    assert spec.engine == "analytic"
+    assert spec.engine == "analytic" and spec.n_modes == DEFAULT_MODES
 
 
 def test_parse_run_file_engine_key(tmp_path):

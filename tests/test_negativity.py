@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import negativity as neg
-from pbgpair.config import AmplitudeTrajectory, SystemConfig, preset_initial
+from pbgpair import inversion, negativity as neg
+from pbgpair.config import AmplitudeTrajectory, SystemConfig, preset_initial, time_grid
 from pbgpair.errors import NormError
 from reference_routes import (log_negativity, oscillation_envelope, partial_transpose_B,
                               reduced_density_matrix)
@@ -154,16 +154,14 @@ def _traj(times, amps):
 
 
 def test_series_initial_values():
-    from pbgpair.pipeline import analytic_trajectory
-
     cfg = FIG2B
     init = preset_initial("unentangled")
-    traj = analytic_trajectory(cfg, init, 5.0, 0.5)
+    traj = inversion.amplitudes_analytic(time_grid(5.0, 0.5), cfg, init)
     s = neg.entanglement_series(traj)
     assert s.log_negativity[0] == 0.0
     assert s.log_negativity[1] > 0.0  # entangled as soon as t > 0
     bright = preset_initial("bright")
-    traj_b = analytic_trajectory(cfg, bright, 2.0, 0.5)
+    traj_b = inversion.amplitudes_analytic(time_grid(2.0, 0.5), cfg, bright)
     sb = neg.entanglement_series(traj_b)
     assert sb.log_negativity[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -187,11 +185,10 @@ def test_weak_exchange_oscillations_decay_by_t100():
     # unentangled start, gamma = 1.5: the leaky transient dies on a ~30/beta
     # scale, so the E_N swing at t~100 is far below the early swing (the
     # persistent plateau itself does not decay)
-    from pbgpair.pipeline import analytic_trajectory
     from pbgpair.presets import get_preset
 
     p = get_preset("fig2a")
-    traj = analytic_trajectory(p.config, p.init, 120.0, 0.25)
+    traj = inversion.amplitudes_analytic(time_grid(120.0, 0.25), p.config, p.init)
     s = neg.entanglement_series(traj)
     early = oscillation_envelope(s.times, s.log_negativity, 10.0, 8.0)
     late = oscillation_envelope(s.times, s.log_negativity, 100.0, 8.0)
@@ -249,11 +246,10 @@ def test_closed_form_matches_partial_transpose_property(case):
 def test_cancellation_case_against_50_digits():
     # fig5c at t = 7: p = 1 - 1.2e-6 and N = 3.6e-13, where the textbook
     # form (sqrt(p^2 + 4XY) - p)/2 cancels about four digits
-    from pbgpair.pipeline import analytic_trajectory
     from pbgpair.presets import get_preset
 
     p = get_preset("fig5c")
-    traj = analytic_trajectory(p.config, p.init, 7.0, p.dt_out)
+    traj = inversion.amplitudes_analytic(time_grid(7.0, p.dt_out), p.config, p.init)
     assert traj.times[-1] == 7.0
     n_closed = neg.entanglement_series(traj).negativity[-1]
     with localcontext() as ctx:
