@@ -189,11 +189,16 @@ def parse_run_file(path) -> RunSpec:
     Required keys: gamma1, gamma2, omega12, omega1c, omega2c, eta_degrees,
     initial, t_max, dt_out.  `initial = custom` additionally requires
     a1_re .. a4_im.  Optional: engine = analytic|oracle|both.  Unknown and
-    repeated keys raise ParseError with the offending line number.
+    repeated keys, and a line that is not UTF-8 text, raise ParseError with
+    the offending line number.
     """
     values: dict[str, float | str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text ({exc.reason})", lineno) from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

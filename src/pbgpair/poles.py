@@ -111,7 +111,10 @@ def _table_weight(x, config):
     Factors within MERGE_TOL of zero count as zero, and only the term of
     the one vanishing factor is formed (beside the branch point the slope
     1/S^3 of another factor overflows); the weight is 0 at a double root
-    (slope 0) and at the branch point (slope unbounded).
+    (slope 0) and at the branch point (slope unbounded).  The weight is
+    divided by one factor at a time: for exchange strengths past about
+    1e102 the product of three factors of their size overflows, while the
+    weight itself only underflows towards 0.
     """
     s = np.sqrt(complex(x.imag - config.omega1c))
     if s == 0:
@@ -124,8 +127,10 @@ def _table_weight(x, config):
         return 0j
     k = zero[0]
     slope = 1 / s ** 3 if k == 3 else 1j
-    deriv = 1j * (slope * np.prod(factors[:k] + factors[k + 1:]))
-    return 0j if deriv == 0 else complex(1.0 / deriv)
+    weight = 1 / complex(1j * slope)
+    for f in factors[:k] + factors[k + 1:]:
+        weight /= f
+    return weight
 
 
 @dataclass(frozen=True)

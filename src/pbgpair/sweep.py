@@ -87,6 +87,17 @@ def _run_one(job):
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
+def _run_share(jobs):
+    return [_run_one(job) for job in jobs]
+
+
+def _raise_failure(pending):
+    """Raise the error of the first worker share that has failed, if any."""
+    for share in pending:
+        if share.ready() and not share.successful():
+            share.get()
+
+
 def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     """Run every value, write per-value CSVs and the summary; returns rows.
 
@@ -97,8 +108,9 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     first share while a pool with one worker per other share runs the
     rest, and the results are taken in input order.  A value that fails
     ends the workers without waiting for their shares: at once in this
-    process's share, else once this process has run its own.  Nothing is
-    written unless every value ran.
+    process's share, else before this process's next value or, once it has
+    run its own share, within 0.05 s.  Nothing is written unless every
+    value ran.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
@@ -117,9 +129,18 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     if n_workers > 1:
         from multiprocessing import Pool
         size = -(-len(jobs) // n_workers)
-        with Pool(-(-len(jobs) // size) - 1) as pool:
-            rest = pool.map_async(_run_one, jobs[size:], chunksize=size)
-            results = [_run_one(j) for j in jobs[:size]] + rest.get()
+        shares = [jobs[k:k + size] for k in range(size, len(jobs), size)]
+        with Pool(len(shares)) as pool:
+            pending = [pool.apply_async(_run_share, (share,)) for share in shares]
+            results = []
+            for job in jobs[:size]:
+                _raise_failure(pending)
+                results.append(_run_one(job))
+            for share in pending:
+                while not share.ready():
+                    _raise_failure(pending)
+                    share.wait(0.05)
+                results += share.get()
     else:
         results = [_run_one(j) for j in jobs]
     entries = []

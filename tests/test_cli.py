@@ -328,6 +328,38 @@ def test_failing_sweep_value_stops_the_other_shares(tmp_path, monkeypatch, capsy
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in reaches the workers by fork")
+@pytest.mark.parametrize("threads,values,bad", [("2", "1,2,3,4,5,6", 4.0),
+                                                ("3", "1,2,3,4,5,6,7,8,9", 7.0)])
+def test_failing_worker_value_is_reported_between_this_process_values(
+        tmp_path, monkeypatch, capsys, threads, values, bad):
+    # this process runs 1, 2, 3 and every value but a worker's first sleeps
+    # 1 s: the failure is seen after this process's first value, not its share
+    from pbgpair.pipeline import run_spec
+
+    def fail_or_sleep(spec):
+        if spec.config.gamma1 == bad:
+            raise np.linalg.LinAlgError("Singular matrix")
+        time.sleep(1.0)
+        return run_spec(spec)
+
+    monkeypatch.setattr("pbgpair.sweep.run_spec", fail_or_sleep)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setenv("THREADS", threads)
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    outdir = tmp_path / "sweep"
+    start = time.perf_counter()
+    assert main(["sweep", cfgfile, "--param", "gamma", "--values", values, "--tmax", "5",
+                 "-o", str(outdir)]) == 4
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["pbgpair sweep: numerical failure in sweep._run_one: "
+                   "LinAlgError: Singular matrix"]
+    assert list(outdir.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_count_reads_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.delenv("THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -497,6 +529,25 @@ def test_table_row_beside_the_branch_point(tmp_path, capsys):
     assert main(["poles", cfgfile, "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("gamma", [1e102, 6e102, 1e103, 1e150, 1e204])
+def test_table_weight_of_strong_equal_exchange(tmp_path, capsys, gamma):
+    # a1 = a2, so the cubic sectors serve (up to about 1e205), and the
+    # 1 + 2 beta' row at x = -4.6i has the weight -8 / gamma^3: it underflows
+    # towards 0, where the product of three factors of size gamma overflowed
+    cfgfile = _write(tmp_path, "strong.cfg", f"gamma1 = {gamma!r}\ngamma2 = {gamma!r}\n"
+                     "omega12 = 0.4\nomega1c = -0.6\nomega2c = -1\neta_degrees = 90\n"
+                     "initial = bright\nt_max = 20\ndt_out = 0.5\n")
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["poles", cfgfile, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert all(np.isfinite(float(v)) for r in rows for v in r[1:3] + r[4:])
+    weight = [float(r[4]) for r in rows if float(r[2]) == -4.6]
+    assert weight == [pytest.approx(-8 / gamma / gamma / gamma, rel=1e-9, abs=1e-320)]
 
 
 @pytest.mark.parametrize("command,detuning", [("run", "-1e18"), ("poles", "-1e12")])
@@ -729,14 +780,40 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     assert out == ["False", "True"]
 
 
+# a lone 0xff, a stray continuation byte, a truncated sequence, an encoded
+# surrogate and Latin-1 text
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", "d\xe9tuning".encode("latin-1")]
+
+
+@pytest.mark.parametrize("verb", ["run", "poles", "sweep"])
+@pytest.mark.parametrize("line,before,after", [(1, b"\xff", b""),
+                                               (4, b"", " # d\xe9tuning".encode("latin-1"))],
+                         ids=["first-byte", "latin-1-comment"])
+def test_run_file_not_utf8_exit_code(tmp_path, monkeypatch, capsys, verb, line, before, after):
+    # a run file that is not UTF-8 is a usage error that names its line,
+    # in every verb that reads one
+    monkeypatch.setenv("THREADS", "1")
+    lines = SHORT_FILE.strip().encode("utf-8").split(b"\n")
+    lines[line - 1] = before + lines[line - 1] + after
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "out"
+    extra = ["--param", "gamma", "--values", "3"] if verb == "sweep" else []
+    assert main([verb, str(cfg), *extra, "-o", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"pbgpair {verb}: line {line}: not UTF-8")
+    assert not out.exists()
+
+
 @st.composite
 def run_files(draw):
-    """Run-file text, extra command-line arguments and the fault drawn: a
+    """Run-file bytes, extra command-line arguments and the fault drawn: a
     valid small run (fault None) or one fault (a NaN/inf or unparsable number, an unknown, duplicate or
     missing key, a line without one '=', detunings that do not sum to
     omega12, custom amplitudes of the wrong norm, a grid past the budget
-    or a non-positive one), run by a random engine on a bath of random
-    size, past the budget too.  Every accepted case is small."""
+    or a non-positive one, bytes that are not UTF-8), run by a random
+    engine on a bath of random size, past the budget too.  Every accepted
+    case is small."""
     gamma = repr(draw(st.floats(0.0, 10.0)))
     w1c, w2c = draw(st.floats(-3.0, 2.0)), draw(st.floats(-3.0, 2.0))
     values = {"gamma1": gamma, "gamma2": gamma, "omega12": repr(w1c - w2c),
@@ -745,7 +822,8 @@ def run_files(draw):
               "t_max": "20.0", "dt_out": "0.5"}
     norm = 1.0
     fault = draw(st.sampled_from([None, None, None, None, "value", "key", "duplicate",
-                                  "equals", "missing", "detuning", "norm", "grid"]))
+                                  "equals", "missing", "detuning", "norm", "grid",
+                                  "encoding"]))
     if fault == "value":
         values[draw(st.sampled_from(sorted(values)))] = draw(
             st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", ""]))
@@ -773,20 +851,24 @@ def run_files(draw):
     elif fault in ("key", "duplicate", "equals"):
         lines.insert(where, {"key": "bogus = 1", "duplicate": lines[where],
                              "equals": draw(st.sampled_from(["t_max", "a = b = c"]))}[fault])
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if fault == "encoding":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from(NOT_UTF8)) + data[cut:]
     engine = draw(st.sampled_from(["both", "oracle", "analytic"]))
     modes = draw(st.sampled_from(["300", "100", "10000000", "50"]))
-    return "\n".join(lines) + "\n", ["--engine", engine, "--modes", modes], fault
+    return data, ["--engine", engine, "--modes", modes], fault
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(run_files(), st.sampled_from(["1", "2", "0", "-3", "abc", "", " 4", "1e3",
                                      "99999999999"]))
 def test_exit_code_contract_property(case, threads):
-    text, extra, fault = case
+    data, extra, fault = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(cfg, "wb") as fh:
+            fh.write(data)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["run", cfg, "-o", os.path.join(tmp, "out.csv")] + extra)
@@ -795,7 +877,8 @@ def test_exit_code_contract_property(case, threads):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     assert written == (code == 0)
-    if fault in ("key", "duplicate", "equals", "missing", "value", "detuning", "norm"):
+    if fault in ("key", "duplicate", "equals", "missing", "value", "detuning", "norm",
+                 "encoding"):
         assert code == 2
     if code:
         assert len(lines) == 1 and lines[0].startswith("pbgpair run: ")
