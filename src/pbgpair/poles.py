@@ -111,10 +111,9 @@ def _table_weight(x, config):
     Factors within MERGE_TOL of zero count as zero, and only the term of
     the one vanishing factor is formed (beside the branch point the slope
     1/S^3 of another factor overflows); the weight is 0 at a double root
-    (slope 0) and at the branch point (slope unbounded).  The weight is
-    divided by one factor at a time: for exchange strengths past about
-    1e102 the product of three factors of their size overflows, while the
-    weight itself only underflows towards 0.
+    (slope 0) and at the branch point (slope unbounded).  It is divided by
+    one factor at a time: past exchange strengths of about 1e102 their
+    product overflows, while the weight only underflows towards 0.
     """
     s = np.sqrt(complex(x.imag - config.omega1c))
     if s == 0:

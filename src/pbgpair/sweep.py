@@ -87,10 +87,6 @@ def _run_one(job):
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
-def _run_share(jobs):
-    return [_run_one(job) for job in jobs]
-
-
 def _raise_failure(pending):
     """Raise the error of the first worker share that has failed, if any."""
     for share in pending:
@@ -129,9 +125,10 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     if n_workers > 1:
         from multiprocessing import Pool
         size = -(-len(jobs) // n_workers)
-        shares = [jobs[k:k + size] for k in range(size, len(jobs), size)]
-        with Pool(len(shares)) as pool:
-            pending = [pool.apply_async(_run_share, (share,)) for share in shares]
+        starts = range(size, len(jobs), size)
+        with Pool(len(starts)) as pool:
+            pending = [pool.map_async(_run_one, jobs[k:k + size], chunksize=size)
+                       for k in starts]
             results = []
             for job in jobs[:size]:
                 _raise_failure(pending)
