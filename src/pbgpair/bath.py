@@ -285,16 +285,18 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
     of it at the 1,212,000 points of two 1,500-example runs, which proves
     no bound.  The roots go in one group per panel: they are sorted by
     group once, each group is a slice of the sorted rows, the barycentric
-    terms of every root inside its panel's interval come from one call,
-    and the four sums go back to the roots' order in one scatter.  A group
-    takes its far field from the panel's Chebyshev interpolants (``far``),
-    one (rows x CHEB_DEGREE + 1) by (CHEB_DEGREE + 1 x 4) product, and its near
-    field from the panel's sources in one (rows x sources) block, with the
-    differences z - d_j formed as ((base - d[origin]) + offset) - tau: for
-    a direct pole that is (d_j - d[origin]) - tau, accurate to relative
-    rounding even beside the pole, and a proxy keeps its offset from a pole
-    of its group to the same accuracy.  A root outside its panel's interval
-    (the two outer roots) takes every pole directly.
+    terms of the roots inside their panels' intervals come from one call
+    per block of 8,192 sorted rows, so that no table holds all the roots
+    of a large bath's first pass, and the four sums go back to the roots'
+    order in one scatter.  A group takes its far field from the panel's
+    Chebyshev interpolants (``far``), one (rows x CHEB_DEGREE + 1) by
+    (CHEB_DEGREE + 1 x 4) product, and its near field from the panel's
+    sources in one (rows x sources) block, with the differences z - d_j
+    formed as ((base - d[origin]) + offset) - tau: for a direct pole that
+    is (d_j - d[origin]) - tau, accurate to relative rounding even beside
+    the pole, and a proxy keeps its offset from a pole of its group to the
+    same accuracy.  A root outside its panel's interval (the two outer
+    roots) takes every pole directly.
     """
     mu, mu_p = value(d[origin] + tau)
     panel = origin // PANEL
@@ -306,15 +308,22 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
     order = np.argsort(group, kind="stable")
     group, x, dz, tz = group[order], x[order], d[origin[order]], tau[order]
     cuts = np.flatnonzero(np.diff(group)) + 1
-    q, total = _barycentric(x[:np.searchsorted(group, outside)])
+    n_inside = np.searchsorted(group, outside)
     # s1, s1lo, s2, s2lo: the four sums, from all poles and from those below z,
     # in sorted order
     part = np.zeros((4, tau.size))
+    start = stop = 0
     for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), tau.size]):
         g = group[a]
         if g < outside:
+            if b > stop:
+                # the barycentric terms of the next 8,192 sorted rows (1.6 MB),
+                # or more to end on a whole group
+                start, stop = a, min(max(b, a + CHUNK_ELEMS // 128), n_inside)
+                q, total = _barycentric(x[start:stop])
             # columns s1lo, s2lo, s1hi, s2hi of the far field
-            lo1, lo2, hi1, hi2 = ((q[a:b] @ far.values[g]) / total[a:b, None]).T
+            lo1, lo2, hi1, hi2 = ((q[a - start:b - start] @ far.values[g])
+                                  / total[a - start:b - start, None]).T
             part[:, a:b] = lo1 + hi1, lo1, lo2 + hi2, lo2
             src = slice(far.ptr[g], far.ptr[g + 1])
             base, offset, weight = far.base[src], far.offset[src], far.weight[src]

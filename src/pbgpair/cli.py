@@ -131,8 +131,8 @@ def _cmd_sweep(args) -> int:
 def _stage(exc) -> str:
     """``module.function`` of the innermost frame of this package that
     ``exc`` passed through, in a sweep worker too: there the worker's
-    frames come as the text that multiprocessing attaches as
-    ``exc.__cause__.tb``."""
+    frames come as the traceback text that the worker sends with its
+    failure and the sweep attaches as ``exc.__cause__.tb``."""
     here = os.path.dirname(os.path.abspath(__file__))
     frames = [(f.filename, f.name) for f in traceback.extract_tb(exc.__traceback__)]
     remote = getattr(exc.__cause__, "tb", None)

@@ -300,7 +300,9 @@ def find_poles(config) -> PoleSet:
     """Locate, merge and classify all table and dynamic roots.
 
     Raises DegeneratePole at a (near-)double root of the symmetric
-    determinant that the sectors do not split.
+    determinant that the sectors do not split.  Two roots merge when they
+    lie within MERGE_TOL max(1, |x|) of each other: relative to |x| for
+    large exchange strengths, whose roots carry rounding of that order.
     """
     edge = config.omega1c
     records = [PoleRecord(tag, x, "localized" if x.imag + edge < 0 else "bandpass",
@@ -312,14 +314,15 @@ def find_poles(config) -> PoleSet:
     for kind, x, weight in _u_poles(config, symmetric_sectors(config)):
         tag, klass = "G1", "localized" if x.real == 0.0 else "propagating"
         for k, tx in enumerate(table):
-            if k not in used_table and abs(tx - x) < MERGE_TOL:
+            if k not in used_table and abs(tx - x) < MERGE_TOL * max(1.0, abs(x)):
                 tag, klass = "H1", "localized" if x.imag + edge < 0 else "bandpass"
                 used_table.add(k)
                 break
         records.append(PoleRecord(tag, x, klass, weight, True, kind))
 
     for k, x in enumerate(table):
-        if k in used_table or any(abs(x - r.x) < MERGE_TOL for r in records):
+        if k in used_table or any(abs(x - r.x) < MERGE_TOL * max(1.0, abs(x))
+                                  for r in records):
             continue
         klass = "localized" if x.imag + edge < 0 else "bandpass"
         records.append(PoleRecord("H1", x, klass, _table_weight(x, config), False, "table"))

@@ -1,22 +1,25 @@
 """Parameter sweeps: one entanglement CSV per value plus a summary table.
 
 Values run in parallel across processes: the values are cut into one
-contiguous share per process, the calling process runs the first share
-and forked workers one share each.  THREADS and the CPUs this process may
-run on cap the number of processes.  Outputs are independent of it: results
+contiguous share per process, the calling process runs the first share,
+and one forked worker runs each other share and sends back its results as
+one message on a one-way pipe.  THREADS and the CPUs this process may run
+on cap the number of processes.  Outputs are independent of it: results
 are taken in input order, and the calling process writes every file once
 every value has run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import traceback
 from dataclasses import replace
 
 from . import csvio, negativity
 from .config import RunSpec
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .pipeline import check_budgets, run_spec
 
 SWEEP_PARAMS = ("gamma", "eta", "omega1c_omega2c_pair")
@@ -87,11 +90,97 @@ def _run_one(job):
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
-def _raise_failure(pending):
-    """Raise the error of the first worker share that has failed, if any."""
-    for share in pending:
-        if share.ready() and not share.successful():
-            share.get()
+class _RemoteTraceback(Exception):
+    """A worker's traceback text as ``tb``, attached as the cause of the
+    failure it sent, as multiprocessing attaches its own."""
+
+    def __init__(self, tb):
+        super().__init__(tb)
+        self.tb = tb
+
+
+def _run_share(conn, jobs):
+    """A worker's share: send on ``conn`` its results, or its first failure
+    with the worker's traceback text.  A failure that does not survive
+    pickling goes as a NumericalError that names it."""
+    from multiprocessing.reduction import ForkingPickler
+
+    try:
+        message = [_run_one(job) for job in jobs]
+    except Exception as exc:
+        tb = traceback.format_exc()
+        try:
+            ForkingPickler.loads(ForkingPickler.dumps(exc))
+        except Exception:
+            exc = NumericalError(f"{type(exc).__name__}: {exc}")
+        message = exc, tb
+    conn.send(message)
+
+
+@contextlib.contextmanager
+def _results(jobs, n_workers):
+    """The results of ``jobs`` in input order, in ``n_workers`` contiguous
+    shares of ceil(len(jobs) / n_workers): this process runs the first
+    share, and one forked worker runs each other share and answers with
+    one message on its pipe.
+
+    The pipes are polled between this process's values, then waited on.
+    A failure, a worker's or this process's, or a pipe that closes without
+    a message ends the workers that have not answered.  Every worker is
+    joined when the ``with`` block ends, so that the exit of those that
+    answered overlaps the caller's use of the results.
+    """
+    if n_workers <= 1:
+        yield [_run_one(job) for job in jobs]
+        return
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    size = -(-len(jobs) // n_workers)
+    workers, shares = {}, {}
+
+    def collect(timeout):
+        for conn in wait([c for c, (k, _) in workers.items() if k not in shares], timeout):
+            k, process = workers[conn]
+            try:
+                message = conn.recv()
+            except EOFError:
+                process.join()
+                labels = ", ".join(label for label, _ in jobs[k:k + size])
+                raise NumericalError(f"the worker of values {labels} ended with exit "
+                                     f"code {process.exitcode} before it sent its "
+                                     f"results") from None
+            if isinstance(message, tuple):
+                exc, tb = message
+                exc.__cause__ = _RemoteTraceback(tb)
+                raise exc
+            shares[k] = message
+
+    try:
+        for k in range(size, len(jobs), size):
+            conn, child_conn = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(target=_run_share, daemon=True,
+                                              args=(child_conn, jobs[k:k + size]))
+            process.start()
+            child_conn.close()
+            workers[conn] = k, process
+        results = []
+        for job in jobs[:size]:
+            collect(0)
+            results.append(_run_one(job))
+        while len(shares) < len(workers):
+            collect(None)
+        for k in sorted(shares):
+            results += shares[k]
+        yield results
+    finally:
+        # ended before its pipe closes, a worker that is still sending
+        # dies without a BrokenPipeError traceback
+        for conn, (k, process) in workers.items():
+            if k not in shares:
+                process.terminate()
+            process.join()
+            conn.close()
 
 
 def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
@@ -101,12 +190,14 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     share a file) and THREADS are checked before ``out_dir`` is created.
     With ``n = worker_count()`` the values go in contiguous shares of
     ceil(len(values) / n), at most ``n`` of them: this process runs the
-    first share while a pool with one worker per other share runs the
-    rest, and the results are taken in input order.  A value that fails
-    ends the workers without waiting for their shares: at once in this
-    process's share, else before this process's next value or, once it has
-    run its own share, within 0.05 s.  Nothing is written unless every
-    value ran.
+    first share while one forked worker per other share runs the rest,
+    and the results are taken in input order.  A value that fails ends
+    the workers without waiting for their shares: at once in this
+    process's share, else as soon as the worker's failure arrives, which
+    this process sees before its next value or, once it has run its own
+    share, at once.  A worker that dies without a result ends the sweep
+    the same way, with a NumericalError that names its values and exit
+    code.  Nothing is written unless every value ran.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
@@ -122,28 +213,11 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
         jobs.append((label, run))
     n_workers = min(worker_count(), len(jobs))
     os.makedirs(out_dir, exist_ok=True)
-    if n_workers > 1:
-        from multiprocessing import Pool
-        size = -(-len(jobs) // n_workers)
-        starts = range(size, len(jobs), size)
-        with Pool(len(starts)) as pool:
-            pending = [pool.map_async(_run_one, jobs[k:k + size], chunksize=size)
-                       for k in starts]
-            results = []
-            for job in jobs[:size]:
-                _raise_failure(pending)
-                results.append(_run_one(job))
-            for share in pending:
-                while not share.ready():
-                    _raise_failure(pending)
-                    share.wait(0.05)
-                results += share.get()
-    else:
-        results = [_run_one(j) for j in jobs]
     entries = []
-    for label, hl, ien, text in results:
-        csvio.write_atomic(os.path.join(out_dir, f"{parameter}_{label}.csv"), text)
-        entries.append((label, hl, ien))
-    csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
-                       csvio.sweep_summary_csv(entries))
+    with _results(jobs, n_workers) as results:
+        for label, hl, ien, text in results:
+            csvio.write_atomic(os.path.join(out_dir, f"{parameter}_{label}.csv"), text)
+            entries.append((label, hl, ien))
+        csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
+                           csvio.sweep_summary_csv(entries))
     return entries

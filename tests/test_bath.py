@@ -492,7 +492,7 @@ def test_time_sum_matches_direct_sum(monkeypatch, n_times, cols):
 def test_integrate_memory_peak(n_modes):
     # the time sum's work arrays are bounded by CHUNK_ELEMS entries, a
     # pass's by a panel's rows x its near sources and its barycentric terms
-    # by roots x (CHEB_DEGREE + 1), and the far-field build's by a panel's
+    # by 8,192 rows x (CHEB_DEGREE + 1), and the far-field build's by a panel's
     # far sources (CHEB_DEGREE + 1 rows by at most 1,061 columns at 99,790
     # modes); a (points x roots) phase array or a (roots x poles) evaluation
     # would take 295 MB and 1.2 GB at 12,000 modes
@@ -506,3 +506,23 @@ def test_integrate_memory_peak(n_modes):
     finally:
         tracemalloc.stop()
     assert peak <= 40e6
+
+
+def test_evaluation_pass_memory_peak():
+    # the first pass of fig2c's equation at 51,000 modes, over all 51,207
+    # interior roots: its barycentric terms come in blocks of 8,192 rows, so
+    # it holds the pass's per-root arrays (about 9 MB) and no
+    # (roots x CHEB_DEGREE + 1) table, which took it to 18.9 MB (a whole
+    # traced integrate there takes about 6 s, too slow for Tier-1)
+    p = get_preset("fig2c")
+    b = bath.build_bath(p.config, n_modes=51000)
+    d, w = b.nu - p.config.omega1c, b.g ** 2
+    far = bath._far_field(d, w)
+    tracemalloc.start()
+    try:
+        bath._evaluate(d, w, lambda z: (z, np.ones(z.shape)), np.arange(d.size - 1),
+                       0.5 * np.diff(d), far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6

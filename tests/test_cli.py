@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import multiprocessing
 import os
@@ -256,6 +257,7 @@ def test_sweep_gamma_outputs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("param,values", [
     ("gamma", "2,3,4,5,6"),
+    ("eta", "0,30,90,150,180"),
     ("omega1c_omega2c_pair", "-0.6:-1;-1:-1;0.2:-0.2;0.5:0.5;-0.3:0.1"),
 ])
 def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, param, values):
@@ -358,6 +360,96 @@ def test_failing_worker_value_is_reported_between_this_process_values(
                    "LinAlgError: Singular matrix"]
     assert list(outdir.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+# A gamma sweep at THREADS 2 on two CPUs in a child interpreter, under a
+# timeout so that a sweep that hangs fails the test in place of Tier-1;
+# {stand_in} may replace run_spec.  It prints main's exit code and seconds,
+# the processes left and whether the process pool module was loaded.
+CHILD_SWEEP = """
+import json, multiprocessing, os, sys, time
+import numpy as np
+import pbgpair.sweep
+from pbgpair.cli import main
+from pbgpair.pipeline import run_spec
+{stand_in}
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.environ["THREADS"] = "2"
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps([code, time.perf_counter() - start, len(multiprocessing.active_children()),
+                  "multiprocessing.pool" in sys.modules]))
+"""
+
+
+def _sweep_in_child(tmp_path, stand_in=""):
+    import pbgpair
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    outdir = tmp_path / "sweep"
+    run = subprocess.run([sys.executable, "-c", CHILD_SWEEP.format(stand_in=stand_in),
+                          "sweep", cfgfile, "--param", "gamma", "--values", "2,3,4,5,6",
+                          "--tmax", "5", "-o", str(outdir)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=60)
+    assert run.stdout, run.stderr
+    code, seconds, children, pool = json.loads(run.stdout)
+    return code, seconds, children, pool, run.stderr.strip().splitlines(), outdir
+
+
+def test_sweep_workers_load_no_process_pool(tmp_path):
+    code, _, children, pool, err, outdir = _sweep_in_child(tmp_path)
+    assert (code, children, pool, err) == (0, 0, False, [])
+    assert len(list(outdir.iterdir())) == 6
+
+
+# at THREADS 2 this process runs 2, 3, 4 and the worker 5, 6
+DEAD_WORKER = """
+def stand_in(spec):
+    if spec.config.gamma1 == 5.0:
+        os._exit(1)
+    return run_spec(spec)
+pbgpair.sweep.run_spec = stand_in
+"""
+# a failure whose attribute does not pickle, and one that pickles but
+# cannot be rebuilt from its arguments
+LAMBDA_FAILURE = """
+def stand_in(spec):
+    if spec.config.gamma1 == 5.0:
+        exc = np.linalg.LinAlgError("Singular matrix")
+        exc.hook = lambda: None
+        raise exc
+    return run_spec(spec)
+pbgpair.sweep.run_spec = stand_in
+"""
+TWO_ARGUMENT_FAILURE = """
+class TwoArguments(np.linalg.LinAlgError):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+def stand_in(spec):
+    if spec.config.gamma1 == 5.0:
+        raise TwoArguments("Singular", "matrix")
+    return run_spec(spec)
+pbgpair.sweep.run_spec = stand_in
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in reaches the worker by fork")
+@pytest.mark.parametrize("stand_in,message", [
+    (DEAD_WORKER, "the worker of values 5, 6 ended with exit code 1 before it sent its results"),
+    (LAMBDA_FAILURE, "LinAlgError: Singular matrix"),
+    (TWO_ARGUMENT_FAILURE, "TwoArguments: Singular matrix"),
+], ids=["exit", "unpicklable", "not-rebuilt"])
+def test_worker_that_dies_or_sends_no_failure_ends_the_sweep(tmp_path, stand_in, message):
+    # a worker that exits mid-share, or whose failure does not survive
+    # pickling, ends the sweep with one line, no file and no process left
+    code, seconds, children, _, err, outdir = _sweep_in_child(tmp_path, stand_in)
+    assert code == 4 and seconds < 2.0
+    assert err == [f"pbgpair sweep: numerical failure in NumericalError: {message}"]
+    assert list(outdir.iterdir()) == []
+    assert children == 0
 
 
 def test_worker_count_reads_the_cpus_this_process_may_run_on(monkeypatch):
@@ -548,6 +640,11 @@ def test_table_weight_of_strong_equal_exchange(tmp_path, capsys, gamma):
     assert all(np.isfinite(float(v)) for r in rows for v in r[1:3] + r[4:])
     weight = [float(r[4]) for r in rows if float(r[2]) == -4.6]
     assert weight == [pytest.approx(-8 / gamma / gamma / gamma, rel=1e-9, abs=1e-320)]
+    # the two roots at x = -i gamma merge with the table's into H1 rows of
+    # weight 1: no table row of weight 0 beside two G1 rows (from 6e102)
+    assert [(r[0], r[3]) for r in rows] == [("G1", "bandpass"), ("H1", "bandpass")] + \
+        [("H1", "localized")] * 3
+    assert [float(r[4]) for r in rows if float(r[2]) == -gamma] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("command,detuning", [("run", "-1e18"), ("poles", "-1e12")])
@@ -767,13 +864,13 @@ def test_antisymmetric_start_needs_no_secular_root(tmp_path, caplog):
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    # the process pool loads only for a sweep with more than one worker;
+    # multiprocessing loads only for a sweep with more than one worker;
     # the benchmark's tracer needs pbgpair.bath loaded
     import pbgpair
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
     code = ("import sys, pbgpair.cli; "
-            "print('multiprocessing.pool' in sys.modules, 'pbgpair.bath' in sys.modules)")
+            "print('multiprocessing' in sys.modules, 'pbgpair.bath' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
