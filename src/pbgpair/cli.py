@@ -14,7 +14,6 @@ import argparse
 import functools
 import logging
 import os
-import re
 import sys
 import traceback
 from dataclasses import replace
@@ -130,16 +129,11 @@ def _cmd_sweep(args) -> int:
 
 def _stage(exc) -> str:
     """``module.function`` of the innermost frame of this package that
-    ``exc`` passed through, in a sweep worker too: there the worker's
-    frames come as the traceback text that the worker sends with its
-    failure and the sweep attaches as ``exc.__cause__.tb``."""
+    ``exc`` passed through.  A sweep value that failed in a worker is run
+    again in this process, so its frames are here too."""
     here = os.path.dirname(os.path.abspath(__file__))
-    frames = [(f.filename, f.name) for f in traceback.extract_tb(exc.__traceback__)]
-    remote = getattr(exc.__cause__, "tb", None)
-    if isinstance(remote, str):
-        frames += re.findall(r'File "(.+)", line \d+, in (\S+)', remote)
-    frames = [(path, name) for path, name in frames
-              if os.path.dirname(os.path.abspath(path)) == here]
+    frames = [(f.filename, f.name) for f in traceback.extract_tb(exc.__traceback__)
+              if os.path.dirname(os.path.abspath(f.filename)) == here]
     if not frames:
         return "an unknown stage"
     path, name = frames[-1]

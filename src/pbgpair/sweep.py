@@ -3,7 +3,8 @@
 Values run in parallel across processes: the values are cut into one
 contiguous share per process, the calling process runs the first share,
 and one forked worker runs each other share and sends back its results as
-one message on a one-way pipe.  THREADS and the CPUs this process may run
+one message on a one-way pipe, or only which value failed, for the
+calling process to run again.  THREADS and the CPUs this process may run
 on cap the number of processes.  Outputs are independent of it: results
 are taken in input order, and the calling process writes every file once
 every value has run.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import traceback
 from dataclasses import replace
 
 from . import csvio, negativity
@@ -90,31 +90,16 @@ def _run_one(job):
     return label, hl, ien, csvio.entanglement_csv(series, traj)
 
 
-class _RemoteTraceback(Exception):
-    """A worker's traceback text as ``tb``, attached as the cause of the
-    failure it sent, as multiprocessing attaches its own."""
-
-    def __init__(self, tb):
-        super().__init__(tb)
-        self.tb = tb
-
-
 def _run_share(conn, jobs):
-    """A worker's share: send on ``conn`` its results, or its first failure
-    with the worker's traceback text.  A failure that does not survive
-    pickling goes as a NumericalError that names it."""
-    from multiprocessing.reduction import ForkingPickler
-
+    """A worker's share: send on ``conn`` its results, or the index in
+    ``jobs`` of its first failure and that failure's ``<type>: <message>``."""
+    results = []
     try:
-        message = [_run_one(job) for job in jobs]
+        for job in jobs:
+            results.append(_run_one(job))
     except Exception as exc:
-        tb = traceback.format_exc()
-        try:
-            ForkingPickler.loads(ForkingPickler.dumps(exc))
-        except Exception:
-            exc = NumericalError(f"{type(exc).__name__}: {exc}")
-        message = exc, tb
-    conn.send(message)
+        results = len(results), f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+    conn.send(results)
 
 
 @contextlib.contextmanager
@@ -125,6 +110,9 @@ def _results(jobs, n_workers):
     one message on its pipe.
 
     The pipes are polled between this process's values, then waited on.
+    A worker's failed value is run again here, so that its exception is
+    raised in this process; one that does not recur raises a NumericalError
+    that names the value and carries the worker's ``<type>: <message>``.
     A failure, a worker's or this process's, or a pipe that closes without
     a message ends the workers that have not answered.  Every worker is
     joined when the ``with`` block ends, so that the exit of those that
@@ -151,9 +139,10 @@ def _results(jobs, n_workers):
                                      f"code {process.exitcode} before it sent its "
                                      f"results") from None
             if isinstance(message, tuple):
-                exc, tb = message
-                exc.__cause__ = _RemoteTraceback(tb)
-                raise exc
+                i, line = message
+                label, _ = jobs[k + i]
+                _run_one(jobs[k + i])  # raises the failure here if it recurs
+                raise NumericalError(f"value {label} failed only in its worker: {line}")
             shares[k] = message
 
     try:
@@ -195,7 +184,9 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     the workers without waiting for their shares: at once in this
     process's share, else as soon as the worker's failure arrives, which
     this process sees before its next value or, once it has run its own
-    share, at once.  A worker that dies without a result ends the sweep
+    share, at once; it runs a worker's failed value again and raises its
+    exception, or a NumericalError that names the value if the failure
+    does not recur.  A worker that dies without a result ends the sweep
     the same way, with a NumericalError that names its values and exit
     code.  Nothing is written unless every value ran.
     """

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from pbgpair import bath
 from pbgpair.cli import main
-from pbgpair.sweep import apply_parameter, parse_values, worker_count
+from pbgpair.sweep import apply_parameter, parse_values, run_sweep, worker_count
 from pbgpair.config import parse_run_file, preset_initial, RunSpec
 from pbgpair.errors import DomainError
 from pbgpair.pipeline import n_points
@@ -125,6 +125,20 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cfg", "gamma1 == 3\n")
     assert main(["run", bad, "-o", str(tmp_path / "x.csv")]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["--help"], 0, ""),
+    ([], 2, "the following arguments are required: command"),
+    (["sweep", "s.cfg", "--param", "omega1c_omega2c_pair", "--values", "-0.6:-1;-1:-1",
+      "-o", "sweep"], 2, "argument --values: expected one argument"),
+], ids=["help", "no-verb", "values-starting-with-dash"])
+def test_argparse_exit_codes(tmp_path, monkeypatch, capsys, argv, code, message):
+    # argparse's own exits return the code of the contract, with its message
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_preset_exit_code(tmp_path):
@@ -362,6 +376,32 @@ def test_failing_worker_value_is_reported_between_this_process_values(
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in reaches the worker by fork")
+def test_worker_failure_is_raised_again_in_this_process(tmp_path, monkeypatch):
+    # the worker runs 5, 6; its failure, whose attribute does not pickle,
+    # is raised here as the exception itself, not as a copy or a stand-in
+    from pbgpair.pipeline import run_spec
+
+    def run_or_fail(spec):
+        if spec.config.gamma1 == 6.0:
+            exc = np.linalg.LinAlgError("Singular matrix")
+            exc.hook = lambda: None
+            raise exc
+        return run_spec(spec)
+
+    monkeypatch.setattr("pbgpair.sweep.run_spec", run_or_fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("THREADS", "2")
+    spec = parse_run_file(_write(tmp_path, "s.cfg", SHORT_FILE))
+    outdir = tmp_path / "sweep"
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix") as info:
+        run_sweep(spec, "gamma", [2.0, 3.0, 4.0, 5.0, 6.0], outdir)
+    assert callable(info.value.hook)
+    assert list(outdir.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 # A gamma sweep at THREADS 2 on two CPUs in a child interpreter, under a
 # timeout so that a sweep that hangs fails the test in place of Tier-1;
 # {stand_in} may replace run_spec.  It prints main's exit code and seconds,
@@ -412,8 +452,8 @@ def stand_in(spec):
     return run_spec(spec)
 pbgpair.sweep.run_spec = stand_in
 """
-# a failure whose attribute does not pickle, and one that pickles but
-# cannot be rebuilt from its arguments
+# a failure whose attribute does not pickle, one that pickles but cannot be
+# rebuilt from its arguments, and one that happens only in the worker
 LAMBDA_FAILURE = """
 def stand_in(spec):
     if spec.config.gamma1 == 5.0:
@@ -433,21 +473,33 @@ def stand_in(spec):
     return run_spec(spec)
 pbgpair.sweep.run_spec = stand_in
 """
+WORKER_ONLY_FAILURE = """
+parent = os.getpid()
+def stand_in(spec):
+    if spec.config.gamma1 == 5.0 and os.getpid() != parent:
+        raise MemoryError("no room for\\nthe grid")
+    return run_spec(spec)
+pbgpair.sweep.run_spec = stand_in
+"""
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the stand-in reaches the worker by fork")
-@pytest.mark.parametrize("stand_in,message", [
-    (DEAD_WORKER, "the worker of values 5, 6 ended with exit code 1 before it sent its results"),
-    (LAMBDA_FAILURE, "LinAlgError: Singular matrix"),
-    (TWO_ARGUMENT_FAILURE, "TwoArguments: Singular matrix"),
-], ids=["exit", "unpicklable", "not-rebuilt"])
-def test_worker_that_dies_or_sends_no_failure_ends_the_sweep(tmp_path, stand_in, message):
-    # a worker that exits mid-share, or whose failure does not survive
-    # pickling, ends the sweep with one line, no file and no process left
+@pytest.mark.parametrize("stand_in,failure", [
+    (DEAD_WORKER, "NumericalError: the worker of values 5, 6 ended with exit code 1 "
+                  "before it sent its results"),
+    (LAMBDA_FAILURE, "sweep._run_one: LinAlgError: Singular matrix"),
+    (TWO_ARGUMENT_FAILURE, "sweep._run_one: TwoArguments: Singular matrix"),
+    (WORKER_ONLY_FAILURE, "NumericalError: value 5 failed only in its worker: "
+                          "MemoryError: no room for the grid"),
+], ids=["exit", "unpicklable", "not-rebuilt", "worker-only"])
+def test_worker_that_dies_or_sends_no_failure_ends_the_sweep(tmp_path, stand_in, failure):
+    # a worker that exits mid-share, whose failure does not pickle, or whose
+    # value fails only there ends the sweep with one line, no file and no
+    # process left; a failure that recurs here names its stage
     code, seconds, children, _, err, outdir = _sweep_in_child(tmp_path, stand_in)
     assert code == 4 and seconds < 2.0
-    assert err == [f"pbgpair sweep: numerical failure in NumericalError: {message}"]
+    assert err == [f"pbgpair sweep: numerical failure in {failure}"]
     assert list(outdir.iterdir()) == []
     assert children == 0
 

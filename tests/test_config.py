@@ -188,7 +188,9 @@ def test_parse_duplicate_word_key(tmp_path, extra, line):
      r"line 9: initial must be unentangled\|bright\|custom, got 'dark'"),
     (GOOD + "engine = fast\n", "line 12: engine must be one of .* got 'fast'"),
     (GOOD.replace("initial = bright\n", ""), "missing required key: initial"),
-], ids=["bad-initial", "bad-engine", "no-initial"])
+    (GOOD.replace("gamma1 = 6", "gamma1 = 1.5.2"),
+     "line 3: could not parse number '1.5.2' for 'gamma1'"),
+], ids=["bad-initial", "bad-engine", "no-initial", "bad-number"])
 def test_parse_word_key_errors(tmp_path, text, match):
     with pytest.raises(ParseError, match=match):
         parse_run_file(_write(tmp_path, text))
