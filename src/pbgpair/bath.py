@@ -22,7 +22,13 @@ the generator's structure instead of the generator: the exchange-
 antisymmetric combinations see no modes, and the symmetric sector's
 eigenvalues are the roots of scalar secular equations, one per mode
 interval, found in memory linear in the number of modes (R.-C. Li 1993;
-Gu & Eisenstat 1994, the scheme of LAPACK dlaed4).  Each secular sum is
+Gu & Eisenstat 1994, the scheme of LAPACK dlaed4).  Each root starts from
+the phase shift of an evenly spaced ladder of poles at its own interval's
+gap and weight (Bixon & Jortner 1968); the smooth rest of the sum drops
+out because the principal value of the band's 1/(pi sqrt nu) density
+vanishes above the edge.  A root is measured from whichever pole its
+iterate lies nearer to: about three evaluation passes per root, with no
+pass spent on finding that pole.  Each secular sum is
 split into a near field, the poles of the root's own panel of PANEL poles
 and its neighbours, and a far field taken from Chebyshev interpolants at
 the panel's own points, built once per set of poles and shared by the
@@ -348,6 +354,38 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
     return mu + s1, mu_p + s2, s2lo, s2, mu_p, err, -s1
 
 
+def _lattice_start(d, w, value, gap):
+    """Starts of the interior roots of F(z) = mu(z) - sum_j w_j / (z - d_j),
+    from a lattice model of each interval (d[k-1], d[k]) of gap D:
+    evenly spaced poles of weight rho D with rho = (w[k-1] + w[k]) / (2 D),
+    whose sum is pi rho cot(pi theta) at z = d[k-1] + theta D (the
+    quasi-continuum of an evenly spaced level ladder, Bixon & Jortner
+    1968).  The smooth rest of the sum is left out: the principal value of
+    the band's 1/(pi sqrt nu) density vanishes above the edge, the a = 1/2
+    case of PV int_0^inf x^(a-1)/(1 - x) dx = pi cot(pi a).  So
+    F ~ mu(z) - pi rho cot(pi theta) vanishes at theta = arctan2(pi rho,
+    mu(z)) / pi, refined twice through ``value`` from the midpoint, with no
+    pole sums.  Returns ``up``, whether each root starts nearer to d[k],
+    and its offset from that pole, a fraction arctan2(pi rho, |mu|) / pi
+    of the gap ``gap`` = d[k] - d[k-1], in full precision beside the pole.
+    """
+    pi_rho = 0.5 * np.pi * (w[:-1] + w[1:]) / gap
+    z = d[:-1] + 0.5 * gap
+    path = [0.5 * gap]                   # the starts, as offsets from d[k-1]
+    for _ in range(3):
+        mu = value(z)[0]
+        up = mu < 0.0
+        tau = np.where(up, -gap, gap) * (np.arctan2(pi_rho, np.abs(mu)) / np.pi)
+        z = np.where(up, d[1:], d[:-1]) + tau
+        path.append(np.where(up, gap + tau, tau))
+    # theta falls as mu rises, so each start lies beyond the model's root
+    # from the one before; one that does not fall between the two before,
+    # where mu steps across the interval, starts from the midpoint instead
+    path = np.array(path)
+    unsettled = np.any((path[2:] - path[:-2]) * (path[2:] - path[1:-1]) > 0.0, axis=0)
+    return up & ~unsettled, np.where(unsettled, 0.5 * gap, tau)
+
+
 def _secular_roots(d, w, value, far: _FarField):
     """All roots of F(z) = mu(z) - sum_j w_j / (z - d_j), one per pole interval.
 
@@ -360,20 +398,28 @@ def _secular_roots(d, w, value, far: _FarField):
     the scheme of LAPACK dlaed4) inside a bisection bracket; only roots
     not yet converged are iterated, and every iteration reuses the far
     field ``far`` of the poles (``_far_field``), which the caller builds
-    once and shares between the equations on the same poles.  Returns
-    (origin, tau, sigma, s2) with sigma = sum_j w_j / (z - d_j) and
-    s2 = sum_j w_j / (z - d_j)^2 at the root.
+    once and shares between the equations on the same poles.
+
+    An interior root starts from a lattice model of its interval
+    (``_lattice_start``), with the whole interval as its bracket, and an
+    iterate that crosses its interval's midpoint is measured from the
+    other pole.  So no pass over the roots only finds which pole each
+    lies nearer to, and a root takes about three passes where a start
+    from the midpoints took four or five.  Returns (origin, tau, sigma,
+    s2, rows) with sigma = sum_j w_j / (z - d_j) and s2 = sum_j w_j /
+    (z - d_j)^2 at the root, and ``rows`` the roots evaluated over all
+    passes (``_evaluate``).
     """
     n = d.size
     k = np.arange(n + 1)                 # root k lies between d[k-1] and d[k]
     origin = np.clip(k - 1, 0, n - 1)
     tau, lo, hi = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
-    half = 0.5 * np.diff(d)
-    tau[1:n] = hi[1:n] = half
+    rows = 0
     # the outer roots: step away from the outer poles until F changes sign
     for kk, sign in ((0, -1.0), (n, 1.0)):
         h, prev = (d[1] - d[0] if n > 1 else 1.0), 0.0
         for _ in range(200):
+            rows += 1
             f = _evaluate(d, w, value, origin[kk:kk + 1], np.array([sign * h]), far)[0][0]
             if sign * f > 0.0:
                 break
@@ -383,16 +429,19 @@ def _secular_roots(d, w, value, far: _FarField):
         tau[kk] = sign * h
         lo[kk], hi[kk] = sorted((sign * prev, sign * h))
 
-    F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin, tau, far)
-    # an interior root above its interval's midpoint is measured from the upper pole
-    up = (k > 0) & (k < n) & (F < 0.0)
-    origin[up] += 1
-    tau[up] = lo[up] = -half[k[up] - 1]
-    hi[up] = 0.0
+    # the gap of each root's interval; infinite for the outer roots, which
+    # never move to the other pole
+    span = np.concatenate([[np.inf], np.diff(d), [np.inf]])
+    gap = span[1:n]
+    up, tau[1:n] = _lattice_start(d, w, value, gap)
+    origin[1:n] += up
+    lo[1:n], hi[1:n] = np.where(up, -gap, 0.0), np.where(up, 0.0, gap)
 
     s2_root, sigma_root = np.empty(n + 1), np.empty(n + 1)
     act = k
+    F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin, tau, far)
     for _ in range(SECULAR_MAX_ITER):
+        rows += act.size
         kk, o, t = k[act], origin[act], tau[act]
         lo[act] = np.where(F < 0.0, np.maximum(lo[act], t), lo[act])
         hi[act] = np.where(F < 0.0, hi[act], np.minimum(hi[act], t))
@@ -412,9 +461,11 @@ def _secular_roots(d, w, value, far: _FarField):
             one = np.where(kk == 0, dhi, dlo)
             eta = np.where((kk == 0) | (kk == n), one * F / (F - one * Fp), eta)
             new = t + eta
-        inside = (new > lo[act]) & (new < hi[act])
-        # F at rounding level: the last step polishes t at most
+        # F at rounding level: the last step polishes t at most, and so does
+        # not leave t's half of the interval
         small = np.abs(F) <= err
+        inside = ((new > lo[act]) & (new < hi[act])
+                  & ~(small & (np.abs(new) > 0.5 * span[kk])))
         new = np.where(inside, new, np.where(small, t, 0.5 * (lo[act] + hi[act])))
         tau[act] = new
         # sigma moved to the new tau to first order (sigma' = -s2)
@@ -422,9 +473,21 @@ def _secular_roots(d, w, value, far: _FarField):
         width = hi[act] - lo[act]
         done = (small | (inside & (np.abs(eta) <= 4.0 * EPS * np.abs(new)))
                 | (width <= 4.0 * EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act]))))
+        # an iterate past its interval's midpoint is measured from the other
+        # pole: tau and the bracket end beyond the midpoint shift by the gap
+        # exactly (Sterbenz), the end left behind is rounded outwards and
+        # kept inside the interval, so that the bracket still holds the root
+        cross = np.abs(new) > 0.5 * span[kk]
+        moved, g, rise = act[cross], span[kk][cross], (o < kk)[cross]
+        origin[moved] += np.where(rise, 1, -1)
+        tau[moved] -= np.where(rise, g, -g)
+        lo[moved] = np.where(rise, np.maximum(np.nextafter(lo[moved] - g, -np.inf), -g),
+                             lo[moved] + g)
+        hi[moved] = np.where(rise, hi[moved] - g,
+                             np.minimum(np.nextafter(hi[moved] + g, np.inf), g))
         act = act[~done]
         if act.size == 0:
-            return origin, tau, sigma_root, s2_root
+            return origin, tau, sigma_root, s2_root, rows
         F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin[act], tau[act],
                                                       far)
     raise StepSizeError(f"secular equation: {act.size} roots unconverged after "
@@ -439,7 +502,8 @@ class _Spectrum:
     (u1, u2) parts of the normalised eigenvectors, one row each; ``proj``
     the projector onto the atomic subspace they resolve; ``pinned``
     (row, mode, amplitude) for an eigenvector that sits exactly on a mode
-    frequency, whose mode part is not of the resolvent form.
+    frequency, whose mode part is not of the resolvent form; ``rows`` the
+    roots evaluated over all passes of its secular equations.
     """
 
     base: np.ndarray
@@ -447,23 +511,26 @@ class _Spectrum:
     atom: np.ndarray
     proj: np.ndarray
     pinned: tuple = ()
+    rows: int = 0
 
     @classmethod
     def join(cls, parts, proj, pinned=()):
+        """The spectrum of ``parts``, each (base, tau, atom, rows)."""
         if not parts:
             return cls(np.zeros(0), np.zeros(0), np.zeros((0, 2)), proj)
-        base, tau, atom = (np.concatenate(x) for x in zip(*parts))
-        return cls(base, tau, atom, proj, pinned)
+        *arrays, rows = zip(*parts)
+        base, tau, atom = (np.concatenate(x) for x in arrays)
+        return cls(base, tau, atom, proj, pinned, sum(rows))
 
 
 def _arrowhead(d, w, h, kappa, vector, far: _FarField):
     """Roots of (z - h)/kappa = sum_j w_j / (z - d_j): eigenpairs of an
     arrowhead with head h, whose atomic parts are vector(base, tau), scaled
     to unit head component, over sqrt(1 + kappa s2)."""
-    origin, tau, _, s2 = _secular_roots(
+    origin, tau, _, s2, rows = _secular_roots(
         d, w, lambda z: ((z - h) / kappa, np.full(np.shape(z), 1.0 / kappa)), far)
     base = d[origin]
-    return base, tau, vector(base, tau) / np.sqrt(1.0 + kappa * s2)[:, None]
+    return base, tau, vector(base, tau) / np.sqrt(1.0 + kappa * s2)[:, None], rows
 
 
 def _negligible(h12, h22, w) -> bool:
@@ -483,7 +550,7 @@ def _split(delta, w, heads, kappas, vectors, u0) -> _Spectrum:
             continue
         proj += np.outer(e, e)
         if kappa == 0.0:
-            parts.append((np.array([h]), np.zeros(1), e[None, :]))
+            parts.append((np.array([h]), np.zeros(1), e[None, :], 0))
             continue
         if far is None:
             far = _far_field(delta, w)
@@ -510,7 +577,7 @@ def _parallel(delta, w, g, h22, h12, e, f) -> _Spectrum:
         d_h, wd = delta[j], w.copy()
         wd[j] += 0.25 * h12 * h12
         r = np.sqrt(4.0 * w[j] + h12 * h12)
-        parts.append((delta[j:j + 1], np.zeros(1), -(2.0 * g[j] / r) * f[None, :]))
+        parts.append((delta[j:j + 1], np.zeros(1), -(2.0 * g[j] / r) * f[None, :], 0))
         pinned = ((0, j, h12 / r),)
     else:
         d, wd = np.insert(delta, n, h22), np.insert(w, n, 0.25 * h12 * h12)
@@ -547,7 +614,7 @@ def _branch(delta, w, h22, h, c, s, dp, dm, sign, far: _FarField):
         mu_p = (v1 * v1 / dp + v2 * v2 / dm) / (v1 * v1 + v2 * v2)
         return np.where(first, l1, l2), mu_p
 
-    origin, tau, sigma, s2 = _secular_roots(delta, w, pencil, far)
+    origin, tau, sigma, s2, rows = _secular_roots(delta, w, pencil, far)
     base = delta[origin]
     # z - h_u - sigma D = [[X, h], [h, Y]] at the root: Y - X = 4 sigma cos eta
     # and X Y = h^2, so X is a root of X^2 + 2 p X - h^2 (p = 2 sigma cos eta),
@@ -563,7 +630,7 @@ def _branch(delta, w, h22, h, c, s, dp, dm, sign, far: _FarField):
     mu_p = (y1 * y1 + y2 * y2) / (dp * y1 * y1 + dm * y2 * y2)    # |x|^2 / x^T Mc x
     x = np.stack([y1 + y2, y1 - y2], axis=1)
     x /= np.hypot(x[:, 0], x[:, 1])[:, None]
-    return base, tau, x * np.sqrt(mu_p / (mu_p + s2))[:, None]
+    return base, tau, x * np.sqrt(mu_p / (mu_p + s2))[:, None], rows
 
 
 def _symmetric_spectrum(config, bath: DiscreteBath, u0) -> _Spectrum:
@@ -660,6 +727,8 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     atomic parts a_k of the eigenvectors fail to resolve the identity:
     the Frobenius norm of sum_k a_k a_k^T - I (``weight_defect`` in
     ``meta``, with ``n_roots`` and ``horizon``) above NORM_DRIFT_TOL.
+    ``secular_passes`` in ``meta`` is the number of roots evaluated over
+    all passes of the secular equations, divided by ``n_roots``.
     """
     horizon = bath.recurrence_time()
     if t_max > horizon:
@@ -688,6 +757,7 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     amps[:, 2:] = (u - v) / np.sqrt(2.0)
     amps[:, 1] *= shift
     amps[:, 3] *= shift
+    n_roots = int(sp.tau.size)
     meta = {"engine": "oracle", "horizon": horizon, "weight_defect": weight_defect,
-            "n_roots": int(sp.tau.size)}
+            "n_roots": n_roots, "secular_passes": sp.rows / max(n_roots, 1)}
     return AmplitudeTrajectory(times=times, amps=amps, meta=meta)

@@ -3,9 +3,9 @@
 Verbs: ``run`` (key-value config file), ``preset`` (named scenario),
 ``poles`` (dressed-state table), ``sweep`` (parameter ladder).  Exit
 codes: 0 success, 2 usage/validation, 3 I/O, 4 numerical failure (the
-message names the failing operation; numpy's LinAlgError and a
-FloatingPointError count as numerical failures).  THREADS caps the
-processes a sweep computes on.
+message names the failing operation; numpy's LinAlgError, a
+FloatingPointError and a MemoryError count as numerical failures).
+THREADS caps the processes a sweep computes on.
 """
 
 from __future__ import annotations
@@ -169,10 +169,12 @@ def main(argv=None) -> int:
         print(f"pbgpair {command}: numerical failure in {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERIC
-    except (LinAlgError, FloatingPointError) as exc:
+    except (LinAlgError, FloatingPointError, MemoryError) as exc:
+        # one line; the interpreter's own MemoryError has no message
         message = " ".join(str(exc).split())
-        print(f"pbgpair {command}: numerical failure in {_stage(exc)}: "
-              f"{type(exc).__name__}: {message}", file=sys.stderr)
+        failure = f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+        print(f"pbgpair {command}: numerical failure in {_stage(exc)}: {failure}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     finally:
         log.removeHandler(handler)

@@ -15,7 +15,7 @@ from pbgpair.errors import (
     RecurrenceHorizonExceeded,
     StepSizeError,
 )
-from pbgpair.presets import get_preset
+from pbgpair.presets import get_preset, PRESET_NAMES
 from reference_routes import (beta_prime, evaluate_direct, integrate_dense, integrate_rk4,
                               mode_probs, mode_spectrum)
 
@@ -274,14 +274,115 @@ def test_weight_defect_property(case):
     assert np.max(np.abs(tr.field_prob)) <= 1.0 + 1e-12
 
 
+def _assert_roots(d, w, value, far, origin, tau):
+    """The n + 1 roots of one secular equation on the poles ``d``: the outer
+    two beyond the outer poles, each interior one measured from the nearer
+    pole of its own interval (|tau| at most half the gap, to one rounding),
+    with F < 0 just below it and F > 0 just above (1e-6 |tau| away)."""
+    n = d.size
+    assert origin.size == tau.size == n + 1
+    assert origin[0] == 0 and tau[0] < 0.0 and origin[n] == n - 1 and tau[n] > 0.0
+    k, o, t = np.arange(1, n), origin[1:n], tau[1:n]
+    assert np.all(((o == k - 1) & (t > 0.0)) | ((o == k) & (t < 0.0)))
+    assert np.all(np.abs(t) <= 0.5 * np.diff(d) * (1.0 + bath.EPS))
+    step = np.concatenate([-1e-6 * np.abs(tau), 1e-6 * np.abs(tau)])
+    F = bath._evaluate(d, w, value, np.tile(origin, 2), np.tile(tau, 2) + step, far)[0]
+    assert np.all(F[:n + 1] < 0.0) and np.all(F[n + 1:] > 0.0)
+
+
+def _nearer_pole_roots(config, init, n_modes):
+    """Integrate ``config`` for t <= 1, checking the roots of every secular
+    equation it solves (``_assert_roots``); returns the number of equations."""
+    calls, secular_roots = [], bath._secular_roots
+
+    def record(d, w, value, far):
+        out = secular_roots(d, w, value, far)
+        _assert_roots(d, w, value, far, *out[:2])
+        calls.append(d.size)
+        return out
+
+    b = bath.build_bath(config, n_modes=n_modes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bath, "_secular_roots", record)
+        tr = bath.integrate(config, init, b, t_max=1.0, dt_out=0.5)
+    assert tr.meta["weight_defect"] <= 1e-8
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n.startswith("fig")])
+def test_roots_keep_the_nearer_pole_on_series_presets(name):
+    spec = get_preset(name)
+    assert _nearer_pole_roots(spec.config, spec.init, spec.n_modes) >= 1
+
+
+@pytest.mark.parametrize("name", SECULAR_CASES)
+def test_roots_keep_the_nearer_pole_on_secular_cases(name):
+    config, init = SECULAR_CASES[name]
+    assert _nearer_pole_roots(config, init, 300) >= 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(oracle_cases())
+# |sin eta| three times SIN_ETA_FLOOR, level 1 1e-7 above the edge and
+# near-degenerate branches: one branch's mu climbs 1e15-fold in a step
+# inside a mode interval, the lattice refinements there jump across the
+# step, and a root started from the last of them converged onto it
+@example((SystemConfig(gamma1=3.3812304058689335, gamma2=2.7358945518842672,
+                       omega12=-0.645335853983666, omega1c=1e-07,
+                       omega2c=0.6453359539836659, eta=3e-08), preset_initial("bright")))
+# |sin eta| just above SIN_ETA_FLOOR, both levels within 1e-6 of the edge
+@example((SystemConfig(gamma1=2.0, gamma2=2.5, omega12=1e-6, omega1c=5e-7, omega2c=-5e-7,
+                       eta=PI - 1.5 * bath.SIN_ETA_FLOOR), preset_initial("unentangled")))
+@example((SystemConfig(gamma1=0.5, gamma2=0.5 + 1e-6 + 1e-8, omega12=1e-6, omega1c=2e-7,
+                       omega2c=-8e-7, eta=1.5 * bath.SIN_ETA_FLOOR), preset_initial("bright")))
+def test_roots_keep_the_nearer_pole_property(case):
+    config, init = case
+    _nearer_pole_roots(config, init, 100)
+
+
+@pytest.mark.parametrize("seed", [76, 79, 164])
+def test_roots_beside_tail_poles_keep_their_bracket(seed):
+    # a root closer to its pole than an ulp of its gap, in a geometric
+    # tail, whose iterates cross the midpoint and back: the bracket end left
+    # behind is rounded outwards, else the round trip through the other
+    # pole moves it past the root, which then ends on it
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([np.sort(rng.uniform(0.0, 10.0, 100)), 10.0 * 1.5 ** np.arange(1, 50)])
+    w = rng.uniform(1e-4, 1.0, d.size) * 10.0 ** rng.integers(-12, 3, d.size)
+    h, kappa = rng.uniform(-20.0, 20.0), 10.0 ** rng.uniform(-3.0, 3.0)
+    value = lambda z: ((z - h) / kappa, np.full(np.shape(z), 1.0 / kappa))  # noqa: E731
+    far = bath._far_field(d, w)
+    _assert_roots(d, w, value, far, *bath._secular_roots(d, w, value, far)[:2])
+
+
+# the configurations and bath sizes of the benchmark's oracle_check workload
+ORACLE_CHECK = {
+    "fig2b": (get_preset("fig2b").config, get_preset("fig2b").init, 4000),
+    "fig5b": (get_preset("fig5b").config, get_preset("fig5b").init, 4000),
+    "eta=120": (SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6, omega2c=-1.0,
+                             eta=2 * PI / 3), preset_initial("bright"), 1000),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CHECK)
+def test_secular_passes(name):
+    # the roots start from a lattice model of their own interval, not from
+    # its midpoint: about three evaluation passes per root (4.4-4.7 from
+    # the midpoints)
+    config, init, n_modes = ORACLE_CHECK[name]
+    b = bath.build_bath(config, n_modes=n_modes)
+    tr = bath.integrate(config, init, b, t_max=1.0, dt_out=0.5)
+    assert tr.meta["secular_passes"] <= 3.5
+
+
 def test_lost_root_fails_completeness(monkeypatch):
     # a root dropped from an arrowhead leaves its atomic weight unresolved
     arrowhead = bath._arrowhead
 
     def drop_heaviest(*args):
-        base, tau, atom = arrowhead(*args)
+        base, tau, atom, rows = arrowhead(*args)
         keep = np.arange(tau.size) != np.argmax(np.sum(atom ** 2, axis=1))
-        return base[keep], tau[keep], atom[keep]
+        return base[keep], tau[keep], atom[keep], rows
 
     monkeypatch.setattr(bath, "_arrowhead", drop_heaviest)
     b = bath.build_bath(FIG2B, n_modes=150)

@@ -504,6 +504,33 @@ def test_worker_that_dies_or_sends_no_failure_ends_the_sweep(tmp_path, stand_in,
     assert children == 0
 
 
+@pytest.mark.parametrize("verb", ["run", "preset", "sweep"])
+@pytest.mark.parametrize("message,failure", [
+    ("no room for\nthe grid", "MemoryError: no room for the grid"),
+    ("", "MemoryError"),
+], ids=["message", "bare"])
+def test_memory_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys, verb, message,
+                                              failure):
+    # a MemoryError in this process (a THREADS=1 sweep runs every value
+    # here) exits 4 with one line naming its stage, and writes no file
+    def no_room(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("pbgpair.cli.run_spec", no_room)
+    monkeypatch.setattr("pbgpair.sweep.run_spec", no_room)
+    monkeypatch.setenv("THREADS", "1")
+    cfgfile, out = _write(tmp_path, "s.cfg", SHORT_FILE), tmp_path / "out"
+    args = {"run": ["run", cfgfile, "-o", str(out)],
+            "preset": ["preset", "fig2b", "-o", str(out)],
+            "sweep": ["sweep", cfgfile, "--param", "gamma", "--values", "2,3",
+                      "-o", str(out)]}[verb]
+    assert main(args) == 4
+    stage = "sweep._run_one" if verb == "sweep" else "cli._emit_series"
+    assert capsys.readouterr().err.splitlines() == [
+        f"pbgpair {verb}: numerical failure in {stage}: {failure}"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_worker_count_reads_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.delenv("THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
