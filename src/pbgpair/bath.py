@@ -408,19 +408,21 @@ def _secular_roots(d, w, value, far: _FarField):
     from the midpoints took four or five.  Returns (origin, tau, sigma,
     s2, rows) with sigma = sum_j w_j / (z - d_j) and s2 = sum_j w_j /
     (z - d_j)^2 at the root, and ``rows`` the roots evaluated over all
-    passes (``_evaluate``).
+    evaluation passes (``_evaluate``).  The steps that bracket the two
+    outer roots take the sign of F from a direct sum and are not counted.
     """
     n = d.size
     k = np.arange(n + 1)                 # root k lies between d[k-1] and d[k]
     origin = np.clip(k - 1, 0, n - 1)
     tau, lo, hi = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
     rows = 0
-    # the outer roots: step away from the outer poles until F changes sign
+    # the outer roots: step away from the outer poles until F changes sign,
+    # its sign from one direct sum per step, with the differences taken from
+    # the pole as in _evaluate
     for kk, sign in ((0, -1.0), (n, 1.0)):
-        h, prev = (d[1] - d[0] if n > 1 else 1.0), 0.0
+        h, prev, o = (d[1] - d[0] if n > 1 else 1.0), 0.0, origin[kk]
         for _ in range(200):
-            rows += 1
-            f = _evaluate(d, w, value, origin[kk:kk + 1], np.array([sign * h]), far)[0][0]
+            f = value(d[o] + sign * h)[0] - np.sum(w / (sign * h - (d - d[o])))
             if sign * f > 0.0:
                 break
             h, prev = 4.0 * h, h
@@ -728,7 +730,9 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     the Frobenius norm of sum_k a_k a_k^T - I (``weight_defect`` in
     ``meta``, with ``n_roots`` and ``horizon``) above NORM_DRIFT_TOL.
     ``secular_passes`` in ``meta`` is the number of roots evaluated over
-    all passes of the secular equations, divided by ``n_roots``.
+    the evaluation passes of the secular equations, divided by
+    ``n_roots``; it counts evaluation passes only, not the direct sums
+    that bracket the two outer roots.
     """
     horizon = bath.recurrence_time()
     if t_max > horizon:

@@ -6,7 +6,6 @@ A CSV text is built and written as a list of blocks, never joined: for
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -46,14 +45,19 @@ def _table(header: str, columns, text=()) -> CsvText:
     return parts
 
 
+def write_text(path, text):
+    """Write the blocks of ``text`` to ``path``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(text)
+
+
 def write_atomic(path, text):
-    """Write the blocks of ``text`` to path via a temp file in the same
-    directory + rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pbgpair-", suffix=".tmp")
+    """``write_text`` to ``.pbgpair-<pid>-<name>.tmp`` beside ``path`` (file
+    name ``<name>``), then rename it to ``path``; a failure removes it."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".pbgpair-{os.getpid()}-{name}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(text)
+        write_text(tmp, text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

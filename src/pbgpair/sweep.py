@@ -1,13 +1,8 @@
 """Parameter sweeps: one entanglement CSV per value plus a summary table.
 
-Values run in parallel across processes: the values are cut into one
-contiguous share per process, the calling process runs the first share,
-and one forked worker runs each other share and sends back its results as
-one message on a one-way pipe, or only which value failed, for the
-calling process to run again.  THREADS and the CPUs this process may run
-on cap the number of processes.  Outputs are independent of it: results
-are taken in input order, and the calling process writes every file once
-every value has run.
+The values run in contiguous shares on up to THREADS processes
+(``_results``), each of which writes its values' CSVs to temporary files
+and keeps only their summary rows.  Outputs do not depend on THREADS.
 """
 
 from __future__ import annotations
@@ -82,12 +77,14 @@ def value_label(parameter: str, value) -> str:
 
 
 def _run_one(job):
-    label, spec = job
+    """Run ``job`` = (label, run, tmp) and write its CSV to ``tmp``."""
+    label, spec, tmp = job
     series, traj, _ = run_spec(spec)
+    csvio.write_text(tmp, csvio.entanglement_csv(series, traj))
     hl = negativity.half_life(series.times, series.log_negativity)
     ien = negativity.integrated_en(series.times, series.log_negativity,
                                    min(INTEGRAL_WINDOW, spec.t_max))
-    return label, hl, ien, csvio.entanglement_csv(series, traj)
+    return label, hl, ien
 
 
 def _run_share(conn, jobs):
@@ -104,19 +101,18 @@ def _run_share(conn, jobs):
 
 @contextlib.contextmanager
 def _results(jobs, n_workers):
-    """The results of ``jobs`` in input order, in ``n_workers`` contiguous
-    shares of ceil(len(jobs) / n_workers): this process runs the first
-    share, and one forked worker runs each other share and answers with
-    one message on its pipe.
-
+    """The (label, half_life, integrated_en) of ``jobs`` in input order: this
+    process runs the first of ``n_workers`` contiguous shares, and one
+    forked worker each other share, answering in one message on its pipe.
     The pipes are polled between this process's values, then waited on.
     A worker's failed value is run again here, so that its exception is
     raised in this process; one that does not recur raises a NumericalError
-    that names the value and carries the worker's ``<type>: <message>``.
-    A failure, a worker's or this process's, or a pipe that closes without
-    a message ends the workers that have not answered.  Every worker is
-    joined when the ``with`` block ends, so that the exit of those that
-    answered overlaps the caller's use of the results.
+    that names the value and carries the worker's ``<type>: <message>``,
+    and a pipe closed with no message one that names the worker's values
+    and exit code.  A failure ends the workers that have not answered.
+    Every worker is joined when the ``with`` block ends, so that none
+    writes after it and the exit of those that answered overlaps the
+    caller's use of the results.
     """
     if n_workers <= 1:
         yield [_run_one(job) for job in jobs]
@@ -134,15 +130,14 @@ def _results(jobs, n_workers):
                 message = conn.recv()
             except EOFError:
                 process.join()
-                labels = ", ".join(label for label, _ in jobs[k:k + size])
-                raise NumericalError(f"the worker of values {labels} ended with exit "
-                                     f"code {process.exitcode} before it sent its "
-                                     f"results") from None
+                labels = ", ".join(job[0] for job in jobs[k:k + size])
+                raise NumericalError(f"the worker of values {labels} ended with exit code "
+                                     f"{process.exitcode} before it sent its results") from None
             if isinstance(message, tuple):
                 i, line = message
-                label, _ = jobs[k + i]
                 _run_one(jobs[k + i])  # raises the failure here if it recurs
-                raise NumericalError(f"value {label} failed only in its worker: {line}")
+                raise NumericalError(f"value {jobs[k + i][0]} failed only in its worker: "
+                                     f"{line}")
             shares[k] = message
 
     try:
@@ -177,22 +172,16 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
 
     Every value's run, its size budgets and its label (two values may not
     share a file) and THREADS are checked before ``out_dir`` is created.
-    With ``n = worker_count()`` the values go in contiguous shares of
-    ceil(len(values) / n), at most ``n`` of them: this process runs the
-    first share while one forked worker per other share runs the rest,
-    and the results are taken in input order.  A value that fails ends
-    the workers without waiting for their shares: at once in this
-    process's share, else as soon as the worker's failure arrives, which
-    this process sees before its next value or, once it has run its own
-    share, at once; it runs a worker's failed value again and raises its
-    exception, or a NumericalError that names the value if the failure
-    does not recur.  A worker that dies without a result ends the sweep
-    the same way, with a NumericalError that names its values and exit
-    code.  Nothing is written unless every value ran.
+    The process that runs a value (``_results``) writes its CSV to
+    ``.pbgpair-<pid>-<param>_<label>.tmp`` in ``out_dir``, with this
+    process's pid, so this process knows every temporary name, a dead
+    worker's too.  Once every value has run they are renamed in input
+    order and ``summary.csv`` is written; on any failure, once no worker
+    is left, every temporary file and every CSV renamed is removed.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
-    jobs, seen = [], {}
+    pid, jobs, paths, renamed, seen = os.getpid(), [], [], [], {}
     for value in values:
         label = value_label(parameter, value)
         if label in seen:
@@ -201,14 +190,21 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
         seen[label] = value
         run = apply_parameter(spec, parameter, value)
         check_budgets(run)
-        jobs.append((label, run))
+        name = f"{parameter}_{label}"
+        paths.append(os.path.join(out_dir, f"{name}.csv"))
+        jobs.append((label, run, os.path.join(out_dir, f".pbgpair-{pid}-{name}.tmp")))
     n_workers = min(worker_count(), len(jobs))
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    with _results(jobs, n_workers) as results:
-        for label, hl, ien, text in results:
-            csvio.write_atomic(os.path.join(out_dir, f"{parameter}_{label}.csv"), text)
-            entries.append((label, hl, ien))
-        csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
-                           csvio.sweep_summary_csv(entries))
+    try:
+        with _results(jobs, n_workers) as entries:
+            for (_, _, tmp), path in zip(jobs, paths):
+                os.replace(tmp, path)
+                renamed.append(path)
+            csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
+                               csvio.sweep_summary_csv(entries))
+    except BaseException:
+        for path in renamed + [tmp for _, _, tmp in jobs]:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
     return entries

@@ -10,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,6 +292,55 @@ def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, param,
         assert runs[threads] == runs["1"]
 
 
+def test_sweep_memory_does_not_grow_with_its_values(tmp_path, monkeypatch):
+    # each value's CSV goes to its file as soon as the value has run, so 8
+    # values of 5,001 points peak within one value's CSV text of 2 values
+    # (a sweep that held every text to the end would peak six texts,
+    # 3.6 MB, higher)
+    monkeypatch.setenv("THREADS", "1")
+    spec = replace(parse_run_file(_write(tmp_path, "s.cfg", FIG4B_FILE)), t_max=2500.0)
+    peaks = {}
+    for n in (2, 8):
+        tracemalloc.start()
+        try:
+            run_sweep(spec, "eta", [180.0 - 10.0 * i for i in range(n)], tmp_path / f"s{n}")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = (tmp_path / "s2" / "eta_180.csv").stat().st_size
+    assert len(list((tmp_path / "s8").iterdir())) == 9
+    assert peaks[8] - peaks[2] < text
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_sweep_removes_the_files_it_wrote(tmp_path, monkeypatch, capsys, threads):
+    # a summary that cannot be written (a directory holds its name) and an
+    # interrupt at this process's second value remove the CSVs already
+    # renamed and every temporary file
+    from pbgpair.pipeline import run_spec
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("THREADS", threads)
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    outdir = tmp_path / "sweep"
+    (outdir / "summary.csv").mkdir(parents=True)
+    assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3,4", "--tmax", "5",
+                 "-o", str(outdir)]) == 3
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert [p.name for p in outdir.iterdir()] == ["summary.csv"]
+
+    def interrupt(spec):
+        if spec.config.gamma1 == 3.0:
+            raise KeyboardInterrupt
+        return run_spec(spec)
+
+    monkeypatch.setattr("pbgpair.sweep.run_spec", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(parse_run_file(cfgfile), "gamma", [2.0, 3.0, 4.0], tmp_path / "sweep2")
+    assert list((tmp_path / "sweep2").iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the failing stand-in reaches the workers by fork")
 def test_failing_sweep_value_names_one_stage(tmp_path, monkeypatch, capsys):
@@ -402,10 +452,25 @@ def test_worker_failure_is_raised_again_in_this_process(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _in_child(script, *args, timeout=60):
+    """``python -c script args`` with this pbgpair on its path, under a
+    timeout; its stdout read as JSON, and its stderr lines."""
+    import pbgpair
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
+    run = subprocess.run([sys.executable, "-c", script, *args],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=timeout)
+    assert run.stdout, run.stderr
+    return json.loads(run.stdout), run.stderr.strip().splitlines()
+
+
 # A gamma sweep at THREADS 2 on two CPUs in a child interpreter, under a
 # timeout so that a sweep that hangs fails the test in place of Tier-1;
 # {stand_in} may replace run_spec.  It prints main's exit code and seconds,
-# the processes left and whether the process pool module was loaded.
+# the processes left, whether the process pool module was loaded and
+# whether OpenSSL's hash module was (loading it for temporary names raised
+# the sweep benchmark's peak resident set by 2-4 MB).
 CHILD_SWEEP = """
 import json, multiprocessing, os, sys, time
 import numpy as np
@@ -418,29 +483,22 @@ os.environ["THREADS"] = "2"
 start = time.perf_counter()
 code = main(sys.argv[1:])
 print(json.dumps([code, time.perf_counter() - start, len(multiprocessing.active_children()),
-                  "multiprocessing.pool" in sys.modules]))
+                  "multiprocessing.pool" in sys.modules, "_hashlib" in sys.modules]))
 """
 
 
 def _sweep_in_child(tmp_path, stand_in=""):
-    import pbgpair
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pbgpair.__file__)))
     cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
     outdir = tmp_path / "sweep"
-    run = subprocess.run([sys.executable, "-c", CHILD_SWEEP.format(stand_in=stand_in),
-                          "sweep", cfgfile, "--param", "gamma", "--values", "2,3,4,5,6",
-                          "--tmax", "5", "-o", str(outdir)],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                         text=True, timeout=60)
-    assert run.stdout, run.stderr
-    code, seconds, children, pool = json.loads(run.stdout)
-    return code, seconds, children, pool, run.stderr.strip().splitlines(), outdir
+    (code, seconds, children, pool, hashlib), err = _in_child(
+        CHILD_SWEEP.format(stand_in=stand_in), "sweep", cfgfile, "--param", "gamma",
+        "--values", "2,3,4,5,6", "--tmax", "5", "-o", str(outdir))
+    return code, seconds, children, pool, hashlib, err, outdir
 
 
 def test_sweep_workers_load_no_process_pool(tmp_path):
-    code, _, children, pool, err, outdir = _sweep_in_child(tmp_path)
-    assert (code, children, pool, err) == (0, 0, False, [])
+    code, _, children, pool, hashlib, err, outdir = _sweep_in_child(tmp_path)
+    assert (code, children, pool, hashlib, err) == (0, 0, False, False, [])
     assert len(list(outdir.iterdir())) == 6
 
 
@@ -481,6 +539,31 @@ def stand_in(spec):
     return run_spec(spec)
 pbgpair.sweep.run_spec = stand_in
 """
+# the same at the worker's second value, once its first value's temporary
+# file is in the output directory (else the worker exits with code 3)
+FIRST_FILE_WRITTEN = """
+def first_file_written():
+    out = sys.argv[sys.argv.index("-o") + 1]
+    if not any(name.endswith("-gamma_5.tmp") for name in os.listdir(out)):
+        os._exit(3)
+"""
+DEAD_AT_SECOND = FIRST_FILE_WRITTEN + """
+def stand_in(spec):
+    if spec.config.gamma1 == 6.0:
+        first_file_written()
+        os._exit(1)
+    return run_spec(spec)
+pbgpair.sweep.run_spec = stand_in
+"""
+WORKER_ONLY_AT_SECOND = FIRST_FILE_WRITTEN + """
+parent = os.getpid()
+def stand_in(spec):
+    if spec.config.gamma1 == 6.0 and os.getpid() != parent:
+        first_file_written()
+        raise MemoryError("no room for\\nthe grid")
+    return run_spec(spec)
+pbgpair.sweep.run_spec = stand_in
+"""
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -492,12 +575,18 @@ pbgpair.sweep.run_spec = stand_in
     (TWO_ARGUMENT_FAILURE, "sweep._run_one: TwoArguments: Singular matrix"),
     (WORKER_ONLY_FAILURE, "NumericalError: value 5 failed only in its worker: "
                           "MemoryError: no room for the grid"),
-], ids=["exit", "unpicklable", "not-rebuilt", "worker-only"])
+    (DEAD_AT_SECOND, "NumericalError: the worker of values 5, 6 ended with exit code 1 "
+                     "before it sent its results"),
+    (WORKER_ONLY_AT_SECOND, "NumericalError: value 6 failed only in its worker: "
+                            "MemoryError: no room for the grid"),
+], ids=["exit", "unpicklable", "not-rebuilt", "worker-only", "exit-second",
+        "worker-only-second"])
 def test_worker_that_dies_or_sends_no_failure_ends_the_sweep(tmp_path, stand_in, failure):
     # a worker that exits mid-share, whose failure does not pickle, or whose
-    # value fails only there ends the sweep with one line, no file and no
-    # process left; a failure that recurs here names its stage
-    code, seconds, children, _, err, outdir = _sweep_in_child(tmp_path, stand_in)
+    # value fails only there ends the sweep with one line, no file (not the
+    # temporary file of a value the worker has run) and no process left; a
+    # failure that recurs here names its stage
+    code, seconds, children, _, _, err, outdir = _sweep_in_child(tmp_path, stand_in)
     assert code == 4 and seconds < 2.0
     assert err == [f"pbgpair sweep: numerical failure in {failure}"]
     assert list(outdir.iterdir()) == []
@@ -777,22 +866,30 @@ def test_oracle_budget_accepts_12000_modes(tmp_path):
     assert out.exists()
 
 
-def test_oracle_cross_checks_fig2c_full_horizon(tmp_path, caplog):
+# main in a child interpreter: its exit code, its seconds and the child's
+# peak resident set in bytes (ru_maxrss is in kilobytes on Linux)
+CHILD_RUN = """
+import json, resource, sys, time
+from pbgpair.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps([code, time.perf_counter() - start,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in kilobytes")
+def test_oracle_cross_checks_fig2c_full_horizon(tmp_path):
     # 51,000 modes put the horizon (3,204) past fig2c's t_max, so the
-    # engines are compared over the whole run
+    # engines are compared over the whole run; it runs untraced, since
+    # tracemalloc tripled its time, and its peak is the child's whole
+    # resident set, interpreter and numpy included
     out = tmp_path / "fig2c.csv"
-    start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        with caplog.at_level("INFO", logger="pbgpair"):
-            code = main(["preset", "fig2c", "--engine", "both", "--modes", "51000",
-                         "-o", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    wall = time.perf_counter() - start
+    (code, wall, peak), err = _in_child(CHILD_RUN, "preset", "fig2c", "--engine", "both",
+                                        "--modes", "51000", "-o", str(out), timeout=120)
     assert code == 0
-    msg = [r.getMessage() for r in caplog.records if "deviation" in r.getMessage()][0]
+    msg = [line for line in err if "deviation" in line][0]
     assert float(msg.split("deviation")[1].split()[0]) <= 5e-3
     assert msg.endswith("[0, 3200]")
     assert wall < 60.0 and peak < 1e9
