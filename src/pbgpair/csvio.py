@@ -45,23 +45,32 @@ def _table(header: str, columns, text=()) -> CsvText:
     return parts
 
 
+def temp_path(path):
+    """``.pbgpair-<pid>-<name>.tmp`` beside ``path`` (named ``<name>``)."""
+    head, name = os.path.split(path)
+    return os.path.join(head, f".pbgpair-{os.getpid()}-{name}.tmp")
+
+
 def write_text(path, text):
-    """Write the blocks of ``text`` to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(text)
+    """Write ``text``'s blocks to the new file ``path``, removed if the write
+    fails; O_EXCL refuses a file already there, a symlink included."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+                 | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(text)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def write_atomic(path, text):
-    """``write_text`` to ``.pbgpair-<pid>-<name>.tmp`` beside ``path`` (file
-    name ``<name>``), then rename it to ``path``; a failure removes it."""
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".pbgpair-{os.getpid()}-{name}.tmp")
+    """``write_text`` to ``temp_path(path)``, then rename it to ``path``."""
+    write_text(tmp := temp_path(path), text)
     try:
-        write_text(tmp, text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -25,10 +25,7 @@ def worker_count() -> int:
     """Processes a sweep may compute on: the CPUs this process may run on,
     capped by THREADS."""
     cap = os.environ.get("THREADS")
-    if hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
-    else:
-        n = os.cpu_count() or 1
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cap:
         try:
             n = min(n, max(1, int(cap)))
@@ -77,8 +74,8 @@ def value_label(parameter: str, value) -> str:
 
 
 def _run_one(job):
-    """Run ``job`` = (label, run, tmp) and write its CSV to ``tmp``."""
-    label, spec, tmp = job
+    """Run ``job`` = (label, run, path, tmp) and write its CSV to ``tmp``."""
+    label, spec, _, tmp = job
     series, traj, _ = run_spec(spec)
     csvio.write_text(tmp, csvio.entanglement_csv(series, traj))
     hl = negativity.half_life(series.times, series.log_negativity)
@@ -103,16 +100,12 @@ def _run_share(conn, jobs):
 def _results(jobs, n_workers):
     """The (label, half_life, integrated_en) of ``jobs`` in input order: this
     process runs the first of ``n_workers`` contiguous shares, and one
-    forked worker each other share, answering in one message on its pipe.
-    The pipes are polled between this process's values, then waited on.
-    A worker's failed value is run again here, so that its exception is
-    raised in this process; one that does not recur raises a NumericalError
-    that names the value and carries the worker's ``<type>: <message>``,
-    and a pipe closed with no message one that names the worker's values
-    and exit code.  A failure ends the workers that have not answered.
-    Every worker is joined when the ``with`` block ends, so that none
-    writes after it and the exit of those that answered overlaps the
-    caller's use of the results.
+    forked worker each other share, answering in one message on its pipe,
+    polled between this process's values, then waited on.  A worker's
+    failed value is run again here, to raise its exception here; one that
+    does not recur, or a pipe closed with no message, raises a
+    NumericalError.  A failure ends the workers that have not answered;
+    all are joined when the ``with`` block ends, so none writes after it.
     """
     if n_workers <= 1:
         yield [_run_one(job) for job in jobs]
@@ -170,18 +163,16 @@ def _results(jobs, n_workers):
 def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
     """Run every value, write per-value CSVs and the summary; returns rows.
 
-    Every value's run, its size budgets and its label (two values may not
-    share a file) and THREADS are checked before ``out_dir`` is created.
-    The process that runs a value (``_results``) writes its CSV to
-    ``.pbgpair-<pid>-<param>_<label>.tmp`` in ``out_dir``, with this
-    process's pid, so this process knows every temporary name, a dead
-    worker's too.  Once every value has run they are renamed in input
-    order and ``summary.csv`` is written; on any failure, once no worker
-    is left, every temporary file and every CSV renamed is removed.
+    Every value's run, budgets and label (two values may not share a file)
+    and THREADS are checked before ``out_dir`` is created.  The process
+    that runs a value writes its CSV to the ``csvio.temp_path`` named here,
+    so this process knows every temporary name, a dead worker's too.  They
+    are renamed in input order once every value has run; on any failure,
+    once no worker is left, every temporary file and renamed CSV is removed.
     """
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
-    pid, jobs, paths, renamed, seen = os.getpid(), [], [], [], {}
+    jobs, renamed, seen = [], [], {}
     for value in values:
         label = value_label(parameter, value)
         if label in seen:
@@ -190,20 +181,19 @@ def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
         seen[label] = value
         run = apply_parameter(spec, parameter, value)
         check_budgets(run)
-        name = f"{parameter}_{label}"
-        paths.append(os.path.join(out_dir, f"{name}.csv"))
-        jobs.append((label, run, os.path.join(out_dir, f".pbgpair-{pid}-{name}.tmp")))
+        path = os.path.join(out_dir, f"{parameter}_{label}.csv")
+        jobs.append((label, run, path, csvio.temp_path(path)))
     n_workers = min(worker_count(), len(jobs))
     os.makedirs(out_dir, exist_ok=True)
     try:
         with _results(jobs, n_workers) as entries:
-            for (_, _, tmp), path in zip(jobs, paths):
+            for _, _, path, tmp in jobs:
                 os.replace(tmp, path)
                 renamed.append(path)
             csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
                                csvio.sweep_summary_csv(entries))
     except BaseException:
-        for path in renamed + [tmp for _, _, tmp in jobs]:
+        for path in renamed + [job[3] for job in jobs]:
             with contextlib.suppress(OSError):
                 os.unlink(path)
         raise

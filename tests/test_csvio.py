@@ -1,7 +1,9 @@
+import os
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbgpair import csvio, inversion, negativity
@@ -70,3 +72,22 @@ def test_write_atomic_memory_peak(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 100_002
     assert peak <= 26e6
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["file", "dangling"])
+def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, target_exists):
+    # a link planted at the guessable temporary name is neither followed nor
+    # removed: the write fails and the link's target stays as it was
+    path, target = tmp_path / "out.csv", tmp_path / "target"
+    if target_exists:
+        target.write_text("kept\n", encoding="utf-8")
+    tmp = csvio.temp_path(str(path))
+    assert tmp == str(tmp_path / f".pbgpair-{os.getpid()}-out.csv.tmp")
+    os.symlink(target, tmp)
+    with pytest.raises(FileExistsError):
+        csvio.write_atomic(str(path), csvio.CsvText(["a\n"]))
+    assert os.path.islink(tmp) and not path.exists()
+    if target_exists:
+        assert target.read_text(encoding="utf-8") == "kept\n"
+    else:
+        assert not target.exists()
