@@ -6,9 +6,8 @@ band-edge kernel is beta' = 1 / (i S), and the pole tables
 (:mod:`pbgpair.poles`), the closed-form inversion
 (:mod:`pbgpair.inversion`), a discretized-bath reference integrator
 (:mod:`pbgpair.bath`) and two-atom negativity (:mod:`pbgpair.negativity`).
-:mod:`pbgpair.transform` and the residue sum and cut integral of
-:mod:`pbgpair.inversion` are the previous inversion route, kept for the
-tests' cross-check.
+:mod:`pbgpair.transform` holds the previous inversion route, kept for
+the tests' cross-check.
 """
 
 from .config import (

@@ -46,9 +46,10 @@ def _table(header: str, columns, text=()) -> CsvText:
 
 
 def temp_path(path):
-    """``.pbgpair-<pid>-<name>.tmp`` beside ``path`` (named ``<name>``)."""
+    """``.pbgpair-<pid>-<hex>-<name>.tmp`` beside ``path`` (named ``<name>``); the
+    random ``<hex>`` keeps clear of a file a killed process of the same pid left."""
     head, name = os.path.split(path)
-    return os.path.join(head, f".pbgpair-{os.getpid()}-{name}.tmp")
+    return os.path.join(head, f".pbgpair-{os.getpid()}-{os.urandom(6).hex()}-{name}.tmp")
 
 
 def write_text(path, text):

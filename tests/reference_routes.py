@@ -4,7 +4,7 @@ Inversion:
 
 * ``branch_cut_integral``: the cut integral at one time by QUADPACK
   (scipy's adaptive Gauss-Kronrod), against the reusable panels of
-  :class:`pbgpair.inversion.CutIntegrator`;
+  :class:`pbgpair.transform.CutIntegrator`;
 * ``delta_sheet``: the symmetric-sector determinant evaluated from the
   kernel, and ``residue_weight_fd``: pole weights by central differences
   of it, against the closed-form weights of :func:`pbgpair.poles.find_poles`;
@@ -64,7 +64,7 @@ from pbgpair.bath import (CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, Discr
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (BranchPointError, DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
-from pbgpair.inversion import CUT_FAIL_TOL, EXP_FLOOR, _beta_prime_sheet, cut_discontinuity
+from pbgpair.transform import CUT_FAIL_TOL, EXP_FLOOR, _beta_prime_sheet, cut_discontinuity
 from pbgpair.negativity import NORM_SLACK
 
 # populated product states: |a1 a6>, |a2 a6>, |a3 a4>, |a3 a5>, |a3 a6>

@@ -57,7 +57,7 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from pbgpair import bath, inversion, negativity as neg
+from pbgpair import bath, inversion, negativity as neg, transform
 from pbgpair.config import (AmplitudeTrajectory, InitialState, SystemConfig,
                             preset_initial, time_grid)
 from pbgpair.poles import PoleSet, find_poles
@@ -166,7 +166,7 @@ def _axis_residue_en(times, preset):
     poles = find_poles(preset.config)
     axis = PoleSet(records=tuple(r for r in poles.dynamic() if r.x.real == 0.0),
                    config=preset.config)
-    amps = inversion.residue_sum(times, axis, preset.config, preset.init)
+    amps = transform.residue_sum(times, axis, preset.config, preset.init)
     traj = AmplitudeTrajectory(times=times, amps=amps)
     return neg.entanglement_series(traj).log_negativity
 
@@ -308,9 +308,9 @@ def test_criterion_6_initial_value_exactness():
         p = get_preset(name)
         poles = find_poles(p.config)
         t1, t2 = 2e-5, 1e-5
-        s1 = inversion.residue_sum(t1, poles, p.config, p.init) \
+        s1 = transform.residue_sum(t1, poles, p.config, p.init) \
             + branch_cut_integral(t1, p.config, p.init)
-        s2 = inversion.residue_sum(t2, poles, p.config, p.init) \
+        s2 = transform.residue_sum(t2, poles, p.config, p.init) \
             + branch_cut_integral(t2, p.config, p.init)
         extrap = 2 * s2 - s1
         worst = max(worst, float(np.max(np.abs(extrap - np.array(p.init.as_tuple())))))

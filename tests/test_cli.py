@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import bath
+from pbgpair import bath, csvio
 from pbgpair.cli import main
 from pbgpair.sweep import apply_parameter, parse_values, run_sweep, worker_count
 from pbgpair.config import parse_run_file, preset_initial, RunSpec
@@ -312,11 +312,24 @@ def test_sweep_memory_does_not_grow_with_its_values(tmp_path, monkeypatch):
     assert peaks[8] - peaks[2] < text
 
 
+def _stale_temporary_files(where, name):
+    """Plant the temporary files that a killed process of this pid would
+    have left for ``name`` in ``where``, in the form without and with a
+    random part; returns their names."""
+    paths = [os.path.join(where, f".pbgpair-{os.getpid()}-{name}.tmp"),
+             csvio.temp_path(os.path.join(where, name))]
+    for path in paths:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("stale\n")
+    return [os.path.basename(path) for path in paths]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_failed_sweep_removes_the_files_it_wrote(tmp_path, monkeypatch, capsys, threads):
     # a summary that cannot be written (a directory holds its name) and an
     # interrupt at this process's second value remove the CSVs already
-    # renamed and every temporary file
+    # renamed and every temporary file they made, and no file that was
+    # there before, such as an earlier process's temporary file
     from pbgpair.pipeline import run_spec
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -324,10 +337,12 @@ def test_failed_sweep_removes_the_files_it_wrote(tmp_path, monkeypatch, capsys, 
     cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
     outdir = tmp_path / "sweep"
     (outdir / "summary.csv").mkdir(parents=True)
+    stale = _stale_temporary_files(outdir, "gamma_3.csv")
     assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3,4", "--tmax", "5",
                  "-o", str(outdir)]) == 3
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
-    assert [p.name for p in outdir.iterdir()] == ["summary.csv"]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(["summary.csv", *stale])
+    assert all((outdir / f).read_text(encoding="utf-8") == "stale\n" for f in stale)
 
     def interrupt(spec):
         if spec.config.gamma1 == 3.0:
@@ -339,6 +354,34 @@ def test_failed_sweep_removes_the_files_it_wrote(tmp_path, monkeypatch, capsys, 
         run_sweep(parse_run_file(cfgfile), "gamma", [2.0, 3.0, 4.0], tmp_path / "sweep2")
     assert list((tmp_path / "sweep2").iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("args,name,outputs", [
+    (["preset", "fig2a", "-o", "{out}/fig2a.csv"], "fig2a.csv", ["fig2a.csv"]),
+    (["sweep", "{cfg}", "--param", "eta", "--values", "30,60", "--tmax", "5", "-o", "{out}"],
+     "eta_30.csv", ["eta_30.csv", "eta_60.csv", "summary.csv"]),
+], ids=["preset", "sweep"])
+def test_stale_temporary_files_are_left_alone(tmp_path, monkeypatch, args, name, outputs):
+    # a killed run leaves its temporary file, and a later process may have
+    # the same pid (a container's entry process is pid 1 on every run): the
+    # run writes beside the file and leaves it as it was
+    monkeypatch.setenv("THREADS", "1")
+    cfgfile, out = _write(tmp_path, "s.cfg", SHORT_FILE), tmp_path / "out"
+    out.mkdir()
+    stale = _stale_temporary_files(out, name)
+    assert main([a.format(out=out, cfg=cfgfile) for a in args]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + stale)
+    assert all((out / f).read_text(encoding="utf-8") == "stale\n" for f in stale)
+
+
+def test_unknown_sweep_parameter_through_the_library(tmp_path):
+    # the CLI's choices refuse such a parameter before the library sees it
+    spec, out = parse_run_file(_write(tmp_path, "s.cfg", SHORT_FILE)), tmp_path / "sweep"
+    with pytest.raises(DomainError, match="bogus"):
+        run_sweep(spec, "bogus", [1.0], out)
+    assert not out.exists()
+    with pytest.raises(DomainError, match="bogus"):
+        apply_parameter(spec, "bogus", 1.0)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -1032,15 +1075,17 @@ def test_output_path_naming_a_directory_leaves_no_temp_file(tmp_path, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_refuses_a_symlink_at_a_temporary_name(tmp_path, monkeypatch, capsys, threads):
     # a link planted at a value's temporary name (the worker's value at
-    # THREADS=2) fails the sweep with exit 3 and is removed with the rest;
-    # the file it points to is left as it was
+    # THREADS=2; the name's random part fixed here) fails the sweep with
+    # exit 3 and is removed with the rest; the file it points to is left as
+    # it was
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "urandom", bytes)
     monkeypatch.setenv("THREADS", threads)
     cfgfile, outdir, target = _write(tmp_path, "s.cfg", SHORT_FILE), tmp_path / "sweep", \
         tmp_path / "target"
     outdir.mkdir()
     target.write_text("kept\n", encoding="utf-8")
-    os.symlink(target, outdir / f".pbgpair-{os.getpid()}-gamma_3.csv.tmp")
+    os.symlink(target, outdir / f".pbgpair-{os.getpid()}-000000000000-gamma_3.csv.tmp")
     assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3", "--tmax", "5",
                  "-o", str(outdir)]) == 3
     err = capsys.readouterr().err.strip().splitlines()

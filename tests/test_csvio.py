@@ -75,14 +75,17 @@ def test_write_atomic_memory_peak(tmp_path):
 
 
 @pytest.mark.parametrize("target_exists", [True, False], ids=["file", "dangling"])
-def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, target_exists):
-    # a link planted at the guessable temporary name is neither followed nor
-    # removed: the write fails and the link's target stays as it was
+def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, monkeypatch,
+                                                              target_exists):
+    # a link planted at the temporary name (its random part fixed here) is
+    # neither followed nor removed: the write fails and the link's target
+    # stays as it was
+    monkeypatch.setattr(os, "urandom", bytes)
     path, target = tmp_path / "out.csv", tmp_path / "target"
     if target_exists:
         target.write_text("kept\n", encoding="utf-8")
     tmp = csvio.temp_path(str(path))
-    assert tmp == str(tmp_path / f".pbgpair-{os.getpid()}-out.csv.tmp")
+    assert tmp == str(tmp_path / f".pbgpair-{os.getpid()}-000000000000-out.csv.tmp")
     os.symlink(target, tmp)
     with pytest.raises(FileExistsError):
         csvio.write_atomic(str(path), csvio.CsvText(["a\n"]))
@@ -91,3 +94,15 @@ def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, target_e
         assert target.read_text(encoding="utf-8") == "kept\n"
     else:
         assert not target.exists()
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # a block that is not a str fails the write after the file is made: the
+    # file is removed, and write_atomic leaves no temporary file either
+    path, text = str(tmp_path / "out.csv"), csvio.CsvText(["a\n", b"b\n"])
+    with pytest.raises(TypeError):
+        csvio.write_text(path, text)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(TypeError):
+        csvio.write_atomic(path, text)
+    assert list(tmp_path.iterdir()) == []

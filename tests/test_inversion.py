@@ -24,9 +24,9 @@ FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
 
 def extrapolated_inversion_at_zero(config, init, poles):
     t1, t2 = 2e-5, 1e-5
-    s1 = inversion.residue_sum(t1, poles, config, init) \
+    s1 = transform.residue_sum(t1, poles, config, init) \
         + branch_cut_integral(t1, config, init)
-    s2 = inversion.residue_sum(t2, poles, config, init) \
+    s2 = transform.residue_sum(t2, poles, config, init) \
         + branch_cut_integral(t2, config, init)
     return 2 * s2 - s1
 
@@ -36,7 +36,7 @@ def test_completeness_small_time_scaling():
     poles = find_poles(FIG2B)
     target = np.array(init.as_tuple())
     for t in (1e-4, 1e-6):
-        total = inversion.residue_sum(t, poles, FIG2B, init) \
+        total = transform.residue_sum(t, poles, FIG2B, init) \
             + branch_cut_integral(t, FIG2B, init)
         # departure from the initial data is the physical gamma*t drift
         assert np.max(np.abs(total - target)) < 2.0 * FIG2B.gamma1 * t
@@ -65,7 +65,7 @@ def test_completeness_exact_time_zero():
                           omega2c=-1.0, eta=PI)
     init = preset_initial("bright")
     poles = find_poles(config)
-    total = inversion.residue_sum(0.0, poles, config, init) \
+    total = transform.residue_sum(0.0, poles, config, init) \
         + branch_cut_integral(0.0, config, init)
     assert np.max(np.abs(total - np.array(init.as_tuple()))) < 1e-9
 
@@ -75,7 +75,7 @@ def test_residue_sum_requires_matching_config():
     other = SystemConfig(gamma1=5, gamma2=5, omega12=0.4, omega1c=0.6,
                          omega2c=0.2, eta=PI)
     with pytest.raises(DomainError):
-        inversion.residue_sum(1.0, poles, other, preset_initial("unentangled"))
+        transform.residue_sum(1.0, poles, other, preset_initial("unentangled"))
 
 
 def test_near_free_limit_exchange_oscillation():
@@ -104,14 +104,14 @@ def test_analytic_traj_matches_oracle_fig2b_short():
     assert np.max(np.abs(tro.amps - tra.amps)) < 5e-3
     # residue part alone carries the trajectory at t=10 up to the cut tail
     poles = find_poles(FIG2B)
-    res_only = inversion.residue_sum(10.0, poles, FIG2B, init)
+    res_only = transform.residue_sum(10.0, poles, FIG2B, init)
     assert np.max(np.abs(res_only - tro.amps[-1])) < 5e-3
 
 
 def test_cut_integral_decay_slope():
     init = preset_initial("unentangled")
     ts = np.array([500.0, 1000.0, 2000.0, 5000.0])
-    cut = inversion.CutIntegrator(FIG2B, init, t_min=float(ts[0]),
+    cut = transform.CutIntegrator(FIG2B, init, t_min=float(ts[0]),
                                   abs_tol=CUT_ABS_TOL)
     mags = np.array([np.max(np.abs(cut.evaluate(np.array([t])))) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(mags), 1)[0]
@@ -126,7 +126,7 @@ def test_cut_discontinuity_vanishes_without_coupling():
     config = SystemConfig(gamma1=2 / s, gamma2=2 / s, omega12=0.4 / s, omega1c=0.6 / s,
                           omega2c=0.2 / s, eta=PI)
     init = preset_initial("unentangled")
-    disc = inversion.cut_discontinuity(np.array([0.5, 2.0]) / np.sqrt(s), config, init)
+    disc = transform.cut_discontinuity(np.array([0.5, 2.0]) / np.sqrt(s), config, init)
     assert np.max(np.abs(disc)) < 1e-10 * s
 
 
@@ -134,7 +134,7 @@ def test_cut_integrator_matches_reference_quadrature():
     init = preset_initial("bright")
     config = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6,
                           omega2c=-1.0, eta=PI)
-    cut = inversion.CutIntegrator(config, init, t_min=0.5, abs_tol=CUT_ABS_TOL)
+    cut = transform.CutIntegrator(config, init, t_min=0.5, abs_tol=CUT_ABS_TOL)
     for t in (0.5, 3.0, 12.0):
         fast = cut.evaluate(np.array([t]))[0]
         ref = branch_cut_integral(t, config, init)
@@ -162,7 +162,7 @@ def test_amplitudes_analytic_grid_validation():
     with pytest.raises(DomainError):
         inversion.amplitudes_analytic(np.array([-1.0, 0.5]), FIG2B, init)
     with pytest.raises(DomainError):
-        inversion.CutIntegrator(FIG2B, init, t_min=0.0, abs_tol=CUT_ABS_TOL)
+        transform.CutIntegrator(FIG2B, init, t_min=0.0, abs_tol=CUT_ABS_TOL)
 
 
 @pytest.mark.parametrize("times", [np.array([]), np.zeros((3, 2))])
@@ -189,13 +189,13 @@ def test_localized_pole_signal_has_constant_envelope():
     times = np.linspace(100.0, 130.0, 31)
     total = np.zeros((times.size, 4), dtype=complex)
     for r in dyn:
-        contrib = inversion.residue_numerators(r, FIG2B, init) * r.weight
+        contrib = transform.residue_numerators(r, FIG2B, init) * r.weight
         total += np.exp(np.outer(times, r.x)) * contrib
     env = np.abs(total[:, 0])
     beat = env.max() - env.min()
     assert beat > 1e-3  # genuine beating between two tones
     single = np.abs(np.exp(times * dyn[0].x) *
-                    (inversion.residue_numerators(dyn[0], FIG2B, init) * dyn[0].weight)[0])
+                    (transform.residue_numerators(dyn[0], FIG2B, init) * dyn[0].weight)[0])
     assert single.max() - single.min() < 1e-12
 
 
@@ -220,8 +220,8 @@ def cut_route(times, config, init, abs_tol=CUT_ABS_TOL):
     """The previous engine: residues at the sheet poles plus the adaptive
     Gauss-Kronrod cut integral, at times t > 0."""
     poles = find_poles(config)
-    cut = inversion.CutIntegrator(config, init, t_min=float(times[0]), abs_tol=abs_tol)
-    return inversion.residue_sum(times, poles, config, init) + cut.evaluate(times)
+    cut = transform.CutIntegrator(config, init, t_min=float(times[0]), abs_tol=abs_tol)
+    return transform.residue_sum(times, poles, config, init) + cut.evaluate(times)
 
 
 @pytest.mark.parametrize("name", SERIES_PRESETS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pbgpair.inversion import _beta_prime_sheet
+from pbgpair.transform import _beta_prime_sheet
 from pbgpair.config import SystemConfig
 from pbgpair.errors import BranchPointError, DomainError
 from reference_routes import beta_prime, kernel_values, memory_kernel, spectral_density

@@ -5,7 +5,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from pbgpair import bath, csvio, inversion
+from pbgpair import bath, csvio, inversion, transform
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DegeneratePole, NumericalError
@@ -101,7 +101,7 @@ def test_residues_match_limit_route():
         init = InitialState(*v)
         ps = find_poles(config)
         for r in ps.dynamic():
-            direct = inversion.residue_numerators(r, config, init) * r.weight
+            direct = transform.residue_numerators(r, config, init) * r.weight
             limit = residue_by_limit(r, config, init)
             assert np.max(np.abs(direct - limit)) < 1e-8
 
@@ -204,7 +204,7 @@ def test_weights_and_residues_match_reference_routes(config):
         fd = residue_weight_fd(r, config)
         assert abs(fd - r.weight) <= 1e-8 * max(1.0, abs(r.weight))
         # the limit route sees every pole sitting at r.x at once
-        direct = sum(inversion.residue_numerators(q, config, init) * q.weight
+        direct = sum(transform.residue_numerators(q, config, init) * q.weight
                      for q in dyn if abs(q.x - r.x) < MERGE_TOL)
         limit = residue_by_limit(r, config, init)
         assert np.max(np.abs(direct - limit)) < 1e-8

@@ -46,12 +46,25 @@ def test_trace_target_resolves(name, module, attr):
 def test_tracer_installs_and_restores():
     for _, module, _, _ in TRACING.TARGETS:
         importlib.import_module(module)
-    from pbgpair import inversion
+    from pbgpair import inversion, transform
 
     original = inversion.amplitudes_analytic
+    # the previous route is defined in transform and re-exported by
+    # inversion, where the targets name it: both bindings are patched
+    route = {name: getattr(transform, name) for name in ("residue_sum", "cut_discontinuity")}
+    methods = {name: vars(transform.CutIntegrator)[name] for name in ("__init__", "evaluate")}
     with TRACING.Tracer().installed():
         assert inversion.amplitudes_analytic is not original
+        for name, fn in route.items():
+            assert getattr(inversion, name) is getattr(transform, name), name
+            assert getattr(transform, name).__wrapped__ is fn, name
+        for name, fn in methods.items():
+            assert vars(inversion.CutIntegrator)[name].__wrapped__ is fn, name
     assert inversion.amplitudes_analytic is original
+    for name, fn in route.items():
+        assert getattr(inversion, name) is fn and getattr(transform, name) is fn, name
+    for name, fn in methods.items():
+        assert vars(transform.CutIntegrator)[name] is fn, name
 
 
 def _package_imports(path):
