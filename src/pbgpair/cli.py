@@ -87,11 +87,15 @@ def _apply_overrides(spec: RunSpec, args) -> RunSpec:
 
 
 def _emit_series(spec: RunSpec, args) -> int:
-    """Run ``spec`` under the options given; write its CSVs."""
+    """Run ``spec`` under the options given; publish its CSVs together."""
+    paths = [args.output] + ([args.amplitudes] if args.amplitudes else [])
+    if len({os.path.abspath(path) for path in paths}) < len(paths):
+        raise ConfigError(f"--amplitudes {args.amplitudes} names the -o file")
     series, traj, _ = run_spec(_apply_overrides(spec, args))
-    csvio.write_atomic(args.output, csvio.entanglement_csv(series, traj))
-    if args.amplitudes:
-        csvio.write_atomic(args.amplitudes, csvio.trajectory_csv(traj))
+    with csvio.publish(paths) as tmps:
+        csvio.write_text(tmps[0], csvio.entanglement_csv(series, traj))
+        if args.amplitudes:
+            csvio.write_text(tmps[1], csvio.trajectory_csv(traj))
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
-"""Deterministic CSV emission (atomic writes, fixed 12-digit formatting).
+"""Deterministic CSV emission (fixed 12-digit formatting) and ``publish``,
+the one routine that commits output files: all of a command's, or none.
 
 A CSV text is built and written as a list of blocks, never joined: for
 100,001 rows the joined copy would add 11 MB."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -45,13 +47,6 @@ def _table(header: str, columns, text=()) -> CsvText:
     return parts
 
 
-def temp_path(path):
-    """``.pbgpair-<pid>-<hex>-<name>.tmp`` beside ``path`` (named ``<name>``); the
-    random ``<hex>`` keeps clear of a file a killed process of the same pid left."""
-    head, name = os.path.split(path)
-    return os.path.join(head, f".pbgpair-{os.getpid()}-{os.urandom(6).hex()}-{name}.tmp")
-
-
 def write_text(path, text):
     """Write ``text``'s blocks to the new file ``path``, removed if the write
     fails; O_EXCL refuses a file already there, a symlink included."""
@@ -65,14 +60,37 @@ def write_text(path, text):
         raise
 
 
-def write_atomic(path, text):
-    """``write_text`` to ``temp_path(path)``, then rename it to ``path``."""
-    write_text(tmp := temp_path(path), text)
+@contextlib.contextmanager
+def publish(paths):
+    """Yield a new temporary name beside each of ``paths``, for ``write_text``,
+    and rename them to ``paths`` in order when the block ends.  The names,
+    ``.pbgpair-<pid>-<hex>-<name>.tmp``, are drawn here, so this process knows
+    those its workers write; the random ``<hex>`` keeps clear of a killed
+    process's files.  Any failure removes the paths renamed and every
+    temporary file but one a write found taken (not this run's), and an
+    OSError on a temporary name is raised again naming its path."""
+    tmps = {os.path.join(os.path.dirname(p), f".pbgpair-{os.getpid()}-{os.urandom(6).hex()}-"
+                         f"{os.path.basename(p)}.tmp"): p for p in paths}
+    done = []
     try:
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+        yield list(tmps)
+        for tmp, path in tmps.items():
+            os.replace(tmp, path)
+            done.append(path)
+    except BaseException as exc:
+        taken = exc.filename if isinstance(exc, FileExistsError) else None
+        for path in done + [tmp for tmp in tmps if tmp != taken]:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if taken is None and isinstance(exc, OSError) and exc.filename in tmps:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(tmps[exc.filename])) from None
         raise
+
+
+def write_atomic(path, text):
+    """``write_text`` to a temporary name that ``publish`` renames to ``path``."""
+    with publish([path]) as (tmp,):
+        write_text(tmp, text)
 
 
 def entanglement_csv(series, trajectory) -> CsvText:

@@ -1,13 +1,12 @@
 """Parameter sweeps: one entanglement CSV per value plus a summary table.
 
 The values run in contiguous shares on up to THREADS processes
-(``_results``), each of which writes its values' CSVs to temporary files
-and keeps only their summary rows.  Outputs do not depend on THREADS.
+(``_results``); each writes its values' CSVs to names one ``csvio.publish``
+drew and keeps only their summary rows.  Outputs do not depend on THREADS.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import replace
@@ -68,14 +67,12 @@ def apply_parameter(spec: RunSpec, parameter: str, value) -> RunSpec:
 
 
 def value_label(parameter: str, value) -> str:
-    if parameter == "omega1c_omega2c_pair":
-        return f"{value[0]:g}_{value[1]:g}"
-    return f"{value:g}"
+    return f"{value[0]:g}_{value[1]:g}" if parameter == "omega1c_omega2c_pair" else f"{value:g}"
 
 
 def _run_one(job):
-    """Run ``job`` = (label, run, path, tmp) and write its CSV to ``tmp``."""
-    label, spec, _, tmp = job
+    """Run ``job`` = (label, run, tmp) and write its CSV to ``tmp``."""
+    label, spec, tmp = job
     series, traj, _ = run_spec(spec)
     csvio.write_text(tmp, csvio.entanglement_csv(series, traj))
     hl = negativity.half_life(series.times, series.log_negativity)
@@ -96,7 +93,6 @@ def _run_share(conn, jobs):
     conn.send(results)
 
 
-@contextlib.contextmanager
 def _results(jobs, n_workers):
     """The (label, half_life, integrated_en) of ``jobs`` in input order: this
     process runs the first of ``n_workers`` contiguous shares, and one
@@ -105,11 +101,9 @@ def _results(jobs, n_workers):
     failed value is run again here, to raise its exception here; one that
     does not recur, or a pipe closed with no message, raises a
     NumericalError.  A failure ends the workers that have not answered;
-    all are joined when the ``with`` block ends, so none writes after it.
-    """
+    all are joined before this returns or raises."""
     if n_workers <= 1:
-        yield [_run_one(job) for job in jobs]
-        return
+        return [_run_one(job) for job in jobs]
     import multiprocessing
     from multiprocessing.connection import wait
 
@@ -147,9 +141,6 @@ def _results(jobs, n_workers):
             results.append(_run_one(job))
         while len(shares) < len(workers):
             collect(None)
-        for k in sorted(shares):
-            results += shares[k]
-        yield results
     finally:
         # ended before its pipe closes, a worker that is still sending
         # dies without a BrokenPipeError traceback
@@ -158,43 +149,30 @@ def _results(jobs, n_workers):
                 process.terminate()
             process.join()
             conn.close()
+    for k in sorted(shares):
+        results += shares[k]
+    return results
 
 
 def run_sweep(spec: RunSpec, parameter: str, values, out_dir) -> list:
-    """Run every value, write per-value CSVs and the summary; returns rows.
-
-    Every value's run, budgets and label (two values may not share a file)
-    and THREADS are checked before ``out_dir`` is created.  The process
-    that runs a value writes its CSV to the ``csvio.temp_path`` named here,
-    so this process knows every temporary name, a dead worker's too.  They
-    are renamed in input order once every value has run; on any failure,
-    once no worker is left, every temporary file and renamed CSV is removed.
-    """
+    """Run every value and publish its CSVs and the summary together; returns
+    the summary rows.  Every value's run, budgets and label (two values may
+    not share a file) and THREADS are checked before ``out_dir`` is made."""
     if parameter not in SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
-    jobs, renamed, seen = [], [], {}
+    runs, seen = {}, {}
     for value in values:
         label = value_label(parameter, value)
         if label in seen:
             raise DomainError(f"sweep values {seen[label]!r} and {value!r} share the "
                               f"label {label!r}")
         seen[label] = value
-        run = apply_parameter(spec, parameter, value)
-        check_budgets(run)
-        path = os.path.join(out_dir, f"{parameter}_{label}.csv")
-        jobs.append((label, run, path, csvio.temp_path(path)))
-    n_workers = min(worker_count(), len(jobs))
+        runs[label] = apply_parameter(spec, parameter, value)
+        check_budgets(runs[label])
+    n_workers = min(worker_count(), len(runs))
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        with _results(jobs, n_workers) as entries:
-            for _, _, path, tmp in jobs:
-                os.replace(tmp, path)
-                renamed.append(path)
-            csvio.write_atomic(os.path.join(out_dir, "summary.csv"),
-                               csvio.sweep_summary_csv(entries))
-    except BaseException:
-        for path in renamed + [job[3] for job in jobs]:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        raise
+    with csvio.publish([os.path.join(out_dir, f"{parameter}_{label}.csv") for label in runs]
+                       + [os.path.join(out_dir, "summary.csv")]) as tmps:
+        entries = _results(list(zip(runs, runs.values(), tmps)), n_workers)
+        csvio.write_text(tmps[-1], csvio.sweep_summary_csv(entries))
     return entries

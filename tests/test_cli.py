@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import bath, csvio
+from pbgpair import bath
 from pbgpair.cli import main
 from pbgpair.sweep import apply_parameter, parse_values, run_sweep, worker_count
 from pbgpair.config import parse_run_file, preset_initial, RunSpec
@@ -317,7 +317,7 @@ def _stale_temporary_files(where, name):
     have left for ``name`` in ``where``, in the form without and with a
     random part; returns their names."""
     paths = [os.path.join(where, f".pbgpair-{os.getpid()}-{name}.tmp"),
-             csvio.temp_path(os.path.join(where, name))]
+             os.path.join(where, f".pbgpair-{os.getpid()}-{os.urandom(6).hex()}-{name}.tmp")]
     for path in paths:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("stale\n")
@@ -340,7 +340,9 @@ def test_failed_sweep_removes_the_files_it_wrote(tmp_path, monkeypatch, capsys, 
     stale = _stale_temporary_files(outdir, "gamma_3.csv")
     assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3,4", "--tmax", "5",
                  "-o", str(outdir)]) == 3
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"'{outdir / 'summary.csv'}'" in err[0]
+    assert ".pbgpair-" not in err[0] and " -> " not in err[0]
     assert sorted(p.name for p in outdir.iterdir()) == sorted(["summary.csv", *stale])
     assert all((outdir / f).read_text(encoding="utf-8") == "stale\n" for f in stale)
 
@@ -687,6 +689,40 @@ def test_amplitude_dump_option(tmp_path):
     assert len(rows) == 12
     first = [float(v) for v in rows[1].split(",")]
     assert first[1] == pytest.approx(1 / 2 ** 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("verb", ["preset", "run"])
+def test_failed_amplitude_dump_leaves_the_series_file_as_it_was(tmp_path, monkeypatch, capsys,
+                                                                 verb):
+    # -o and --amplitudes are published together: a dump whose directory is
+    # missing leaves an earlier out.csv as it was and no temporary file, and
+    # the one error line names the path given
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "s.cfg", SHORT_FILE)
+    (tmp_path / "out.csv").write_bytes(b"earlier\n")
+    source = ["preset", "fig2a"] if verb == "preset" else ["run", "s.cfg"]
+    assert main([*source, "-o", "out.csv", "--tmax", "5", "--amplitudes", "missing/a.csv"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "I/O error" in err[0] and "'missing/a.csv'" in err[0]
+    assert ".pbgpair-" not in err[0]
+    assert (tmp_path / "out.csv").read_bytes() == b"earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "s.cfg"]
+
+
+@pytest.mark.parametrize("amplitudes", ["x.csv", "./x.csv", "{cwd}/sub/../x.csv"])
+def test_amplitudes_naming_the_output_file_is_refused(tmp_path, monkeypatch, capsys, amplitudes):
+    # the dump would replace the series: refused before the engine runs,
+    # with one line and no file written
+    def fail(*_, **__):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr("pbgpair.cli.run_spec", fail)
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "fig2a", "-o", "x.csv",
+                 "--amplitudes", amplitudes.format(cwd=tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--amplitudes" in err[0] and "-o" in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_preset_table_is_exactly_the_figure_set():
@@ -1076,8 +1112,8 @@ def test_output_path_naming_a_directory_leaves_no_temp_file(tmp_path, capsys):
 def test_sweep_refuses_a_symlink_at_a_temporary_name(tmp_path, monkeypatch, capsys, threads):
     # a link planted at a value's temporary name (the worker's value at
     # THREADS=2; the name's random part fixed here) fails the sweep with
-    # exit 3 and is removed with the rest; the file it points to is left as
-    # it was
+    # exit 3; the sweep's own files are removed, and the link, which is not
+    # this run's, is left as it was, with the file it points to
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "urandom", bytes)
     monkeypatch.setenv("THREADS", threads)
@@ -1085,12 +1121,13 @@ def test_sweep_refuses_a_symlink_at_a_temporary_name(tmp_path, monkeypatch, caps
         tmp_path / "target"
     outdir.mkdir()
     target.write_text("kept\n", encoding="utf-8")
-    os.symlink(target, outdir / f".pbgpair-{os.getpid()}-000000000000-gamma_3.csv.tmp")
+    link = outdir / f".pbgpair-{os.getpid()}-000000000000-gamma_3.csv.tmp"
+    os.symlink(target, link)
     assert main(["sweep", cfgfile, "--param", "gamma", "--values", "2,3", "--tmax", "5",
                  "-o", str(outdir)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "I/O error" in err[0] and "File exists" in err[0]
-    assert list(outdir.iterdir()) == []
+    assert [p.name for p in outdir.iterdir()] == [link.name] and link.is_symlink()
     assert target.read_text(encoding="utf-8") == "kept\n"
 
 

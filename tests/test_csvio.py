@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -84,8 +86,7 @@ def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, monkeypa
     path, target = tmp_path / "out.csv", tmp_path / "target"
     if target_exists:
         target.write_text("kept\n", encoding="utf-8")
-    tmp = csvio.temp_path(str(path))
-    assert tmp == str(tmp_path / f".pbgpair-{os.getpid()}-000000000000-out.csv.tmp")
+    tmp = str(tmp_path / f".pbgpair-{os.getpid()}-000000000000-out.csv.tmp")
     os.symlink(target, tmp)
     with pytest.raises(FileExistsError):
         csvio.write_atomic(str(path), csvio.CsvText(["a\n"]))
@@ -106,3 +107,50 @@ def test_failed_write_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         csvio.write_atomic(path, text)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_publish_commits_every_path_or_none(tmp_path):
+    # the block's names are renamed in order once it ends; a failure in the
+    # block or at a later rename removes the paths renamed and every
+    # temporary file, and an OSError names the path given, not a temporary
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    with csvio.publish(paths) as tmps:
+        assert [os.path.dirname(t) for t in tmps] == [str(tmp_path)] * 3
+        assert all(os.path.basename(t).startswith(f".pbgpair-{os.getpid()}-") for t in tmps)
+        for tmp, name in zip(tmps, "abc"):
+            csvio.write_text(tmp, csvio.CsvText([name + "\n"]))
+    assert [p.read_text(encoding="utf-8") for p in paths] == ["a\n", "b\n", "c\n"]
+
+    with pytest.raises(KeyboardInterrupt):
+        with csvio.publish(paths) as tmps:
+            csvio.write_text(tmps[0], csvio.CsvText(["new\n"]))
+            raise KeyboardInterrupt
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv", "c.csv"]
+    assert paths[0].read_text(encoding="utf-8") == "a\n"
+
+    paths[2].unlink()
+    paths[2].mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        with csvio.publish(paths) as tmps:
+            for tmp in tmps:
+                csvio.write_text(tmp, csvio.CsvText(["new\n"]))
+    assert info.value.filename == str(paths[2]) and info.value.filename2 is None
+    assert str(info.value) == f"[Errno {info.value.errno}] {info.value.strerror}: '{paths[2]}'"
+    assert sorted(os.listdir(tmp_path)) == ["c.csv"]
+
+
+def test_only_csvio_renames_unlinks_or_opens_files():
+    # the decision to commit or remove an output file is made in one module:
+    # no other module of the package calls these functions of os
+    names = {"replace", "unlink", "open", "remove", "rename"}
+    calls = []
+    for path in sorted(pathlib.Path(csvio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                calls += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in names]
+            elif (isinstance(node, ast.Attribute) and node.attr in names
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                calls.append(f"{path.name}:{node.lineno} os.{node.attr}")
+    assert any(c.startswith("csvio.py:") for c in calls)
+    assert [c for c in calls if not c.startswith("csvio.py:")] == []
