@@ -73,7 +73,10 @@ DENSE_WINDOW = 50.0     # densely sampled window above the edge
 SIN_ETA_FLOOR = 1e-8
 EPS = np.finfo(float).eps
 SECULAR_MAX_ITER = 100
-CHUNK_ELEMS = 1 << 20   # entries per work array of the time sum
+# Roots per block of the secular iteration; it also sizes the barycentric
+# blocks of a pass and the time sum's chunks, so that no work array grows
+# with the bath (_secular_roots, _evaluate, _time_sum).
+BLOCK = 2048
 # Far field of the secular sums: panels of PANEL consecutive poles; a pole
 # at least ADMISSIBLE half-widths from a panel's centre is summed through
 # Chebyshev interpolants of degree CHEB_DEGREE on the panel's interval, and
@@ -292,12 +295,15 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
     no bound.  The roots go in one group per panel: they are sorted by
     group once, each group is a slice of the sorted rows, the barycentric
     terms of the roots inside their panels' intervals come from one call
-    per block of 8,192 sorted rows, so that no table holds all the roots
-    of a large bath's first pass, and the four sums go back to the roots'
-    order in one scatter.  A group takes its far field from the panel's
-    Chebyshev interpolants (``far``), one (rows x CHEB_DEGREE + 1) by
-    (CHEB_DEGREE + 1 x 4) product, and its near field from the panel's
-    sources in one (rows x sources) block, with the differences z - d_j
+    per block of BLOCK sorted rows (0.4 MB), so that no table grows with
+    the number of roots, and the four sums go back to the roots' order in
+    one scatter.  Its memory is then about 180 bytes per root (9.1 MB
+    traced for the 51,207 interior roots of fig2c at 51,000 modes in one
+    call), and ``_secular_roots`` passes it at most BLOCK roots.  A group
+    takes its far field from the panel's Chebyshev interpolants
+    (``far``), one (rows x CHEB_DEGREE + 1) by (CHEB_DEGREE + 1 x 4)
+    product, and its near field from the panel's sources in one
+    (rows x sources) block, with the differences z - d_j
     formed as ((base - d[origin]) + offset) - tau: for a direct pole that
     is (d_j - d[origin]) - tau, accurate to relative rounding even beside
     the pole, and a proxy keeps its offset from a pole of its group to the
@@ -323,9 +329,9 @@ def _evaluate(d, w, value, origin, tau, far: _FarField):
         g = group[a]
         if g < outside:
             if b > stop:
-                # the barycentric terms of the next 8,192 sorted rows (1.6 MB),
+                # the barycentric terms of the next BLOCK sorted rows (0.4 MB),
                 # or more to end on a whole group
-                start, stop = a, min(max(b, a + CHUNK_ELEMS // 128), n_inside)
+                start, stop = a, min(max(b, a + BLOCK), n_inside)
                 q, total = _barycentric(x[start:stop])
             # columns s1lo, s2lo, s1hi, s2hi of the far field
             lo1, lo2, hi1, hi2 = ((q[a - start:b - start] @ far.values[g])
@@ -410,6 +416,15 @@ def _secular_roots(d, w, value, far: _FarField):
     (z - d_j)^2 at the root, and ``rows`` the roots evaluated over all
     evaluation passes (``_evaluate``).  The steps that bracket the two
     outer roots take the sign of F from a direct sum and are not counted.
+
+    A root's iteration needs its own interval and the far field, nothing
+    of the other roots (as in dlaed4, which finds one root per call), so
+    the roots are iterated in blocks of BLOCK consecutive roots, the outer
+    two included, each block to convergence before the next.  The state of
+    a pass is then BLOCK roots long; the far field, the lattice start, the
+    brackets and the returned roots are the arrays that grow with the
+    bath.  On fig2c at 51,000 modes the passes peak at 13.0 MB traced, under
+    the far-field build (14.6 MB) and the lattice start (14.7 MB).
     """
     n = d.size
     k = np.arange(n + 1)                 # root k lies between d[k-1] and d[k]
@@ -440,60 +455,62 @@ def _secular_roots(d, w, value, far: _FarField):
     lo[1:n], hi[1:n] = np.where(up, -gap, 0.0), np.where(up, 0.0, gap)
 
     s2_root, sigma_root = np.empty(n + 1), np.empty(n + 1)
-    act = k
-    F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin, tau, far)
-    for _ in range(SECULAR_MAX_ITER):
-        rows += act.size
-        kk, o, t = k[act], origin[act], tau[act]
-        lo[act] = np.where(F < 0.0, np.maximum(lo[act], t), lo[act])
-        hi[act] = np.where(F < 0.0, hi[act], np.minimum(hi[act], t))
-        with np.errstate(all="ignore"):
-            # offsets of the interval's ends from z; +-inf past the outer poles
-            dlo = np.where(kk > 0, d[np.maximum(kk - 1, 0)] - d[o] - t, -np.inf)
-            dhi = np.where(kk < n, d[np.minimum(kk, n - 1)] - d[o] - t, np.inf)
-            # model c + S_lo/(dlo - eta) + S_hi/(dhi - eta) matching F and F';
-            # mu' goes with the far end, as do the poles beyond it
-            psi = s2lo + np.where(o == kk - 1, 0.0, mu_p)
-            c = F - dlo * psi - dhi * (Fp - psi)
-            a = (dlo + dhi) * F - dlo * dhi * Fp
-            b = dlo * dhi * F
-            q = 0.5 * (a + np.copysign(np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0)), a))
-            eta = np.where((q / c > dlo) & (q / c < dhi), q / c, b / q)
-            # the outer intervals: a one-pole model at the single adjacent pole
-            one = np.where(kk == 0, dhi, dlo)
-            eta = np.where((kk == 0) | (kk == n), one * F / (F - one * Fp), eta)
-            new = t + eta
-        # F at rounding level: the last step polishes t at most, and so does
-        # not leave t's half of the interval
-        small = np.abs(F) <= err
-        inside = ((new > lo[act]) & (new < hi[act])
-                  & ~(small & (np.abs(new) > 0.5 * span[kk])))
-        new = np.where(inside, new, np.where(small, t, 0.5 * (lo[act] + hi[act])))
-        tau[act] = new
-        # sigma moved to the new tau to first order (sigma' = -s2)
-        s2_root[act], sigma_root[act] = s2, sigma - s2 * (new - t)
-        width = hi[act] - lo[act]
-        done = (small | (inside & (np.abs(eta) <= 4.0 * EPS * np.abs(new)))
-                | (width <= 4.0 * EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act]))))
-        # an iterate past its interval's midpoint is measured from the other
-        # pole: tau and the bracket end beyond the midpoint shift by the gap
-        # exactly (Sterbenz), the end left behind is rounded outwards and
-        # kept inside the interval, so that the bracket still holds the root
-        cross = np.abs(new) > 0.5 * span[kk]
-        moved, g, rise = act[cross], span[kk][cross], (o < kk)[cross]
-        origin[moved] += np.where(rise, 1, -1)
-        tau[moved] -= np.where(rise, g, -g)
-        lo[moved] = np.where(rise, np.maximum(np.nextafter(lo[moved] - g, -np.inf), -g),
-                             lo[moved] + g)
-        hi[moved] = np.where(rise, hi[moved] - g,
-                             np.minimum(np.nextafter(hi[moved] + g, np.inf), g))
-        act = act[~done]
-        if act.size == 0:
-            return origin, tau, sigma_root, s2_root, rows
-        F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin[act], tau[act],
-                                                      far)
-    raise StepSizeError(f"secular equation: {act.size} roots unconverged after "
-                        f"{SECULAR_MAX_ITER} iterations")
+    for first in range(0, n + 1, BLOCK):
+        act = k[first:first + BLOCK]
+        for _ in range(SECULAR_MAX_ITER):
+            F, Fp, s2lo, s2, mu_p, err, sigma = _evaluate(d, w, value, origin[act], tau[act],
+                                                          far)
+            rows += act.size
+            kk, o, t = k[act], origin[act], tau[act]
+            lo[act] = np.where(F < 0.0, np.maximum(lo[act], t), lo[act])
+            hi[act] = np.where(F < 0.0, hi[act], np.minimum(hi[act], t))
+            with np.errstate(all="ignore"):
+                # offsets of the interval's ends from z; +-inf past the outer poles
+                dlo = np.where(kk > 0, d[np.maximum(kk - 1, 0)] - d[o] - t, -np.inf)
+                dhi = np.where(kk < n, d[np.minimum(kk, n - 1)] - d[o] - t, np.inf)
+                # model c + S_lo/(dlo - eta) + S_hi/(dhi - eta) matching F and F';
+                # mu' goes with the far end, as do the poles beyond it
+                psi = s2lo + np.where(o == kk - 1, 0.0, mu_p)
+                c = F - dlo * psi - dhi * (Fp - psi)
+                a = (dlo + dhi) * F - dlo * dhi * Fp
+                b = dlo * dhi * F
+                q = 0.5 * (a + np.copysign(np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0)), a))
+                eta = np.where((q / c > dlo) & (q / c < dhi), q / c, b / q)
+                # the outer intervals: a one-pole model at the single adjacent pole
+                one = np.where(kk == 0, dhi, dlo)
+                eta = np.where((kk == 0) | (kk == n), one * F / (F - one * Fp), eta)
+                new = t + eta
+            # F at rounding level: the last step polishes t at most, and so does
+            # not leave t's half of the interval
+            small = np.abs(F) <= err
+            inside = ((new > lo[act]) & (new < hi[act])
+                      & ~(small & (np.abs(new) > 0.5 * span[kk])))
+            new = np.where(inside, new, np.where(small, t, 0.5 * (lo[act] + hi[act])))
+            tau[act] = new
+            # sigma moved to the new tau to first order (sigma' = -s2)
+            s2_root[act], sigma_root[act] = s2, sigma - s2 * (new - t)
+            width = hi[act] - lo[act]
+            done = (small | (inside & (np.abs(eta) <= 4.0 * EPS * np.abs(new)))
+                    | (width <= 4.0 * EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act]))))
+            # an iterate past its interval's midpoint is measured from the other
+            # pole: tau and the bracket end beyond the midpoint shift by the gap
+            # exactly (Sterbenz), the end left behind is rounded outwards and
+            # kept inside the interval, so that the bracket still holds the root
+            cross = np.abs(new) > 0.5 * span[kk]
+            moved, g, rise = act[cross], span[kk][cross], (o < kk)[cross]
+            origin[moved] += np.where(rise, 1, -1)
+            tau[moved] -= np.where(rise, g, -g)
+            lo[moved] = np.where(rise, np.maximum(np.nextafter(lo[moved] - g, -np.inf), -g),
+                                 lo[moved] + g)
+            hi[moved] = np.where(rise, hi[moved] - g,
+                                 np.minimum(np.nextafter(hi[moved] + g, np.inf), g))
+            act = act[~done]
+            if act.size == 0:
+                break
+        else:
+            raise StepSizeError(f"secular equation: {act.size} roots unconverged after "
+                                f"{SECULAR_MAX_ITER} iterations")
+    return origin, tau, sigma_root, s2_root, rows
 
 
 @dataclass
@@ -684,13 +701,15 @@ def _time_sum(lam, x, n_times, dt):
     becomes one complex matrix product per chunk of roots: (Q x roots) by
     (roots x B columns).  The products round like the phases lam t
     themselves: against exp(-i t lam) @ x for 1,000 roots over the dense
-    window, 4e-14 of sum_k |x_k| at 503 points and 9e-13 at 8,401.
+    window, 4e-14 of sum_k |x_k| at 503 points and 9e-13 at 8,401.  The
+    chunks' work arrays hold 16 BLOCK complex entries (0.5 MB): 360 roots
+    a chunk at 503 points and two columns, 89 at 8,401.
     """
     block = int(np.ceil(np.sqrt(n_times)))
     rows = -(-n_times // block)
     cols = x.shape[1]
     out = np.zeros((rows, block * cols), dtype=complex)
-    step = max(1, CHUNK_ELEMS // (rows + block * (cols + 1)))
+    step = max(1, 16 * BLOCK // (rows + block * (cols + 1)))
     for a in range(0, lam.size, step):
         z = lam[a:a + step]
         inner = np.ones((z.size, block), dtype=complex)

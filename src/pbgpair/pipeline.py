@@ -17,10 +17,10 @@ log = logging.getLogger("pbgpair")
 # at about 0.3 kB per output point (30-34 MB traced at 100,001 points on
 # fig2b and fig5c), and formatting and writing its CSV at about 0.2 kB per
 # point (21 MB for the 11 MB text of fig2b).  The oracle never forms its
-# (dim x dim) generator: its memory is the CHUNK_ELEMS work arrays of
-# bath.py plus a few hundred bytes per mode for the roots, the barycentric
-# terms of a pass, the far-field interpolants and the near-field sources
-# (a 77-78 MB process at dim 51,212, 121-122 MB at MAX_BLOCK_DIM).  Its
+# (dim x dim) generator, and its work arrays are a block of bath.BLOCK
+# roots long: its memory is a few hundred bytes per mode for the
+# far-field interpolants, the near-field sources, the lattice start and
+# the roots (a 52 MB process at dim 51,212, 73 MB at MAX_BLOCK_DIM).  Its
 # work is the far-field build, about dim CHEB_DEGREE log2(dim / PANEL)
 # terms once per spectrum (0.3-0.4 s at dim 51,212; 0.8-0.9 s for the two
 # equations of orthogonal dipoles with both transitions populated at

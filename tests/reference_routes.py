@@ -59,8 +59,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from pbgpair import poles, transform
-from pbgpair.bath import (CHUNK_ELEMS, EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath,
-                          _symmetric_spectrum)
+from pbgpair.bath import EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath, _symmetric_spectrum
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (BranchPointError, DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
@@ -74,6 +73,7 @@ SINGULAR_TOL = 1e-12
 CUT_ABS_TOL = 1e-10  # absolute tolerance of the tests' CutIntegrator runs
 RK4_NORM_TOL = 1e-6  # stiff-tail aliasing floor of the stepper
 REFERENCE_DPS = 40
+CHUNK_ELEMS = 1 << 20  # entries per work array of the direct sums below
 _ZERO = np.zeros(0, dtype=complex)
 
 
