@@ -60,7 +60,7 @@ from .errors import (
 )
 
 RESOLVENT_TOL = 1e-3
-NORM_DRIFT_TOL = 1e-8   # on |sum_k a_k a_k^T - I| of the atomic eigenvector parts
+WEIGHT_DEFECT_TOL = 1e-8   # on |sum_k a_k a_k^T - I| of the atomic eigenvector parts
 # The tail cutoff sets a kernel deficit ~ (2/pi)/TAIL_U_FACTOR that shifts
 # bound-state frequencies; 2^16 keeps the t=50 phase error well under the
 # engine-agreement budget at a cost of ~240 extra modes.
@@ -519,9 +519,7 @@ class _Spectrum:
 
     Eigenvalue ``base + tau`` (``base`` its nearer pole); ``atom`` the
     (u1, u2) parts of the normalised eigenvectors, one row each; ``proj``
-    the projector onto the atomic subspace they resolve; ``pinned``
-    (row, mode, amplitude) for an eigenvector that sits exactly on a mode
-    frequency, whose mode part is not of the resolvent form; ``rows`` the
+    the projector onto the atomic subspace they resolve; ``rows`` the
     roots evaluated over all passes of its secular equations.
     """
 
@@ -529,17 +527,16 @@ class _Spectrum:
     tau: np.ndarray
     atom: np.ndarray
     proj: np.ndarray
-    pinned: tuple = ()
     rows: int = 0
 
     @classmethod
-    def join(cls, parts, proj, pinned=()):
+    def join(cls, parts, proj):
         """The spectrum of ``parts``, each (base, tau, atom, rows)."""
         if not parts:
             return cls(np.zeros(0), np.zeros(0), np.zeros((0, 2)), proj)
         *arrays, rows = zip(*parts)
         base, tau, atom = (np.concatenate(x) for x in arrays)
-        return cls(base, tau, atom, proj, pinned, sum(rows))
+        return cls(base, tau, atom, proj, sum(rows))
 
 
 def _arrowhead(d, w, h, kappa, vector, far: _FarField):
@@ -585,7 +582,7 @@ def _parallel(delta, w, g, h22, h12, e, f) -> _Spectrum:
     becomes one more pole h22 of weight h12^2/4 of the arrowhead on e.  On
     a mode frequency that pole is deflated into the mode's.
     """
-    parts, pinned = [], ()
+    parts = []
     d, wd, d_h = delta, w, h22
     n = int(np.searchsorted(delta, h22))
     near = [j for j in (n - 1, n) if 0 <= j < delta.size
@@ -597,13 +594,12 @@ def _parallel(delta, w, g, h22, h12, e, f) -> _Spectrum:
         wd[j] += 0.25 * h12 * h12
         r = np.sqrt(4.0 * w[j] + h12 * h12)
         parts.append((delta[j:j + 1], np.zeros(1), -(2.0 * g[j] / r) * f[None, :], 0))
-        pinned = ((0, j, h12 / r),)
     else:
         d, wd = np.insert(delta, n, h22), np.insert(w, n, 0.25 * h12 * h12)
     parts.append(_arrowhead(
         d, wd, h22, 4.0, lambda base, tau: e + np.multiply.outer(h12 / ((base - d_h) + tau), f),
         _far_field(d, wd)))
-    return _Spectrum.join(parts, np.eye(2), pinned)
+    return _Spectrum.join(parts, np.eye(2))
 
 
 def _branch(delta, w, h22, h, c, s, dp, dm, sign, far: _FarField):
@@ -747,7 +743,7 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     ``t_max`` exceeds the bath rephasing time, and StepSizeError when the
     atomic parts a_k of the eigenvectors fail to resolve the identity:
     the Frobenius norm of sum_k a_k a_k^T - I (``weight_defect`` in
-    ``meta``, with ``n_roots`` and ``horizon``) above NORM_DRIFT_TOL.
+    ``meta``, with ``n_roots`` and ``horizon``) above WEIGHT_DEFECT_TOL.
     ``secular_passes`` in ``meta`` is the number of roots evaluated over
     the evaluation passes of the secular equations, divided by
     ``n_roots``; it counts evaluation passes only, not the direct sums
@@ -766,7 +762,7 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
 
     sp = _symmetric_spectrum(config, bath, u0)
     weight_defect = float(np.linalg.norm(sp.atom.T @ sp.atom - sp.proj))
-    if not weight_defect <= NORM_DRIFT_TOL:
+    if not weight_defect <= WEIGHT_DEFECT_TOL:
         raise StepSizeError(f"secular spectrum misses unit atomic weight by {weight_defect:.3g}")
 
     g1, g2, w12 = config.gamma1, config.gamma2, config.omega12

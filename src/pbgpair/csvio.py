@@ -2,7 +2,8 @@
 the one routine that commits output files: all of a command's, or none.
 
 A CSV text is built and written as a list of blocks, never joined: for
-100,001 rows the joined copy would add 11 MB."""
+100,001 rows the joined copy would add 11 MB.  A pole table, a few rows,
+is one str."""
 
 from __future__ import annotations
 
@@ -15,15 +16,7 @@ import numpy as np
 BLOCK_ROWS = 1024
 
 
-class CsvText(list):
-    """The blocks of a CSV text.  ``encode`` encodes their join, as str.encode
-    would the text (the byte counter of ``perfbench/tracing.py`` calls it)."""
-
-    def encode(self, encoding):
-        return "".join(self).encode(encoding)
-
-
-def _table(header: str, columns, text=()) -> CsvText:
+def _table(header: str, columns, text=()) -> list:
     """``header`` and one CSV row per entry of the equal-length ``columns``.
 
     The columns whose indices are in ``text`` hold strings, printed as they
@@ -40,7 +33,7 @@ def _table(header: str, columns, text=()) -> CsvText:
         table[:, nums] = values
         for j in text:
             table[:, j] = columns[j]
-    parts = CsvText([header + "\n"])
+    parts = [header + "\n"]
     for a in range(0, len(table), BLOCK_ROWS):
         block = table[a:a + BLOCK_ROWS]
         parts.append(row * len(block) % tuple(block.ravel().tolist()))
@@ -48,8 +41,9 @@ def _table(header: str, columns, text=()) -> CsvText:
 
 
 def write_text(path, text):
-    """Write ``text``'s blocks to the new file ``path``, removed if the write
-    fails; O_EXCL refuses a file already there, a symlink included."""
+    """Write ``text``, a list of blocks or one str, to the new file ``path``,
+    removed if the write fails; O_EXCL refuses a file already there, a
+    symlink included."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
                  | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -93,7 +87,7 @@ def write_atomic(path, text):
         write_text(tmp, text)
 
 
-def entanglement_csv(series, trajectory) -> CsvText:
+def entanglement_csv(series, trajectory) -> list:
     """t, N, E_N, field_prob, |A1|..|A4| — one row per output time."""
     amps = np.abs(np.asarray(trajectory.amps))
     return _table("t,N,E_N,field_prob,abs_A1,abs_A2,abs_A3,abs_A4",
@@ -101,17 +95,17 @@ def entanglement_csv(series, trajectory) -> CsvText:
                    trajectory.field_prob, *amps.T])
 
 
-def poles_csv(pole_set) -> CsvText:
+def poles_csv(pole_set) -> str:
     """function_tag, re_x, im_x, class, residue_re, residue_im."""
     recs = pole_set.records
     x = np.array([r.x for r in recs], dtype=complex)
     w = np.array([r.weight for r in recs], dtype=complex)
-    return _table("function_tag,re_x,im_x,class,residue_re,residue_im",
-                  [[r.tag for r in recs], x.real, x.imag, [r.klass for r in recs],
-                   w.real, w.imag], text=(0, 3))
+    return "".join(_table("function_tag,re_x,im_x,class,residue_re,residue_im",
+                          [[r.tag for r in recs], x.real, x.imag, [r.klass for r in recs],
+                           w.real, w.imag], text=(0, 3)))
 
 
-def trajectory_csv(trajectory) -> CsvText:
+def trajectory_csv(trajectory) -> list:
     """t, re/im of all four amplitudes, field_prob (oracle dump format)."""
     amps = np.asarray(trajectory.amps)
     reim = np.stack([amps.real, amps.imag], axis=-1).reshape(len(amps), 8)
@@ -119,7 +113,7 @@ def trajectory_csv(trajectory) -> CsvText:
                   [trajectory.times, *reim.T, trajectory.field_prob])
 
 
-def sweep_summary_csv(entries) -> CsvText:
+def sweep_summary_csv(entries) -> list:
     """value, E_N half-life, integrated E_N over the sweep window."""
     return _table("value,half_life,integrated_EN",
                   [[e[0] for e in entries], [e[1] for e in entries],

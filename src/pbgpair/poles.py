@@ -74,16 +74,15 @@ class PoleRecord:
     ``weight`` is the reciprocal slope of the relevant denominator at the
     root (1/Delta' for symmetric-sector poles, 1/(f +/- 2 beta' cos eta)'
     for the split sector of identical transitions, 1 for the exchange
-    poles, 1/H1' for table-only rows).  ``dynamic`` marks roots that are
-    true singularities of the transform amplitudes; only those enter
-    residue sums.  ``kind`` is one of 'v1', 'v2', 'u', 'u+', 'u-', 'table'.
+    poles, 1/H1' for table-only rows).  ``kind`` is one of 'v1', 'v2', 'u',
+    'u+', 'u-', 'table'; every kind but 'table' marks a true singularity of
+    the transform amplitudes, and only those enter residue sums.
     """
 
     tag: str
     x: complex
     klass: str
     weight: complex
-    dynamic: bool
     kind: str
 
 
@@ -93,7 +92,7 @@ class PoleSet:
     config: "object" = field(repr=False)
 
     def dynamic(self):
-        return [r for r in self.records if r.dynamic]
+        return [r for r in self.records if r.kind != "table"]
 
 
 def _table_roots(config):
@@ -306,7 +305,7 @@ def find_poles(config) -> PoleSet:
     """
     edge = config.omega1c
     records = [PoleRecord(tag, x, "localized" if x.imag + edge < 0 else "bandpass",
-                          1.0 + 0j, True, kind)
+                          1.0 + 0j, kind)
                for tag, kind, x in (("G1", "v1", complex(0.0, config.gamma1)),
                                     ("H1", "v2", complex(0.0, config.gamma2 + config.omega12)))]
     table = _table_roots(config)
@@ -318,14 +317,14 @@ def find_poles(config) -> PoleSet:
                 tag, klass = "H1", "localized" if x.imag + edge < 0 else "bandpass"
                 used_table.add(k)
                 break
-        records.append(PoleRecord(tag, x, klass, weight, True, kind))
+        records.append(PoleRecord(tag, x, klass, weight, kind))
 
     for k, x in enumerate(table):
         if k in used_table or any(abs(x - r.x) < MERGE_TOL * max(1.0, abs(x))
                                   for r in records):
             continue
         klass = "localized" if x.imag + edge < 0 else "bandpass"
-        records.append(PoleRecord("H1", x, klass, _table_weight(x, config), False, "table"))
+        records.append(PoleRecord("H1", x, klass, _table_weight(x, config), "table"))
 
     records.sort(key=lambda r: (-r.x.imag, r.x.real, r.tag))
     return PoleSet(records=tuple(records), config=config)

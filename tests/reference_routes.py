@@ -43,7 +43,9 @@ secular-equation spectrum of :func:`pbgpair.bath.integrate`;
 ``evaluate_direct``, the secular sums over every pole, against the
 near/far-field evaluation of the secular solver.  ``mode_probs`` and
 ``mode_spectrum`` give the photon's mode distribution from the secular
-spectrum, against the dense route's.
+spectrum, against the dense route's.  ``bound_states`` pairs the bound
+states of the oracle's secular spectrum with the real sheet roots of
+:func:`pbgpair.inversion.closed_form_terms`.
 
 Measures read only by the tests: the band-edge ``spectral_density`` and
 the time-domain ``memory_kernel``, checked against ``beta_prime`` by
@@ -58,8 +60,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from pbgpair import poles, transform
-from pbgpair.bath import EPS, NORM_DRIFT_TOL, SIN_ETA_FLOOR, DiscreteBath, _symmetric_spectrum
+from pbgpair import inversion, poles, transform
+from pbgpair.bath import EPS, SIN_ETA_FLOOR, DiscreteBath, _symmetric_spectrum
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (BranchPointError, DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
@@ -72,8 +74,10 @@ EIG_CLAMP = -1e-12
 SINGULAR_TOL = 1e-12
 CUT_ABS_TOL = 1e-10  # absolute tolerance of the tests' CutIntegrator runs
 RK4_NORM_TOL = 1e-6  # stiff-tail aliasing floor of the stepper
+DENSE_NORM_TOL = 1e-8  # norm drift of integrate_dense, times max(1, t_max)
 REFERENCE_DPS = 40
 CHUNK_ELEMS = 1 << 20  # entries per work array of the direct sums below
+BOUND_FLOOR = 1e-12  # bound-state amplitude below which a state is not populated
 _ZERO = np.zeros(0, dtype=complex)
 
 
@@ -640,7 +644,7 @@ def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
                 probs = probs + np.abs(mode_amps[:, k * n_m:(k + 1) * n_m]) ** 2
         norms = np.sum(np.abs(phases) ** 2, axis=1)
         drift = float(np.max(np.abs(norms - np.sum(np.abs(y0) ** 2))))
-        if drift > NORM_DRIFT_TOL * max(1.0, t_max):
+        if drift > DENSE_NORM_TOL * max(1.0, t_max):
             raise StepSizeError(f"unitary propagation norm defect {drift:.3g}")
         return atom, probs
 
@@ -668,13 +672,22 @@ def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
     return AmplitudeTrajectory(times=times, amps=amps, meta=meta)
 
 
+def deflated_roots(sp, delta):
+    """Rows of the spectrum ``sp`` that sit exactly on a mode frequency
+    (tau = 0, base one of ``delta``): the roots deflated onto a mode."""
+    return np.flatnonzero((sp.tau == 0.0) & np.isin(sp.base, delta))
+
+
 def mode_probs(config, init, bath: DiscreteBath, times):
     """|C_n(t)|^2 + |D_n(t)|^2 at ``times`` from the secular spectrum of
     :func:`pbgpair.bath.integrate`.
 
     Eigenvector k has the mode parts sqrt2 g_n (a_k1 + c a_k2, s a_k2) /
     (lambda_k - delta_n) in the two families (a_k its atomic part), except
-    a pinned eigenvector, whose mode part is given.
+    the eigenvector that parallel dipoles deflate onto a mode j where h22 =
+    (gamma1 + gamma2 - omega12)/2 sits on delta_j: it has tau = 0 and the
+    mode part h12 / sqrt(4 g_j^2 + h12^2), h12 = (gamma1 - gamma2 +
+    omega12)/2.
     """
     a0 = np.asarray(init.as_tuple(), dtype=complex)
     u0 = (a0[:2] + a0[2:]) / np.sqrt(2.0)
@@ -696,9 +709,11 @@ def mode_probs(config, init, bath: DiscreteBath, times):
         cauchy = 1.0 / ((sp.base[k, None] - delta) + sp.tau[k, None])
         for f, amp in zip(families, amps):
             amp += (ph * f[k]) @ cauchy
-    for row, j, part in sp.pinned:
-        lam = sp.base[row] + sp.tau[row]
-        amps[0][:, j] += np.exp(-1j * lam * times) * (coef[row] * part / scale[j])
+    h12 = 0.5 * (config.gamma1 - (config.gamma2 - config.omega12))
+    for row in deflated_roots(sp, delta):
+        j = int(np.searchsorted(delta, sp.base[row]))
+        part = h12 / np.sqrt(4.0 * bath.g[j] ** 2 + h12 * h12)
+        amps[0][:, j] += np.exp(-1j * sp.base[row] * times) * (coef[row] * part / scale[j])
     return sum(np.abs(amp * scale) ** 2 for amp in amps)
 
 
@@ -710,6 +725,39 @@ def mode_spectrum(probs, times, bath: DiscreteBath, t: float):
     if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
         raise DomainError(f"t={t:g} is not on the stored output grid")
     return bath.nu.copy(), probs[idx].copy()
+
+
+def bound_states(config, init, bath: DiscreteBath):
+    """The populated bound states of both engines, each as (energies,
+    amplitudes), sorted by energy: the closed form's, then the oracle's.
+
+    A bound state contributes amplitude e^{-i E t} to (A1, A2) (A2 in the
+    shifted frame), without decay.  In the closed form it is a real sheet
+    root S > 0 with E = -(S^2 + omega1c), whose term in w carries the
+    residue e^{x_j t} twice: amplitude 2 rows_j.  In the oracle it is a
+    secular root below the lowest mode, with amplitude (atom @ u0) atom /
+    sqrt2.  Both engines agree in the limit of a perfect bath.  A state
+    whose amplitudes are below BOUND_FLOOR is not populated: a sector that
+    the initial state does not reach keeps rows of rounding size in the
+    sextic (1e-16, the second cubic of the orthogonal bright presets), and
+    the oracle does not solve it.
+    """
+    terms = inversion.closed_form_terms(config, init, poles.symmetric_sectors(config))
+    s = terms.a * np.exp(-0.25j * np.pi)
+    closed = (-(s.real ** 2 + config.omega1c), 2.0 * terms.rows[:, :2],
+              (np.abs(s.imag) <= 1e-12 * np.abs(s)) & (s.real > 0.0))
+    a0 = np.asarray(init.as_tuple(), dtype=complex)
+    u0 = (a0[:2] + a0[2:]) / np.sqrt(2.0)
+    sp = _symmetric_spectrum(config, bath, u0)
+    lam = sp.base + sp.tau
+    oracle = (lam, (sp.atom @ u0)[:, None] * sp.atom / np.sqrt(2.0),
+              lam < bath.nu[0] - config.omega1c)
+    out = []
+    for energy, amps, bound in (closed, oracle):
+        keep = bound & (np.max(np.abs(amps), axis=1) > BOUND_FLOOR)
+        order = np.argsort(energy[keep])
+        out.append((energy[keep][order], amps[keep][order]))
+    return out
 
 
 def _phi1(z):

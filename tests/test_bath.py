@@ -16,8 +16,8 @@ from pbgpair.errors import (
     StepSizeError,
 )
 from pbgpair.presets import get_preset, PRESET_NAMES
-from reference_routes import (beta_prime, evaluate_direct, integrate_dense, integrate_rk4,
-                              mode_probs, mode_spectrum)
+from reference_routes import (beta_prime, bound_states, deflated_roots, evaluate_direct,
+                              integrate_dense, integrate_rk4, mode_probs, mode_spectrum)
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -216,7 +216,9 @@ def test_secular_spectrum_matches_dense(name):
         assert tr.meta["n_roots"] == b.n_modes + 1
         assert np.max(np.abs(tr.amps[:, [1, 3]])) == 0.0
     if name == "h22 on a mode":
-        assert len(bath._symmetric_spectrum(config, b, np.ones(2)).pinned) == 1
+        # h22 is deflated onto a mode: one root sits on it, with tau = 0
+        sp = bath._symmetric_spectrum(config, b, np.ones(2))
+        assert len(deflated_roots(sp, b.nu - config.omega1c)) == 1
 
 
 @pytest.mark.parametrize("name", ["anti-parallel", "eta=120", "orthogonal"])
@@ -240,6 +242,35 @@ def test_secular_roots_decimal_residual(name):
             det = a1 * a2 - 4 * c * c * sig * sig
             ddet = (1 - 2 * dsig) * (a1 + a2) - 8 * c * c * sig * dsig
             assert abs(det / ddet) <= Decimal("1e-15") * max(1, abs(lam))
+
+
+def _random_bound_state_case(seed):
+    """A seeded configuration, eta anywhere in [0, pi], and a random state."""
+    rng = np.random.default_rng(seed)
+    gamma1, gamma2 = rng.uniform(0.5, 10.0, 2)
+    w1c, w12 = rng.uniform(-2.0, 1.0), rng.uniform(-1.0, 1.0)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return (SystemConfig(gamma1=gamma1, gamma2=gamma2, omega12=w12, omega1c=w1c,
+                         omega2c=w1c - w12, eta=rng.uniform(0.0, PI)),
+            InitialState(*(v / np.linalg.norm(v))))
+
+
+BOUND_STATE_CASES = {name: (get_preset(name).config, get_preset(name).init)
+                     for name in PRESET_NAMES if isinstance(get_preset(name), RunSpec)}
+BOUND_STATE_CASES |= {f"seed={seed}": _random_bound_state_case(seed) for seed in range(12)}
+
+
+@pytest.mark.parametrize("name", BOUND_STATE_CASES)
+def test_engines_agree_on_bound_states(name):
+    # the same populated bound states in both engines, with no time grid:
+    # at 4,000 modes energies agree to 1.6e-4 (fig4a) and (A1, A2)
+    # amplitudes to 1.7e-5 (fig5a), the bath's own kernel error
+    config, init = BOUND_STATE_CASES[name]
+    (e_cf, a_cf), (e_or, a_or) = bound_states(config, init, bath.build_bath(config, n_modes=4000))
+    # the 1/sqrt density of the band edge binds at least one state
+    assert e_cf.size == e_or.size >= 1
+    assert np.max(np.abs(e_cf - e_or)) <= 5e-4
+    assert np.max(np.abs(a_cf - a_or)) <= 5e-5
 
 
 @st.composite

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbgpair import bath
+from pbgpair import bath, csvio
 from pbgpair.cli import main
 from pbgpair.sweep import apply_parameter, parse_values, run_sweep, worker_count
 from pbgpair.config import parse_run_file, preset_initial, RunSpec
@@ -157,6 +157,25 @@ def test_poles_verb_with_config(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["poles", cfgfile, "-o", str(out)]) == 0
     assert out.read_text().startswith("function_tag,")
+
+
+@pytest.mark.parametrize("verb", ["poles", "preset"])
+def test_pole_table_reaches_write_atomic_as_its_bytes(tmp_path, monkeypatch, verb):
+    # perfbench/tracing.py counts the bytes of a traced write_atomic call as
+    # len(text.encode("utf-8")): a pole table arrives as one str whose
+    # encoding is the file written
+    texts, write = [], csvio.write_atomic
+
+    def recording(path, text):
+        texts.append(text)
+        write(path, text)
+
+    monkeypatch.setattr(csvio, "write_atomic", recording)
+    source = _write(tmp_path, "s.cfg", SHORT_FILE) if verb == "poles" else "poles3b"
+    out = tmp_path / "p.csv"
+    assert main([verb, source, "-o", str(out)]) == 0
+    assert len(texts) == 1 and isinstance(texts[0], str)
+    assert texts[0].encode("utf-8") == out.read_bytes()
 
 
 def test_successive_calls_share_no_state(tmp_path, caplog):

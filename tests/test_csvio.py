@@ -89,7 +89,7 @@ def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, monkeypa
     tmp = str(tmp_path / f".pbgpair-{os.getpid()}-000000000000-out.csv.tmp")
     os.symlink(target, tmp)
     with pytest.raises(FileExistsError):
-        csvio.write_atomic(str(path), csvio.CsvText(["a\n"]))
+        csvio.write_atomic(str(path), ["a\n"])
     assert os.path.islink(tmp) and not path.exists()
     if target_exists:
         assert target.read_text(encoding="utf-8") == "kept\n"
@@ -100,7 +100,7 @@ def test_write_atomic_refuses_a_symlink_at_its_temporary_name(tmp_path, monkeypa
 def test_failed_write_leaves_no_file(tmp_path):
     # a block that is not a str fails the write after the file is made: the
     # file is removed, and write_atomic leaves no temporary file either
-    path, text = str(tmp_path / "out.csv"), csvio.CsvText(["a\n", b"b\n"])
+    path, text = str(tmp_path / "out.csv"), ["a\n", b"b\n"]
     with pytest.raises(TypeError):
         csvio.write_text(path, text)
     assert list(tmp_path.iterdir()) == []
@@ -118,12 +118,12 @@ def test_publish_commits_every_path_or_none(tmp_path):
         assert [os.path.dirname(t) for t in tmps] == [str(tmp_path)] * 3
         assert all(os.path.basename(t).startswith(f".pbgpair-{os.getpid()}-") for t in tmps)
         for tmp, name in zip(tmps, "abc"):
-            csvio.write_text(tmp, csvio.CsvText([name + "\n"]))
+            csvio.write_text(tmp, [name + "\n"])
     assert [p.read_text(encoding="utf-8") for p in paths] == ["a\n", "b\n", "c\n"]
 
     with pytest.raises(KeyboardInterrupt):
         with csvio.publish(paths) as tmps:
-            csvio.write_text(tmps[0], csvio.CsvText(["new\n"]))
+            csvio.write_text(tmps[0], ["new\n"])
             raise KeyboardInterrupt
     assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv", "c.csv"]
     assert paths[0].read_text(encoding="utf-8") == "a\n"
@@ -133,7 +133,7 @@ def test_publish_commits_every_path_or_none(tmp_path):
     with pytest.raises(IsADirectoryError) as info:
         with csvio.publish(paths) as tmps:
             for tmp in tmps:
-                csvio.write_text(tmp, csvio.CsvText(["new\n"]))
+                csvio.write_text(tmp, ["new\n"])
     assert info.value.filename == str(paths[2]) and info.value.filename2 is None
     assert str(info.value) == f"[Errno {info.value.errno}] {info.value.strerror}: '{paths[2]}'"
     assert sorted(os.listdir(tmp_path)) == ["c.csv"]

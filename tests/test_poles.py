@@ -62,7 +62,7 @@ def test_quoted_dressed_state_tables(config, expected):
 
 def test_classification_of_reference_table():
     records = find_poles(cfg(6, PI, 0.6, 0.2)).records
-    loc = {round(r.x.imag, 4) for r in records if r.klass == "localized" and not r.dynamic}
+    loc = {round(r.x.imag, 4) for r in records if r.klass == "localized" and r.kind == "table"}
     assert {-3.4, -6.0, -5.6} <= loc
     band = {round(r.x.imag, 4) for r in records if r.klass == "bandpass"}
     assert 6.0 in band
@@ -73,7 +73,7 @@ def test_dynamic_pole_invariants():
     for config, _ in QUOTED:
         ps = find_poles(config)
         for r in ps.records:
-            if not r.dynamic:
+            if r.kind == "table":
                 continue
             if abs(r.x.real) <= 1e-9:
                 if r.kind == "u":
@@ -111,7 +111,7 @@ def test_table_rows_have_zero_dynamic_residue():
     init = preset_initial("unentangled")
     ps = find_poles(config)
     for r in ps.records:
-        if r.dynamic:
+        if r.kind != "table":
             continue
         limit = residue_by_limit(r, config, init)
         assert np.max(np.abs(limit)) < 1e-7
@@ -142,7 +142,7 @@ def test_coincident_poles_of_separate_sectors_invert():
 def test_exchange_poles_always_present():
     config = cfg(3, 1.1, 0.2, -0.2)
     ps = find_poles(config)
-    kinds = {r.kind: r for r in ps.records if r.dynamic}
+    kinds = {r.kind: r for r in ps.records if r.kind != "table"}
     assert kinds["v1"].x == pytest.approx(3j, abs=1e-12)
     assert kinds["v2"].x == pytest.approx(1j * (3 + 0.4), abs=1e-12)
     assert kinds["v1"].weight == 1.0
@@ -280,7 +280,7 @@ def test_exchange_poles_are_rows_of_their_own(case):
     for kind, tag, y in (("v1", "G1", config.gamma1),
                          ("v2", "H1", config.gamma2 + config.omega12)):
         rows = [r for r in records if r.kind == kind]
-        assert [(r.tag, r.x, r.weight, r.dynamic) for r in rows] == [(tag, 1j * y, 1.0, True)]
+        assert [(r.tag, r.x, r.weight) for r in rows] == [(tag, 1j * y, 1.0)]
         assert rows[0].klass == ("localized" if y + config.omega1c < 0 else "bandpass")
 
 

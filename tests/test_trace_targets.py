@@ -1,5 +1,6 @@
 """Every name the benchmark reaches into the package for still resolves,
-and the package defines no name that only the tests read.
+and the package defines no name, and its classes no field, method or
+property, that only the tests read.
 
 ``perfbench/tracing.py`` patches the functions in its ``TARGETS`` by name
 and raises when one is missing, and ``perfbench/checks.py`` imports a few
@@ -114,4 +115,38 @@ def test_src_defines_nothing_only_the_tests_read():
               for name in _top_level_names(tree)
               if name not in loaded and (module, name) not in benchmark
               and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == [], "move what only the tests read to tests/reference_routes.py"
+
+
+def _class_members(tree):
+    """(class, member) of every annotated field, method and property of a
+    class: what its instances offer as attributes, dunders aside."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield cls.name, name
+
+
+def _attributes_read(paths):
+    """Every attribute name the files read: ``x.name`` in a load context."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_src_classes_carry_nothing_only_the_tests_read():
+    sources = sorted(SRC.glob("*.py"))
+    read = _attributes_read(sources) | _attributes_read(sorted(PERFBENCH.glob("*.py")))
+    read |= {attr.split(".")[1] for _, _, attr, _ in TRACING.TARGETS if "." in attr}
+    unused = [f"{cls}.{name}" for path in sources
+              for cls, name in _class_members(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in read]
     assert unused == [], "move what only the tests read to tests/reference_routes.py"
