@@ -35,7 +35,10 @@ the panel's own points, built once per set of poles and shared by the
 equations on it (Greengard & Rokhlin 1987; Gu & Eisenstat 1995).  Dyadic
 groups of panels far enough from the root's panel are summed through
 CHEB_DEGREE + 1 Chebyshev proxy poles each, in the near field and into
-the far field's interpolants alike, and the rest directly, so the build
+the far field's interpolants alike, and the rest directly.  The groups of
+all panels are decided one tree level at a time, and the proxies' weights
+come from one upward pass, a group's from its two children's proxies
+(Dutt, Gu & Rokhlin 1996), so each pole enters them once.  The build
 costs O(N log N), every panel sums a few hundred near terms, the panels
 of the geometric tail too, and an evaluation pass costs O(N PANEL)
 instead of O(N^2), with the roots sorted by panel once per pass.
@@ -187,8 +190,10 @@ class _FarField:
     summed from the sources ``ptr[P]:ptr[P + 1]``, each a pole
     ``base + offset`` of weight ``weight``: the poles themselves (offset 0)
     and the CHEB_DEGREE + 1 proxies of each group of panels far enough
-    from the interval, as offsets from the group's first pole.  The far
-    sums are taken through the same groups (``_far_field``).
+    from the interval, as offsets from the group's first pole, in order of
+    position.  The far sums are taken through the same groups, whose
+    proxy weights come from one upward pass over the tree of panel groups
+    (``_far_field``, ``_upward``).
     """
 
     anchor: np.ndarray
@@ -211,23 +216,109 @@ def _barycentric(x):
     return q, q.sum(axis=1)
 
 
+def _proxy_weights(offset, weight, h):
+    """Proxy weights W_m = sum_j weight_j l_m(x_j) of groups of sources, one
+    group per row of ``offset`` and ``weight``: the sources lie at
+    ``offset`` from their group's first pole, x_j = offset_j / h - 1 on a
+    group of half-width ``h``."""
+    x = offset / h[:, None] - 1.0
+    q, total = _barycentric(x.ravel())
+    return np.matmul((weight.ravel() / total).reshape(x.shape[0], 1, -1),
+                     q.reshape(*x.shape, CHEB_DEGREE + 1))[:, 0]
+
+
+def _upward(d, w, levels):
+    """The proxies of every group of ``levels``, from the panels up: per
+    level, their (groups x CHEB_DEGREE + 1) offsets h (1 + X_m) from their
+    group's first pole and their weights W_m = sum_j w_j l_m(x_j).
+
+    A panel's weights come from its poles.  A larger group's come from the
+    proxies of its two children: the group's Lagrange basis polynomial l_m
+    has degree CHEB_DEGREE, so it equals its interpolant on a child's
+    points, and sum_j w_j l_m(x_j) over the child's poles is sum_k W_k
+    l_m(y_k) over its proxies y_k, exactly in exact arithmetic (Dutt, Gu &
+    Rokhlin 1996).  Each pole then enters once, not once per level.  A
+    group of CHEB_DEGREE + 1 poles or fewer, the last of a level at most,
+    keeps its poles in place of proxies, with weight 0 in the rows left
+    over, as does a missing second child.  The groups go BLOCK sources at a
+    time, so that no barycentric table exceeds BLOCK x (CHEB_DEGREE + 1)
+    (0.4 MB).
+    """
+    m = CHEB_DEGREE + 1
+    out = []
+    for k, (a, b, h) in enumerate(levels):
+        off = h[:, None] * (1.0 + _CHEB_X)
+        W = np.zeros_like(off)
+        few = b[-1] - a[-1] <= m        # the last group keeps its poles
+        if k == 0:
+            full, step = d.size // PANEL, max(1, BLOCK // PANEL)
+            for s in range(0, full, step):
+                e = min(s + step, full)
+                dd = d[PANEL * s:PANEL * e].reshape(e - s, PANEL)
+                W[s:e] = _proxy_weights(dd - dd[:, :1],
+                                        w[PANEL * s:PANEL * e].reshape(e - s, PANEL), h[s:e])
+            if full < a.size and not few:
+                W[-1] = _proxy_weights((d[a[-1]:] - d[a[-1]])[None, :], w[None, a[-1]:],
+                                       h[-1:])[0]
+        else:
+            ca, (coff, cw) = levels[k - 1][0], out[k - 1]
+            if ca.size % 2:
+                ca = np.append(ca, ca[-1])
+                coff, cw = (np.concatenate([x, np.zeros((1, m))]) for x in (coff, cw))
+            step = max(1, BLOCK // (2 * m))
+            for s in range(0, a.size - few, step):
+                e = min(s + step, a.size - few)
+                c = slice(2 * s, 2 * e)
+                rows = (d[ca[c]] - np.repeat(d[a[s:e]], 2))[:, None] + coff[c]
+                W[s:e] = _proxy_weights(rows.reshape(e - s, 2 * m),
+                                        cw[c].reshape(e - s, 2 * m), h[s:e])
+        if few:
+            off[-1] = 0.0
+            off[-1, :b[-1] - a[-1]] = d[a[-1]:] - d[a[-1]]
+            W[-1, :b[-1] - a[-1]] = w[a[-1]:]
+        out.append((off, W))
+    return out
+
+
+def _expand(src, length):
+    """The indices src[i], src[i] + 1, ..., src[i] + length[i] - 1 of every i, in order."""
+    idx = np.repeat(src - np.cumsum(length) + length, length)
+    idx += np.arange(idx.size)
+    return idx
+
+
+def _runs(cuts, ends, limit):
+    """Runs [i, j) of consecutive steps of ``cuts``, each of at most
+    ``limit`` entries ends[cuts[j]] - ends[cuts[i]], or of one step."""
+    edge, i = ends[cuts], 0
+    while i < cuts.size - 1:
+        j = max(i + 1, int(np.searchsorted(edge, edge[i] + limit, side="right")) - 1)
+        yield i, j
+        i = j
+
+
 def _far_field(d, w) -> _FarField:
     """Panels, far-field interpolants and near sources of the poles ``d``
     with weights ``w`` (Greengard & Rokhlin 1987).
 
-    For each panel one dyadic tree of panel groups is walked down from the
-    group of all panels.  A group, poles [a, b) on [d[a], d[a] + 2 h], is
-    split until it lies wholly inside or wholly outside the panel's near
-    range and can be summed: either it is admissible, its centre at least
-    ADMISSIBLE h from every point of the panel's interval and its poles
-    more than CHEB_DEGREE + 1, or it is one panel.  An admissible group is
-    summed as CHEB_DEGREE + 1 proxies d[a] + h (1 + X_m) at its Chebyshev
-    points X_m, with weights W_m = sum_j w_j l_m(x_j): the Chebyshev
-    interpolant of 1/(d - z) and 1/(d - z)^2 in d, with the error bound of
-    the target side.  A panel's groups in its near range are its near
-    sources; those outside it are summed at the Chebyshev points of its
-    interval into ``values``, so a far group costs CHEB_DEGREE + 1 terms
-    per point in place of its poles, and the build O(N log N).
+    The groups of panels form a dyadic tree: level k holds the groups of
+    2^k panels [j 2^k, (j + 1) 2^k), poles [a, b) on [d[a], d[a] + 2 h].
+    Each panel's groups are decided one level at a time, from the group of
+    all panels down, for all panels at once: a group is summed when it lies
+    wholly inside or wholly outside the panel's near range and either is
+    admissible, its centre at least ADMISSIBLE h from every point of the
+    panel's interval and its poles more than CHEB_DEGREE + 1, or is one
+    panel; otherwise its two children go on to the next level.  An
+    admissible group is summed as CHEB_DEGREE + 1 proxies d[a] + h (1 + X_m)
+    at its Chebyshev points X_m, with weights W_m = sum_j w_j l_m(x_j): the
+    Chebyshev interpolant of 1/(d - z) and 1/(d - z)^2 in d, with the error
+    bound of the target side.  The weights of every group come from one
+    upward pass (``_upward``).  A panel's groups, in order of position, in
+    its near range are its near sources; those outside it are summed at the
+    Chebyshev points of its interval into ``values``, one pair of
+    matrix-vector products per panel and side, so a far group costs
+    CHEB_DEGREE + 1 terms per point in place of its poles, and the build
+    O(N log N).  The sources are gathered 2 BLOCK at a time.
     """
     n = d.size
     first = np.arange(0, n, PANEL)
@@ -240,46 +331,78 @@ def _far_field(d, w) -> _FarField:
     # the near range [start, stop), in panels
     start = np.maximum(np.minimum(panel - 1, inner // PANEL), 0)
     stop = np.minimum(np.maximum(panel + 1, (outer - 1) // PANEL) + 1, first.size)
-    values = np.zeros((first.size, CHEB_DEGREE + 1, 4))
-    # scalar work, so in Python floats and ints
-    dl, zeros, top = d.tolist(), np.zeros(PANEL), 1 << (first.size - 1).bit_length()
-    proxies, parts, ptr = {}, [], [0]
-    for p, s, e, lo, h2 in zip(panel.tolist(), start.tolist(), stop.tolist(),
-                               d[anchor].tolist(), (2.0 * half).tolist()):
-        hi, near, far, todo = lo + h2, [], ([], []), [(0, top)]
-        while todo:
-            g, size = todo.pop()
-            a, b = PANEL * g, min(PANEL * (g + size), n)
-            if a >= n:
-                continue
-            h = 0.5 * (dl[b - 1] - dl[a])
-            admissible = (b - a > CHEB_DEGREE + 1
-                          and max(lo - dl[a] - h, dl[a] + h - hi) >= ADMISSIBLE * h)
-            inside = s <= g and g + size <= e
-            if not (admissible or b - a <= PANEL) or not (inside or g + size <= s or g >= e):
-                todo += [(g + size // 2, size // 2), (g, size // 2)]
-                continue
-            if admissible and (a, b) not in proxies:
-                q, total = _barycentric((d[a:b] - dl[a]) / h - 1.0)
-                proxies[a, b] = (np.full(CHEB_DEGREE + 1, dl[a]), h * (1.0 + _CHEB_X),
-                                 (w[a:b] / total) @ q)
-            src = proxies[a, b] if admissible else (d[a:b], zeros[:b - a], w[a:b])
-            (near if inside else far[g >= e]).append(src)
-        # the far sums below and above at the interval's points, as offsets
-        # from the anchor pole, as for the roots
-        t = half[p] * (1.0 + _CHEB_X)
-        for col, sources in zip((0, 2), far):
-            if sources:
-                base, offset, weight = (np.concatenate(x) for x in zip(*sources))
-                r = ((base - lo) + offset)[None, :] - t[:, None]
-                np.reciprocal(r, out=r)
-                values[p, :, col] = r @ weight
-                r *= r
-                values[p, :, col + 1] = r @ weight
-        ptr.append(ptr[-1] + sum(src[2].size for src in near))
-        parts += near
-    base, offset, weight = (np.concatenate(x) for x in zip(*parts))
-    return _FarField(anchor, half, values, np.array(ptr), base, offset, weight)
+    lo, hi = d[anchor], d[anchor] + 2.0 * half
+    m = CHEB_DEGREE + 1
+    levels = []
+    for k in range((first.size - 1).bit_length() + 1):
+        a = first[::1 << k]
+        b = np.minimum(a + (PANEL << k), n)
+        levels.append((a, b, 0.5 * (d[b - 1] - d[a])))
+    # every source as base + offset with its weight: the poles, then the
+    # proxies of each level's groups
+    tables = _upward(d, w, levels)
+    pool = (np.concatenate([d] + [np.repeat(d[a], m) for a, _, _ in levels]),
+            np.concatenate([np.zeros(n)] + [off.ravel() for off, _ in tables]),
+            np.concatenate([w] + [W.ravel() for _, W in tables]))
+    del tables
+    at = n + m * np.cumsum([0] + [a.size for a, _, _ in levels])
+
+    # the interaction lists: (panel, group j of level k) pairs, level by level;
+    # a decided group is kept as (panel, first panel, first source, sources,
+    # side: 0 near, 1 below, 2 above)
+    leaves, p, j = [], panel, np.zeros_like(panel)
+    for k in reversed(range(len(levels))):
+        a, b, h = (x[j] for x in levels[k])
+        g, size, da = j << k, 1 << k, d[a]
+        admissible = (b - a > m) & (np.maximum(lo[p] - da - h, da + h - hi[p]) >= ADMISSIBLE * h)
+        below, above = g + size <= start[p], g >= stop[p]
+        inside = (start[p] <= g) & (g + size <= stop[p])
+        done = (admissible | (b - a <= PANEL)) & (inside | below | above)
+        leaves.append(np.stack([p, g, np.where(admissible, at[k] + m * j, a),
+                               np.where(admissible, m, b - a), 2 * above + below])[:, done])
+        p, j = p[~done], 2 * j[~done]
+        if k:
+            right = j + 1 < levels[k - 1][0].size
+            p, j = np.concatenate([p, p[right]]), np.concatenate([j, j[right] + 1])
+    p, g, src, length, side = leaves = np.concatenate(leaves, axis=1)
+    # the near groups of every panel, then its groups below and above, each
+    # in order of position
+    order = np.argsort((((side > 0) * first.size + p) * 3 + side) * (1 << (len(levels) - 1)) + g)
+    p, g, src, length, side = leaves = leaves[:, order]
+    ends = np.concatenate([[0], np.cumsum(length)])
+    n_near = np.count_nonzero(side == 0)
+    ptr = ends[np.concatenate([[0], np.searchsorted(p[:n_near], panel, side="right")])]
+
+    near = np.empty((3, ptr[-1]))
+    for l0, l1 in _runs(np.arange(n_near + 1), ends, 2 * BLOCK):
+        e0, e1 = ends[l0], ends[l1]
+        idx = _expand(src[l0:l1], length[l0:l1])
+        for x, into in zip(pool, near):
+            into[e0:e1] = np.take(x, idx)
+    # the far sums of each (panel, side) run of groups
+    cut = n_near + np.flatnonzero(np.diff(2 * p[n_near:] + side[n_near:], prepend=-1))
+    cut = np.append(cut, p.size)
+    values = np.zeros((first.size, m, 4))
+    t = half[:, None] * (1.0 + _CHEB_X)
+    seg_panel, seg_col = p[cut[:-1]].tolist(), (2 * side[cut[:-1]] - 2).tolist()
+    edge = ends[cut].tolist()
+    for i0, i1 in _runs(cut, ends, 2 * BLOCK):
+        l0, l1 = cut[i0], cut[i1]
+        idx = _expand(src[l0:l1], length[l0:l1])
+        # the sources' offsets from their panel's anchor pole, as for the roots
+        pos = np.take(pool[0], idx)
+        pos -= np.repeat(lo[p[l0:l1]], length[l0:l1])
+        pos += np.take(pool[1], idx)
+        wt = np.take(pool[2], idx)
+        e0 = edge[i0]
+        for i in range(i0, i1):
+            s = slice(edge[i] - e0, edge[i + 1] - e0)
+            r = pos[s][None, :] - t[seg_panel[i]][:, None]
+            np.reciprocal(r, out=r)
+            values[seg_panel[i], :, seg_col[i]] = r @ wt[s]
+            r *= r
+            values[seg_panel[i], :, seg_col[i] + 1] = r @ wt[s]
+    return _FarField(anchor, half, values, ptr, *near)
 
 
 def _evaluate(d, w, value, origin, tau, far: _FarField):
@@ -423,8 +546,8 @@ def _secular_roots(d, w, value, far: _FarField):
     two included, each block to convergence before the next.  The state of
     a pass is then BLOCK roots long; the far field, the lattice start, the
     brackets and the returned roots are the arrays that grow with the
-    bath.  On fig2c at 51,000 modes the passes peak at 13.0 MB traced, under
-    the far-field build (14.6 MB) and the lattice start (14.7 MB).
+    bath.  On fig2c at 51,000 modes the passes peak at 12.8 MB traced, over
+    the far-field build (12.0 MB) and under the lattice start (14.4 MB).
     """
     n = d.size
     k = np.arange(n + 1)                 # root k lies between d[k-1] and d[k]
@@ -731,8 +854,11 @@ def integrate(config, init, bath: DiscreteBath, t_max: float,
     eigenvalues are the roots of a scalar secular equation, one per mode
     interval and branch (``_symmetric_spectrum``).  The proxies,
     far-field interpolants and near sources of the poles are built once
-    per spectrum, in about N log N CHEB_DEGREE work, and shared by its one
-    or two equations.  Every iteration then costs a few hundred near terms
+    per spectrum and shared by its one or two equations: the proxy weights
+    in one upward pass of about 45 barycentric terms per pole, and the far
+    sums at each panel's CHEB_DEGREE + 1 points from its far sources,
+    about 14 per pole at 51,000 modes and 9 at 4,000, growing as
+    log2(N / PANEL).  Every iteration then costs a few hundred near terms
     per root (at most 367 at 4,000 modes, 492 at 51,000) and one far-field
     product per panel.  The atomic amplitudes are sums over those
     eigenpairs at every output time (``_time_sum``, two exponentials per

@@ -20,11 +20,13 @@ log = logging.getLogger("pbgpair")
 # (dim x dim) generator, and its work arrays are a block of bath.BLOCK
 # roots long: its memory is a few hundred bytes per mode for the
 # far-field interpolants, the near-field sources, the lattice start and
-# the roots (a 52 MB process at dim 51,212, 73 MB at MAX_BLOCK_DIM).  Its
-# work is the far-field build, about dim CHEB_DEGREE log2(dim / PANEL)
-# terms once per spectrum (0.3-0.4 s at dim 51,212; 0.8-0.9 s for the two
-# equations of orthogonal dipoles with both transitions populated at
-# MAX_BLOCK_DIM, whose whole oracle run takes 3-4 s), a few passes of
+# the roots (a 47 MB process at dim 51,212, 64 MB at MAX_BLOCK_DIM).  Its
+# work is the far-field build once per spectrum, an upward pass of about
+# 45 barycentric terms per mode and the far sums, CHEB_DEGREE + 1 points
+# per panel times about 14 far sources per mode at dim 51,212, growing as
+# log2(dim / PANEL) (0.08 s at dim 51,212; 0.15 s for the two equations
+# of orthogonal dipoles with both transitions populated at MAX_BLOCK_DIM,
+# whose whole oracle run takes 1.3-1.4 s), a few passes of
 # about 4 PANEL near-field terms per root (direct poles and Chebyshev
 # proxies, 492 at most at dim 51,212), and the time sum, two exponentials
 # per root and output points x dim complex multiply-adds

@@ -41,11 +41,14 @@ by a dense ``eigh`` of each coupled block, and ``integrate_rk4``, a
 fixed-step fourth-order exponential integrator, both against the
 secular-equation spectrum of :func:`pbgpair.bath.integrate`;
 ``evaluate_direct``, the secular sums over every pole, against the
-near/far-field evaluation of the secular solver.  ``mode_probs`` and
-``mode_spectrum`` give the photon's mode distribution from the secular
-spectrum, against the dense route's.  ``bound_states`` pairs the bound
-states of the oracle's secular spectrum with the real sheet roots of
-:func:`pbgpair.inversion.closed_form_terms`.
+near/far-field evaluation of the secular solver, and ``far_field_walk``,
+the far field by one walk per panel down the tree of panel groups with
+proxy weights from all of a group's poles, against the level-by-level
+build of :func:`pbgpair.bath._far_field` and its upward pass.
+``mode_probs`` and ``mode_spectrum`` give the photon's mode distribution
+from the secular spectrum, against the dense route's.  ``bound_states``
+pairs the bound states of the oracle's secular spectrum with the real
+sheet roots of :func:`pbgpair.inversion.closed_form_terms`.
 
 Measures read only by the tests: the band-edge ``spectral_density`` and
 the time-domain ``memory_kernel``, checked against ``beta_prime`` by
@@ -61,7 +64,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from pbgpair import inversion, poles, transform
-from pbgpair.bath import EPS, SIN_ETA_FLOOR, DiscreteBath, _symmetric_spectrum
+from pbgpair.bath import (ADMISSIBLE, CHEB_DEGREE, EPS, PANEL, SIN_ETA_FLOOR,
+                          DiscreteBath, _barycentric, _CHEB_X, _FarField,
+                          _symmetric_spectrum)
 from pbgpair.config import AmplitudeTrajectory
 from pbgpair.errors import (BranchPointError, DomainError, NormError, QuadratureError,
                             RecurrenceHorizonExceeded, SingularSystem, StepSizeError)
@@ -583,6 +588,74 @@ def evaluate_direct(d, w, value, origin, tau):
     # s1 - 2 s1lo = sum_j w_j / |d_j - z| scales the rounding of the sum
     err = EPS * (8.0 * (np.abs(mu) + s1 - 2.0 * s1lo) + 2.0 * np.abs(d[origin] + tau) * mu_p)
     return mu + s1, mu_p + s2, s2lo, s2, mu_p, err, -s1
+
+
+def far_field_walk(d, w) -> _FarField:
+    """The far field of ``bath._far_field`` by one walk per panel down the
+    dyadic tree of panel groups, with each admissible group's proxy weights
+    summed from all of its poles, against the level-by-level build and its
+    upward pass.
+
+    For each panel the tree is walked down from the group of all panels.
+    A group, poles [a, b) on [d[a], d[a] + 2 h], is split until it lies
+    wholly inside or wholly outside the panel's near range and can be
+    summed: either it is admissible, its centre at least ADMISSIBLE h from
+    every point of the panel's interval and its poles more than
+    CHEB_DEGREE + 1, or it is one panel.  An admissible group is summed as
+    CHEB_DEGREE + 1 proxies d[a] + h (1 + X_m) at its Chebyshev points
+    X_m, with weights W_m = sum_j w_j l_m(x_j).
+    """
+    n = d.size
+    first = np.arange(0, n, PANEL)
+    panel = np.arange(first.size)
+    anchor = np.maximum(first - 1, 0)
+    half = 0.5 * (d[np.minimum(first + PANEL, n - 1)] - d[anchor])
+    centre = d[anchor] + half
+    inner = np.searchsorted(d, centre - ADMISSIBLE * half, side="right")
+    outer = np.searchsorted(d, centre + ADMISSIBLE * half, side="left")
+    # the near range [start, stop), in panels
+    start = np.maximum(np.minimum(panel - 1, inner // PANEL), 0)
+    stop = np.minimum(np.maximum(panel + 1, (outer - 1) // PANEL) + 1, first.size)
+    values = np.zeros((first.size, CHEB_DEGREE + 1, 4))
+    # scalar work, so in Python floats and ints
+    dl, zeros, top = d.tolist(), np.zeros(PANEL), 1 << (first.size - 1).bit_length()
+    proxies, parts, ptr = {}, [], [0]
+    for p, s, e, lo, h2 in zip(panel.tolist(), start.tolist(), stop.tolist(),
+                               d[anchor].tolist(), (2.0 * half).tolist()):
+        hi, near, far, todo = lo + h2, [], ([], []), [(0, top)]
+        while todo:
+            g, size = todo.pop()
+            a, b = PANEL * g, min(PANEL * (g + size), n)
+            if a >= n:
+                continue
+            h = 0.5 * (dl[b - 1] - dl[a])
+            admissible = (b - a > CHEB_DEGREE + 1
+                          and max(lo - dl[a] - h, dl[a] + h - hi) >= ADMISSIBLE * h)
+            inside = s <= g and g + size <= e
+            if not (admissible or b - a <= PANEL) or not (inside or g + size <= s or g >= e):
+                todo += [(g + size // 2, size // 2), (g, size // 2)]
+                continue
+            if admissible and (a, b) not in proxies:
+                q, total = _barycentric((d[a:b] - dl[a]) / h - 1.0)
+                proxies[a, b] = (np.full(CHEB_DEGREE + 1, dl[a]), h * (1.0 + _CHEB_X),
+                                 (w[a:b] / total) @ q)
+            src = proxies[a, b] if admissible else (d[a:b], zeros[:b - a], w[a:b])
+            (near if inside else far[g >= e]).append(src)
+        # the far sums below and above at the interval's points, as offsets
+        # from the anchor pole, as for the roots
+        t = half[p] * (1.0 + _CHEB_X)
+        for col, sources in zip((0, 2), far):
+            if sources:
+                base, offset, weight = (np.concatenate(x) for x in zip(*sources))
+                r = ((base - lo) + offset)[None, :] - t[:, None]
+                np.reciprocal(r, out=r)
+                values[p, :, col] = r @ weight
+                r *= r
+                values[p, :, col + 1] = r @ weight
+        ptr.append(ptr[-1] + sum(src[2].size for src in near))
+        parts += near
+    base, offset, weight = (np.concatenate(x) for x in zip(*parts))
+    return _FarField(anchor, half, values, np.array(ptr), base, offset, weight)
 
 
 def integrate_dense(config, init, bath: DiscreteBath, t_max: float,

@@ -17,7 +17,8 @@ from pbgpair.errors import (
 )
 from pbgpair.presets import get_preset, PRESET_NAMES
 from reference_routes import (beta_prime, bound_states, deflated_roots, evaluate_direct,
-                              integrate_dense, integrate_rk4, mode_probs, mode_spectrum)
+                              far_field_walk, integrate_dense, integrate_rk4, mode_probs,
+                              mode_spectrum)
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -544,16 +545,21 @@ def test_far_field_matches_direct_sums(poles, h, kappa):
     assert np.max(np.abs(sigma - sigma0) / np.abs(terms).sum(axis=1)) <= 1e-13
 
 
-def test_proxies_beside_clusters_match_direct_sums():
-    # clusters at spacing 1e-10 near |d| = 10 that fill whole panels, among
-    # scattered poles: a panel beside a cluster sums the cluster's panels
-    # through proxies about 1e-8 away, where positions rounded at |d| = 10
-    # would be off by 1e-7 relative
+def cluster_poles():
+    """Clusters at spacing 1e-10 near |d| = 10 that fill whole panels, among
+    scattered poles, with their weights."""
     rng = np.random.default_rng(2024)
     panels = lambda at, k: at + 1e-10 * np.arange(k * bath.PANEL)  # noqa: E731
     d = np.concatenate([panels(-9.9, 2), np.sort(rng.uniform(-9.5, 9.5, 3 * bath.PANEL)),
                         panels(9.6, 4), np.sort(rng.uniform(9.7, 10.5, 3 * bath.PANEL))])
-    w = rng.uniform(1e-4, 1.0, d.size) * 10.0 ** rng.integers(-6, 2, d.size)
+    return d, rng.uniform(1e-4, 1.0, d.size) * 10.0 ** rng.integers(-6, 2, d.size)
+
+
+def test_proxies_beside_clusters_match_direct_sums():
+    # a panel beside a cluster sums the cluster's panels through proxies
+    # about 1e-8 away, where positions rounded at |d| = 10 would be off by
+    # 1e-7 relative
+    d, w = cluster_poles()
     h, kappa = 0.3, 2.0
     value = lambda z: ((z - h) / kappa, np.full(np.shape(z), 1.0 / kappa))  # noqa: E731
     far = bath._far_field(d, w)
@@ -582,6 +588,75 @@ def test_proxies_beside_clusters_match_direct_sums():
     assert np.max(np.abs(Fp - Fp0) / Fp0) <= 1e-13
     assert np.max(np.abs(s2lo - s2lo0) / np.where(s2lo0 > 0, s2lo0, 1.0)) <= 1e-13
     assert np.max(np.abs(sigma - sigma0) / np.abs(terms).sum(axis=1)) <= 1e-13
+
+
+# |weight - walk| over the group's total pole weight, in eps.  Both
+# routes round a source's position x on its group's [-1, 1] to half an ulp
+# of 1, which near the ends, where the basis polynomials are steepest and a
+# narrow child's proxies or a cluster's poles sit, moves a weight by up to
+# 600 times as much: against a long double evaluation of the walk's own
+# formula the walk misses by up to 77 eps and the upward pass by up to 137
+# (clusters at spacing 1e-10 in pole_sets), and the two differ by up to 86
+# eps on the cases below (32 on the baths).  The far sums, which is what
+# the weights are for, agree to 8 eps
+NEAR_WEIGHT_TOL = 128.0
+
+
+def _near_groups(d, far):
+    """The poles [a, b) that each near source of ``far`` stands for: a pole
+    itself (offset 0), or for a run of CHEB_DEGREE + 1 proxies the dyadic
+    group of panels that starts at their base pole and whose half-width h
+    gives their offsets h (1 + X_m)."""
+    a = np.searchsorted(d, far.base)
+    b = a + 1
+    for r in np.flatnonzero(far.offset > 0)[::bath.CHEB_DEGREE + 1]:
+        ends = (min(a[r] + (bath.PANEL << k), d.size) for k in range(64))
+        b[r:r + bath.CHEB_DEGREE + 1] = next(
+            e for e in ends if far.offset[r] == 0.5 * (d[e - 1] - d[a[r]]) * (1.0 + bath._CHEB_X[0]))
+    return a, b
+
+
+def _assert_far_field_matches_walk(d, w):
+    far, ref = bath._far_field(d, w), far_field_walk(d, w)
+    for name in ("anchor", "half", "ptr", "base", "offset"):
+        assert np.array_equal(getattr(far, name), getattr(ref, name)), name
+    a, b = _near_groups(d, ref)
+    # the proxies' weights from the upward pass against sums over all of
+    # their group's poles: both carry the rounding of positions near the
+    # ends of a group, where the basis polynomials are steepest
+    total = np.add.reduceat(np.append(w, 0.0), np.ravel([a, b], order="F"))[::2]
+    assert np.all(np.abs(far.weight - ref.weight) <= NEAR_WEIGHT_TOL * bath.EPS * total)
+    # the far sums against sum w / |d - z| and sum w / (d - z)^2 over the
+    # poles below and above each panel's near range, at its Chebyshev points
+    for p in range(ref.anchor.size):
+        t = ref.half[p] * (1.0 + bath._CHEB_X)
+        for col, poles in ((0, slice(0, a[ref.ptr[p]])), (2, slice(b[ref.ptr[p + 1] - 1], None))):
+            r = 1.0 / np.abs((d[poles] - d[ref.anchor[p]])[None, :] - t[:, None])
+            scale = np.stack([r @ w[poles], (r * r) @ w[poles]], axis=1)
+            assert np.all(np.abs(far.values[p, :, col:col + 2] - ref.values[p, :, col:col + 2])
+                          <= 8.0 * bath.EPS * scale)
+
+
+@pytest.mark.parametrize("name", [*ORACLE_CHECK, "fig2c", "clusters"])
+def test_far_field_matches_walk(name):
+    # the level-by-level build and its upward pass against one walk per
+    # panel with proxy weights from all of a group's poles
+    # (reference_routes.far_field_walk): the same panels, near ranges,
+    # groups and sources, and the same sums to rounding
+    if name == "clusters":
+        d, w = cluster_poles()
+    else:
+        config, n_modes = (get_preset("fig2c").config, 12000) if name == "fig2c" else \
+            ORACLE_CHECK[name][::2]
+        b = bath.build_bath(config, n_modes=n_modes)
+        d, w = b.nu - config.omega1c, b.g ** 2
+    _assert_far_field_matches_walk(d, w)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(pole_sets())
+def test_far_field_matches_walk_on_pole_sets(poles):
+    _assert_far_field_matches_walk(*poles)
 
 
 def test_near_field_size():
@@ -694,3 +769,23 @@ def test_evaluation_pass_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
+
+
+def test_far_field_memory_peak():
+    # fig2c's far field at 51,000 modes: the upward pass works on at most
+    # BLOCK x (CHEB_DEGREE + 1) barycentric terms and the sources are
+    # gathered 2 BLOCK at a time, so the near sources (4.6 MB) and the
+    # source pool (2.2 MB) set the peak, 10.3 MB (the walk it replaced:
+    # 12.8 MB).  The panels' whole barycentric table takes it to 12.8 MB,
+    # all near sources gathered at once to 11.9 MB and all 707,718 far
+    # sources to 26.7 MB
+    p = get_preset("fig2c")
+    b = bath.build_bath(p.config, n_modes=51000)
+    d, w = b.nu - p.config.omega1c, b.g ** 2
+    tracemalloc.start()
+    try:
+        bath._far_field(d, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5e6
