@@ -238,40 +238,34 @@ def _upward(d, w, levels):
     points, and sum_j w_j l_m(x_j) over the child's poles is sum_k W_k
     l_m(y_k) over its proxies y_k, exactly in exact arithmetic (Dutt, Gu &
     Rokhlin 1996).  Each pole then enters once, not once per level.  A
-    group of CHEB_DEGREE + 1 poles or fewer, the last of a level at most,
-    keeps its poles in place of proxies, with weight 0 in the rows left
-    over, as does a missing second child.  The groups go BLOCK sources at a
-    time, so that no barycentric table exceeds BLOCK x (CHEB_DEGREE + 1)
-    (0.4 MB).
+    level's sources are one (groups x sources) table: a panel's poles, or
+    the two children's proxies, padded with weight 0.  A group of
+    CHEB_DEGREE + 1 poles or fewer, the last of a level at most, keeps its
+    poles, with weight 0 in the rows left over.  The groups go BLOCK
+    sources at a time, so no barycentric table exceeds BLOCK x 25 (0.4 MB).
     """
     m = CHEB_DEGREE + 1
     out = []
     for k, (a, b, h) in enumerate(levels):
-        off = h[:, None] * (1.0 + _CHEB_X)
-        W = np.zeros_like(off)
-        few = b[-1] - a[-1] <= m        # the last group keeps its poles
-        if k == 0:
-            full, step = d.size // PANEL, max(1, BLOCK // PANEL)
-            for s in range(0, full, step):
-                e = min(s + step, full)
-                dd = d[PANEL * s:PANEL * e].reshape(e - s, PANEL)
-                W[s:e] = _proxy_weights(dd - dd[:, :1],
-                                        w[PANEL * s:PANEL * e].reshape(e - s, PANEL), h[s:e])
-            if full < a.size and not few:
-                W[-1] = _proxy_weights((d[a[-1]:] - d[a[-1]])[None, :], w[None, a[-1]:],
-                                       h[-1:])[0]
-        else:
+        if k == 0:  # the panels' poles, padded to PANEL with weight 0
+            pad = a.size * PANEL - d.size
+            src = np.append(d, np.full(pad, d[-1])).reshape(a.size, PANEL)
+            src -= src[:, :1]
+            sw = np.append(w, np.zeros(pad)).reshape(a.size, PANEL)
+        else:       # the two children's proxies
             ca, (coff, cw) = levels[k - 1][0], out[k - 1]
             if ca.size % 2:
                 ca = np.append(ca, ca[-1])
                 coff, cw = (np.concatenate([x, np.zeros((1, m))]) for x in (coff, cw))
-            step = max(1, BLOCK // (2 * m))
-            for s in range(0, a.size - few, step):
-                e = min(s + step, a.size - few)
-                c = slice(2 * s, 2 * e)
-                rows = (d[ca[c]] - np.repeat(d[a[s:e]], 2))[:, None] + coff[c]
-                W[s:e] = _proxy_weights(rows.reshape(e - s, 2 * m),
-                                        cw[c].reshape(e - s, 2 * m), h[s:e])
+            src = ((d[ca] - np.repeat(d[a], 2))[:, None] + coff).reshape(a.size, 2 * m)
+            sw = cw.reshape(a.size, 2 * m)
+        off = h[:, None] * (1.0 + _CHEB_X)
+        W = np.zeros_like(off)
+        few = b[-1] - a[-1] <= m        # the last group keeps its poles
+        step = max(1, BLOCK // src.shape[1])
+        for s in range(0, a.size - few, step):
+            e = min(s + step, a.size - few)
+            W[s:e] = _proxy_weights(src[s:e], sw[s:e], h[s:e])
         if few:
             off[-1] = 0.0
             off[-1, :b[-1] - a[-1]] = d[a[-1]:] - d[a[-1]]

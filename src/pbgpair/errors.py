@@ -53,7 +53,8 @@ class SingularSystem(NumericalError):
 
 
 class DegeneratePole(NumericalError):
-    """Two poles coincide within merge tolerance; residue sums are ill-defined."""
+    """A double root: two sheet roots of the symmetric determinant closer
+    than poles.DOUBLE_ROOT_TOL in S, which the closed form cannot invert."""
 
 
 class CompletenessError(NumericalError):
@@ -73,10 +74,9 @@ class RecurrenceHorizonExceeded(NumericalError):
 
 
 class StepSizeError(NumericalError):
-    """A propagation lost its accuracy: a secular equation of the oracle did
-    not converge, the atomic parts of its eigenvectors miss unit weight by
-    more than tolerance (the weight defect), or the norm drifted while time
-    stepping."""
+    """The oracle lost its accuracy: a secular equation has no sign change
+    beyond the outer poles or does not converge, or the atomic parts of its
+    eigenvectors miss unit weight beyond tolerance (the weight defect)."""
 
 
 class NormError(NumericalError):

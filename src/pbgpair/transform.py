@@ -23,10 +23,10 @@ Only the u-sector depends on the kernel, and ``u_sector`` gives it in
 closed form for the branch-cut jump; the tests check it and the 4x4 solve
 against each other.
 
-The residue sum and the Gauss-Kronrod cut integral below, built on
-``u_sector``, are the previous inversion route.  No engine runs them; the
-tests keep them as a cross-check of the closed form, and the benchmark's
-tracer patches them by name where :mod:`pbgpair.inversion` re-exports them.
+The residue sum and the Gauss-Kronrod cut integral below, on ``u_sector``,
+are the previous inversion route.  No engine and no check of the closed
+form runs them; only their own tests, the tests' transform-domain helpers
+and the benchmark's tracer (by name, in :mod:`pbgpair.inversion`) read them.
 """
 
 from __future__ import annotations

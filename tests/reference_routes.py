@@ -9,7 +9,8 @@ Inversion:
   kernel, and ``residue_weight_fd``: pole weights by central differences
   of it, against the closed-form weights of :func:`pbgpair.poles.find_poles`;
 * ``residue_by_limit``: residues as lim (x - x0) A(x) from the 4x4 solve,
-  against ``residue_numerators * weight``;
+  against ``pole_terms``, the simple poles of the closed form with their
+  residues, which the acceptance tests and ``bound_states`` also read;
 * ``closed_form_reference``: the closed form of
   :mod:`pbgpair.inversion` in 40-digit arithmetic, with the roots from
   ``mpmath.polyroots`` and w(z) = e^{-z^2} erfc(-iz) from ``mpmath.erfc``,
@@ -58,6 +59,7 @@ criterion 8.
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -175,6 +177,38 @@ def residue_by_limit(record, config, init, eps=1e-5):
     r1 = ring(eps)
     r2 = ring(eps / 2)
     return (4 * r2 - r1) / 3
+
+
+class PoleTerms(NamedTuple):
+    """Simple poles ``x`` with their (poles x 4) residues ``res``; ``root``
+    marks the sheet roots in S and ``axis`` the poles on the imaginary axis."""
+
+    x: np.ndarray
+    res: np.ndarray
+    axis: np.ndarray
+    root: np.ndarray
+
+
+def pole_terms(config, init):
+    """The simple poles of the closed form, read from
+    :func:`pbgpair.inversion.closed_form_terms`, against the residues by
+    limit of the transform system.
+
+    By w(z) = 2 e^{-z^2} - w(-z), sheet root j (Re a_j > 0; the midpoints
+    of the confluent pairs are left out) adds 2 rows_j e^{x_j t} beside its
+    cut share, x_j = a_j^2 + i omega1c; the exchange and dark poles ``xs``
+    follow with their residues ``exps``.  ``axis`` holds the poles within
+    poles.AXIS_TOL of the imaginary axis, as the pole table snaps them.
+    Components 2 and 4 are residues in the shifted frame.
+    """
+    terms = inversion.closed_form_terms(config, init, poles.symmetric_sectors(config))
+    simple = terms.a.size - terms.pair_t.shape[0]
+    a, rows = terms.a[:simple], terms.rows[:simple]
+    sheet = a.real > 0
+    x = np.concatenate([a[sheet] ** 2 + 1j * config.omega1c, terms.xs])
+    root = np.arange(x.size) < np.count_nonzero(sheet)
+    return PoleTerms(x, np.concatenate([2.0 * rows[sheet], terms.exps]),
+                     np.abs(x.real) <= poles.AXIS_TOL, root)
 
 
 def _mp_roots(coeffs):
@@ -806,19 +840,17 @@ def bound_states(config, init, bath: DiscreteBath):
 
     A bound state contributes amplitude e^{-i E t} to (A1, A2) (A2 in the
     shifted frame), without decay.  In the closed form it is a real sheet
-    root S > 0 with E = -(S^2 + omega1c), whose term in w carries the
-    residue e^{x_j t} twice: amplitude 2 rows_j.  In the oracle it is a
-    secular root below the lowest mode, with amplitude (atom @ u0) atom /
-    sqrt2.  Both engines agree in the limit of a perfect bath.  A state
+    root S > 0 of ``pole_terms``, on the axis above the branch point, with
+    E = -Im x = -(S^2 + omega1c) and its residue as amplitude.  In the
+    oracle it is a secular root below the lowest mode, with amplitude
+    (atom @ u0) atom / sqrt2.  Both engines agree in the limit of a perfect bath.  A state
     whose amplitudes are below BOUND_FLOOR is not populated: a sector that
     the initial state does not reach keeps rows of rounding size in the
     sextic (1e-16, the second cubic of the orthogonal bright presets), and
     the oracle does not solve it.
     """
-    terms = inversion.closed_form_terms(config, init, poles.symmetric_sectors(config))
-    s = terms.a * np.exp(-0.25j * np.pi)
-    closed = (-(s.real ** 2 + config.omega1c), 2.0 * terms.rows[:, :2],
-              (np.abs(s.imag) <= 1e-12 * np.abs(s)) & (s.real > 0.0))
+    pt = pole_terms(config, init)
+    closed = (-pt.x.imag, pt.res[:, :2], pt.root & pt.axis & (pt.x.imag > config.omega1c))
     a0 = np.asarray(init.as_tuple(), dtype=complex)
     u0 = (a0[:2] + a0[2:]) / np.sqrt(2.0)
     sp = _symmetric_spectrum(config, bath, u0)

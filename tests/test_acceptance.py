@@ -57,12 +57,12 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
-from pbgpair import bath, inversion, negativity as neg, transform
+from pbgpair import bath, inversion, negativity as neg
 from pbgpair.config import (AmplitudeTrajectory, InitialState, SystemConfig,
                             preset_initial, time_grid)
-from pbgpair.poles import PoleSet, find_poles
+from pbgpair.poles import find_poles
 from pbgpair.presets import get_preset
-from reference_routes import branch_cut_integral, negativity_series, oscillation_envelope
+from reference_routes import negativity_series, oscillation_envelope, pole_terms
 
 PI = math.pi
 
@@ -158,15 +158,15 @@ def test_criterion_3_interference_null():
 
 
 def _axis_residue_en(times, preset):
-    """E_N of the amplitudes carried by the imaginary-axis poles alone.
+    """E_N of the amplitudes carried by the imaginary-axis poles of the
+    closed form alone (``pole_terms``).
 
     These are the terms that survive t -> inf: every other pole and the
     branch cut decay.
     """
-    poles = find_poles(preset.config)
-    axis = PoleSet(records=tuple(r for r in poles.dynamic() if r.x.real == 0.0),
-                   config=preset.config)
-    amps = transform.residue_sum(times, axis, preset.config, preset.init)
+    pt = pole_terms(preset.config, preset.init)
+    amps = np.exp(np.outer(times, pt.x[pt.axis])) @ pt.res[pt.axis]
+    amps[:, [1, 3]] *= np.exp(-1j * preset.config.omega12 * times)[:, None]
     traj = AmplitudeTrajectory(times=times, amps=amps)
     return neg.entanglement_series(traj).log_negativity
 
@@ -303,15 +303,12 @@ def test_criterion_6_initial_value_exactness():
     _, _, s_unent = preset_series("fig2a")
     assert s_unent.log_negativity[0] == 0.0
 
+    # the t -> 0+ limit of the closed form, Richardson-extrapolated from
+    # t = 1e-5 and 2e-5
     worst = 0.0
     for name in ("fig2b", "fig4b", "fig5c", "fig7d"):
         p = get_preset(name)
-        poles = find_poles(p.config)
-        t1, t2 = 2e-5, 1e-5
-        s1 = transform.residue_sum(t1, poles, p.config, p.init) \
-            + branch_cut_integral(t1, p.config, p.init)
-        s2 = transform.residue_sum(t2, poles, p.config, p.init) \
-            + branch_cut_integral(t2, p.config, p.init)
+        s2, s1 = inversion.amplitudes_analytic(np.array([1e-5, 2e-5]), p.config, p.init).amps
         extrap = 2 * s2 - s1
         worst = max(worst, float(np.max(np.abs(extrap - np.array(p.init.as_tuple())))))
     ok = worst <= 1e-6

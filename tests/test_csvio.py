@@ -59,21 +59,23 @@ def test_writers_match_per_field_reference(v, seed):
 
 
 def test_write_atomic_memory_peak(tmp_path):
-    # the blocks are written one by one; joined into one string first, the
-    # 11 MB text of fig2b at 100,001 rows peaked at 32.4 MB
-    p = get_preset("fig2b")
-    traj = inversion.amplitudes_analytic(np.linspace(0.0, p.t_max, 100_001), p.config, p.init)
-    series = negativity.entanglement_series(traj)
+    # the 2.3 MB text of fig2b at 20,001 rows stays in blocks of BLOCK_ROWS
+    # rows, written one by one at a peak of 0.12 MB; joined into one string
+    # first it peaks at 4.5 MB
+    p, rows = get_preset("fig2b"), 20_001
+    traj = inversion.amplitudes_analytic(np.linspace(0.0, p.t_max, rows), p.config, p.init)
+    blocks = csvio.entanglement_csv(negativity.entanglement_series(traj), traj)
+    assert len(blocks) == 1 + len(range(0, rows, B))
     path = tmp_path / "fig2b.csv"
     tracemalloc.start()
     try:
-        csvio.write_atomic(path, csvio.entanglement_csv(series, traj))
+        csvio.write_atomic(path, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     with open(path, encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) == 100_002
-    assert peak <= 26e6
+        assert sum(1 for _ in fh) == rows + 1
+    assert peak <= 1e6
 
 
 @pytest.mark.parametrize("target_exists", [True, False], ids=["file", "dangling"])

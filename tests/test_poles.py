@@ -1,16 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from pbgpair import bath, csvio, inversion, transform
+from pbgpair import bath, csvio, inversion
 from pbgpair.cli import main
 from pbgpair.config import InitialState, SystemConfig, preset_initial
 from pbgpair.errors import DegeneratePole, NumericalError
 from pbgpair.poles import MAX_DETUNING, MERGE_TOL, find_poles, symmetric_sectors
-from reference_routes import residue_by_limit, residue_weight_fd, table_weight_kernel
+from reference_routes import pole_terms, residue_by_limit, residue_weight_fd, table_weight_kernel
 
 PI = math.pi
 
@@ -93,17 +94,23 @@ def test_residue_weight_dual_route():
         assert abs(fd - r.weight) <= 1e-8 * max(1.0, abs(r.weight))
 
 
+def assert_residues_match_limit_route(config, init):
+    """The residues of the closed form's poles (``pole_terms``) against
+    lim (x - x0) A(x) of the transform system; the limit route sees every
+    pole sitting at x0 at once."""
+    pt = pole_terms(config, init)
+    for x in pt.x:
+        direct = pt.res[np.abs(pt.x - x) < MERGE_TOL].sum(axis=0)
+        limit = residue_by_limit(SimpleNamespace(x=x), config, init)
+        assert np.max(np.abs(direct - limit)) < 1e-8
+
+
 def test_residues_match_limit_route():
     rng = np.random.default_rng(11)
     for config in (cfg(6, PI, 0.6, 0.2), cfg(6, PI / 2, -0.6, -1.0)):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
-        init = InitialState(*v)
-        ps = find_poles(config)
-        for r in ps.dynamic():
-            direct = transform.residue_numerators(r, config, init) * r.weight
-            limit = residue_by_limit(r, config, init)
-            assert np.max(np.abs(direct - limit)) < 1e-8
+        assert_residues_match_limit_route(config, InitialState(*v))
 
 
 def test_table_rows_have_zero_dynamic_residue():
@@ -198,16 +205,10 @@ def test_identical_orthogonal_pair_splits_sectors():
 @pytest.mark.parametrize("config", [DARK[0.0], DARK[PI], ORTHOGONAL,
                                     cfg(2, PI, 1.0, 1.0), cfg(6, PI / 2, -0.6, -1.0)])
 def test_weights_and_residues_match_reference_routes(config):
-    init = InitialState(0.5, 0.5j, -0.5, 0.5)
-    dyn = find_poles(config).dynamic()
-    for r in dyn:
+    for r in find_poles(config).dynamic():
         fd = residue_weight_fd(r, config)
         assert abs(fd - r.weight) <= 1e-8 * max(1.0, abs(r.weight))
-        # the limit route sees every pole sitting at r.x at once
-        direct = sum(transform.residue_numerators(q, config, init) * q.weight
-                     for q in dyn if abs(q.x - r.x) < MERGE_TOL)
-        limit = residue_by_limit(r, config, init)
-        assert np.max(np.abs(direct - limit)) < 1e-8
+    assert_residues_match_limit_route(config, InitialState(0.5, 0.5j, -0.5, 0.5))
 
 
 def test_near_double_root_raises_degenerate_pole(tmp_path):
