@@ -7,8 +7,9 @@ band-edge kernel is beta' = 1 / (i S), and the pole tables
 (:mod:`pbgpair.inversion`), a discretized-bath reference integrator
 (:mod:`pbgpair.bath`) and two-atom negativity (:mod:`pbgpair.negativity`).
 :mod:`pbgpair.transform` holds the 4x4 transform system and the previous
-inversion route, read only by their own tests, the tests' Laplace-domain
-check and helpers, and the benchmark's tracer.
+inversion route, read only by the tests (their own, three time-domain
+comparisons with the closed form, the Laplace-domain check and helpers)
+and the benchmark's tracer.
 """
 
 from .config import (

@@ -24,9 +24,10 @@ closed form for the branch-cut jump; the tests check it and the 4x4 solve
 against each other.
 
 The residue sum and the Gauss-Kronrod cut integral below, on ``u_sector``,
-are the previous inversion route.  No engine and no check of the closed
-form runs them; only their own tests, the tests' transform-domain helpers
-and the benchmark's tracer (by name, in :mod:`pbgpair.inversion`) read them.
+are the previous inversion route.  No engine runs them; only the tests
+(their own, three time-domain comparisons with the closed form and the
+transform-domain helpers) and the benchmark's tracer (by name, in
+:mod:`pbgpair.inversion`) read them.
 """
 
 from __future__ import annotations

@@ -247,6 +247,39 @@ def cross_check_cases(draw):
     return config, InitialState(*(v / np.linalg.norm(v)))
 
 
+# --- the closed form against the residue sum plus the cut integral --------
+
+def cut_route(times, config, init, abs_tol=CUT_ABS_TOL):
+    """The previous engine: residues at the sheet poles plus the adaptive
+    Gauss-Kronrod cut integral, at times t > 0."""
+    poles = find_poles(config)
+    cut = transform.CutIntegrator(config, init, t_min=float(times[0]), abs_tol=abs_tol)
+    return transform.residue_sum(times, poles, config, init) + cut.evaluate(times)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cross_check_cases())
+def test_closed_form_matches_cut_route_property(case):
+    config, init = case
+    times = np.array([0.05, 0.5, 2.0, 10.0, 50.0])
+    try:
+        find_poles(config)
+    except DegeneratePole:
+        with pytest.raises(DegeneratePole):
+            inversion.amplitudes_analytic(times, config, init)
+        return
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert traj.meta["completeness"] <= 1e-9
+    # the cut route is a reference only where it is complete itself: near a
+    # cluster of roots at the branch point its residues are off by up to
+    # 5.3e-9 (gamma1 = 6.1e-5, gamma2 = omega1c = eta = 0, against a 50-digit
+    # evaluation that the closed form meets to 1e-14)
+    early = cut_route(np.array([1e-5, 2e-5]), config, init, abs_tol=1e-12)
+    if np.max(np.abs(2 * early[0] - early[1] - np.array(init.as_tuple()))) <= 1e-6:
+        ref = cut_route(times, config, init, abs_tol=1e-12)
+        assert np.max(np.abs(traj.amps - ref)) <= 1e-8
+
+
 # --- the closed form against the transform system, in the Laplace domain --
 
 def laplace_deviation(config, init):
@@ -297,6 +330,35 @@ def test_closed_form_matches_transform_system_property(case):
         event("skipped: confluent pair")
         return
     assert dev <= 1e-12
+
+
+# identical transitions with a double root S = 3 b k / a1 < 0 of the cubic
+# S^3 + a1 S - 2 b k (k = 1 + cos eta = 1.5), off the sheet; gamma2 > 0 moves
+# it into the sextic as a pair about sqrt(gamma2) apart
+DOUBLE_A1 = -3.0 * 1.5 ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize("gamma2", [0.0, 1e-14, 1e-10, 1e-8, 1e-4])
+def test_double_root_off_the_sheet(gamma2):
+    config = SystemConfig(gamma1=0.0, gamma2=gamma2, omega12=0.0, omega1c=DOUBLE_A1,
+                          omega2c=DOUBLE_A1, eta=PI / 3)
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    times = np.linspace(0.5, 60.0, 120)
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert traj.meta["completeness"] <= 1e-9
+    assert np.max(np.abs(traj.amps - cut_route(times, config, init, abs_tol=1e-12))) <= 1e-10
+
+
+@pytest.mark.parametrize("omega1c", [-3.0, -3.0 + 1e-12, -3.0 - 1e-9])
+def test_orthogonal_double_root_off_the_sheet(omega1c):
+    # cos eta = 0: both cubics are S^3 - 3 S - 2 = (S + 1)^2 (S - 2) at omega1c = -3
+    config = SystemConfig(gamma1=0.0, gamma2=0.0, omega12=0.0, omega1c=omega1c,
+                          omega2c=omega1c, eta=PI / 2)
+    init = InitialState(0.5, 0.5j, -0.5, 0.5)
+    times = np.linspace(0.5, 60.0, 120)
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert traj.meta["completeness"] <= 1e-9
+    assert np.max(np.abs(traj.amps - cut_route(times, config, init, abs_tol=1e-12))) <= 1e-10
 
 
 @pytest.mark.parametrize("gamma1", [1e-30, 2.3e-121, 1e-300, 2.2e-309])
@@ -396,15 +458,9 @@ def _coincident_levels(omega1c, eta, gamma1=0.0, gamma2=0.0):
 
 MIXED = InitialState(0.5, 0.5j, -0.5, 0.5)
 CONTINUITY = (1e-20, -1e-20)  # shifts of a1 and a2 in the reference at an exact double root
-# identical transitions with a double root S = 3 b k / a1 < 0 of the cubic
-# S^3 + a1 S - 2 b k (k = 1 + cos eta = 1.5), off the sheet; gamma2 > 0 moves
-# it into the sextic as a pair about sqrt(gamma2) apart
-DOUBLE_A1 = -3.0 * 1.5 ** (2.0 / 3.0)
-# (config, initial state, window, shifts): the double roots off the sheet
-# (cos eta = 0 and omega1c = -3 make both cubics S^3 - 3 S - 2 =
-# (S + 1)^2 (S - 2)), the branch cluster (above) and the pole on the cut
-# above; a subnormal gamma1 is taken as 0 in the sectors, against the
-# reference at gamma1 itself
+# (config, initial state, window, shifts): the cases of the double roots off
+# the sheet, the branch cluster and the pole on the cut above; a subnormal
+# gamma1 is taken as 0 in the sectors, against the reference at gamma1 itself
 SPECIAL_CASES = (
     [pytest.param(_coincident_levels(DOUBLE_A1, PI / 3, gamma2=g2), MIXED, 60.0,
                   CONTINUITY if g2 == 0 else (0.0,), id=f"double-{g2:g}")
