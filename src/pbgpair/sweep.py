@@ -7,6 +7,7 @@ drew and keeps only their summary rows.  Outputs do not depend on THREADS.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import replace
@@ -71,9 +72,20 @@ def value_label(parameter: str, value) -> str:
 
 
 def _run_one(job):
-    """Run ``job`` = (label, run, tmp) and write its CSV to ``tmp``."""
+    """Run ``job`` = (label, run, tmp) and write its CSV to ``tmp``; the run's
+    log lines start with the label."""
     label, spec, tmp = job
-    series, traj, _ = run_spec(spec)
+
+    def labelled(record):
+        record.msg, record.args = f"{label}: {record.getMessage()}", None
+        return True
+
+    log = logging.getLogger("pbgpair")
+    log.addFilter(labelled)
+    try:
+        series, traj, _ = run_spec(spec)
+    finally:
+        log.removeFilter(labelled)
     csvio.write_text(tmp, csvio.entanglement_csv(series, traj))
     hl = negativity.half_life(series.times, series.log_negativity)
     ien = negativity.integrated_en(series.times, series.log_negativity,

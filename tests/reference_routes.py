@@ -38,9 +38,8 @@ classification functions ``spectral_functions``, the kernel triple
 :func:`pbgpair.transform.solve_system` and the pole table.
 
 Oracle propagation: ``integrate_dense``, the exact unitary propagation
-by a dense ``eigh`` of each coupled block, and ``integrate_rk4``, a
-fixed-step fourth-order exponential integrator, both against the
-secular-equation spectrum of :func:`pbgpair.bath.integrate`;
+by a dense ``eigh`` of each coupled block, with its mode probabilities,
+against the secular-equation spectrum of :func:`pbgpair.bath.integrate`;
 ``evaluate_direct``, the secular sums over every pole, against the
 near/far-field evaluation of the secular solver, and ``far_field_walk``,
 the far field by one walk per panel down the tree of panel groups with
@@ -80,12 +79,10 @@ _IDX = (2, 5, 6, 7, 8)
 EIG_CLAMP = -1e-12
 SINGULAR_TOL = 1e-12
 CUT_ABS_TOL = 1e-10  # absolute tolerance of the tests' CutIntegrator runs
-RK4_NORM_TOL = 1e-6  # stiff-tail aliasing floor of the stepper
 DENSE_NORM_TOL = 1e-8  # norm drift of integrate_dense, times max(1, t_max)
 REFERENCE_DPS = 40
 CHUNK_ELEMS = 1 << 20  # entries per work array of the direct sums below
 BOUND_FLOOR = 1e-12  # bound-state amplitude below which a state is not populated
-_ZERO = np.zeros(0, dtype=complex)
 
 
 def branch_cut_integral(t: float, config, init):
@@ -693,7 +690,7 @@ def far_field_walk(d, w) -> _FarField:
 
 
 def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
-                    dt_out: float = 0.5, store_modes: bool = False) -> AmplitudeTrajectory:
+                    dt_out: float) -> AmplitudeTrajectory:
     """Exact unitary propagation by a dense ``eigh`` of each coupled block.
 
     Basis: [A1, A2 e^{i w12 t}, A3, A4 e^{i w12 t}, C_1..C_N, D_1..D_N]
@@ -705,7 +702,8 @@ def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
     initial amplitudes vanish is skipped, and the second family exists
     only when sin(eta) != 0.
 
-    Samples every ``dt_out``.  Raises RecurrenceHorizonExceeded when
+    Samples every ``dt_out``; ``meta["mode_probs"]`` holds |C_n|^2 +
+    |D_n|^2 (times x modes).  Raises RecurrenceHorizonExceeded when
     ``t_max`` exceeds the bath rephasing time and StepSizeError on norm
     drift.
     """
@@ -773,10 +771,8 @@ def integrate_dense(config, init, bath: DiscreteBath, t_max: float,
     shift = np.exp(-1j * w12 * times)
     amps[:, 1] *= shift
     amps[:, 3] *= shift
-    meta = {"engine": "oracle", "horizon": horizon}
-    if store_modes:
-        meta["mode_probs"] = probs
-    return AmplitudeTrajectory(times=times, amps=amps, meta=meta)
+    return AmplitudeTrajectory(times=times, amps=amps,
+                               meta={"engine": "oracle", "horizon": horizon, "mode_probs": probs})
 
 
 def deflated_roots(sp, delta):
@@ -863,223 +859,6 @@ def bound_states(config, init, bath: DiscreteBath):
         order = np.argsort(energy[keep])
         out.append((energy[keep][order], amps[keep][order]))
     return out
-
-
-def _phi1(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    out[small] = 1 + zs / 2 + zs ** 2 / 6 + zs ** 3 / 24 + zs ** 4 / 120 + zs ** 5 / 720
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1) / zb
-    return out
-
-
-def _phi2(z):
-    out = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    out[small] = 0.5 + zs / 6 + zs ** 2 / 24 + zs ** 3 / 120 + zs ** 4 / 720 + zs ** 5 / 5040
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1 - zb) / zb ** 2
-    return out
-
-
-def _etd_coeffs(z):
-    """Fourth-order exponential-integrator weights f1, f2, f3."""
-    f1 = np.empty_like(z)
-    f2 = np.empty_like(z)
-    f3 = np.empty_like(z)
-    small = np.abs(z) < 0.5
-    zs = z[small]
-    f1[small] = 1 / 6 + zs / 6 + 3 * zs ** 2 / 40 + zs ** 3 / 45 + 5 * zs ** 4 / 1008
-    f2[small] = 1 / 6 + zs / 12 + zs ** 2 / 40 + zs ** 3 / 180 + zs ** 4 / 1008
-    f3[small] = 1 / 6 - zs ** 2 / 120 - zs ** 3 / 360 - zs ** 4 / 1680
-    zb = z[~small]
-    ez = np.exp(zb)
-    zb3 = zb ** 3
-    f1[~small] = (-4 - zb + ez * (4 - 3 * zb + zb ** 2)) / zb3
-    f2[~small] = (2 + zb + ez * (-2 + zb)) / zb3
-    f3[~small] = (-4 - 3 * zb - zb ** 2 + ez * (4 - zb)) / zb3
-    return f1, f2, f3
-
-
-def _startup_schedule(dt, max_span):
-    """Graded sub-steps for the switch-on transient.
-
-    Returns (steps, span) with sum(steps) == span * dt for an integer span
-    bounded by ``max_span`` regular steps.
-    """
-    blocks = [(512, 64), (256, 64), (64, 40), (16, 32), (8, 24), (4, 40), (2, 32)]
-    checkpoints = [3, 4, 5, 6, 7]  # block counts whose spans are 1, 3, 6, 16, 32 dt
-    spans = [1, 3, 6, 16, 32]
-    n_blocks, span = 0, 0
-    for nb, sp in zip(checkpoints, spans):
-        if sp <= max_span:
-            n_blocks, span = nb, sp
-    if n_blocks == 0:
-        return [dt], 1
-    steps = []
-    for div, count in blocks[:n_blocks]:
-        steps += [dt / div] * count
-    return steps, span
-
-
-class _Rhs:
-    """Nonlinear (coupling) part of the amplitude equations."""
-
-    def __init__(self, config, bath):
-        self.cfg = config
-        self.g = bath.g
-        self.ceta = config.cos_eta
-        self.seta = config.sin_eta
-        self.has_b = abs(self.seta) > SIN_ETA_FLOOR
-
-    def __call__(self, t, a, c, d):
-        cfg = self.cfg
-        sa = self.g @ c
-        sb = self.g @ d if self.has_b else 0.0
-        ph = np.exp(1j * cfg.omega12 * t)
-        drive2 = self.ceta * sa / ph + self.seta * sb
-        na = -1j * np.array([
-            cfg.gamma1 * a[2] + sa,
-            cfg.gamma2 * a[3] + drive2,
-            cfg.gamma1 * a[0] + sa,
-            cfg.gamma2 * a[1] + drive2,
-        ])
-        u_a = a[0] + a[2]
-        u_b = a[1] + a[3]
-        nc = (-1j) * self.g * (u_a + self.ceta * ph * u_b)
-        nd = (-1j) * self.g * (self.seta * u_b) if self.has_b else None
-        return na, nc, nd
-
-
-def integrate_rk4(config, init, bath, t_max: float, dt: float,
-                  dt_out: float = 0.5) -> AmplitudeTrajectory:
-    """Fixed-step fourth-order exponential integrator of the amplitude
-    equations against the discrete bath, against the exact unitary
-    propagation of :func:`pbgpair.bath.integrate`.
-
-    The mode detunings are integrated exactly (exponential in them) with
-    step ``dt`` (rounded down to divide ``dt_out``); the norm error is
-    dominated by stage-sampling aliasing of the stiff tail cells at the
-    1e-6 level.  Raises StepSizeError when the norm drifts past
-    RK4_NORM_TOL.
-    """
-    n_sub = max(1, int(np.ceil(dt_out / dt)))
-    dt = dt_out / n_sub
-    n_out = int(np.floor(t_max / dt_out + 1e-9))
-
-    rhs = _Rhs(config, bath)
-    delta_a = bath.nu - config.omega1c
-    delta_b = bath.nu - config.omega2c if rhs.has_b else None
-
-    coeff_cache = {}
-
-    def coeffs(h):
-        """Exponential-integrator coefficient bundle for step size h.
-
-        Krogstad stage corrections (the phi2 terms in the third and fourth
-        stages) are required here: the plain Cox-Matthews stages lose two
-        orders on the stiff tail modes and the norm contract fails.
-        """
-        try:
-            return coeff_cache[h]
-        except KeyError:
-            pass
-        out = []
-        for delta in (delta_a, delta_b):
-            if delta is None:
-                out.append(None)
-                continue
-            z = -1j * delta * h
-            f1, f2, f3 = (h * f for f in _etd_coeffs(z))
-            out.append((
-                np.exp(z), np.exp(0.5 * z),
-                0.5 * h * _phi1(0.5 * z), h * _phi2(0.5 * z),
-                h * _phi1(z), h * _phi2(z),
-                f1, f2, f3,
-            ))
-        coeff_cache[h] = tuple(out)
-        return coeff_cache[h]
-
-    def stage2(co, y, n1):
-        if co is None:
-            return _ZERO
-        _, e2, p2, _, _, _, _, _, _ = co
-        return e2 * y + p2 * n1
-
-    def stage3(co, y, n1, n2):
-        if co is None:
-            return _ZERO
-        _, e2, p2, q2, _, _, _, _, _ = co
-        return e2 * y + p2 * n1 + q2 * (n2 - n1)
-
-    def stage4(co, y, n1, n3):
-        if co is None:
-            return _ZERO
-        e, _, _, _, p1, q1, _, _, _ = co
-        return e * y + p1 * n1 + 2 * q1 * (n3 - n1)
-
-    def final(co, y, n1, n2, n3, n4):
-        if co is None:
-            return _ZERO
-        e, _, _, _, _, _, f1, f2, f3 = co
-        return e * y + f1 * n1 + f2 * (n2 + n3) * 2 + f3 * n4
-
-    def step(h, t, a, c, d):
-        co_c, co_d = coeffs(h)
-        na1, nc1, nd1 = rhs(t, a, c, d)
-        na2, nc2, nd2 = rhs(t + 0.5 * h, a + 0.5 * h * na1,
-                            stage2(co_c, c, nc1), stage2(co_d, d, nd1))
-        na3, nc3, nd3 = rhs(t + 0.5 * h, a + 0.5 * h * na2,
-                            stage3(co_c, c, nc1, nc2), stage3(co_d, d, nd1, nd2))
-        na4, nc4, nd4 = rhs(t + h, a + h * na3,
-                            stage4(co_c, c, nc1, nc3), stage4(co_d, d, nd1, nd3))
-        a = a + h / 6 * (na1 + 2 * (na2 + na3) + na4)
-        c = final(co_c, c, nc1, nc2, nc3, nc4)
-        d = final(co_d, d, nd1, nd2, nd3, nd4)
-        return a, c, d
-
-    a = np.asarray(init.as_tuple(), dtype=complex)
-    c = np.zeros(bath.n_modes, dtype=complex)
-    d = np.zeros(bath.n_modes, dtype=complex) if rhs.has_b else _ZERO
-
-    times = np.arange(n_out + 1) * dt_out
-    amps = np.empty((n_out + 1, 4), dtype=complex)
-    amps[0] = a
-
-    # The memory kernel has a sqrt kink at t=0; a graded startup mesh keeps
-    # that transient (and the stiff-cell ringing it launches) out of the
-    # norm budget.
-    startup, startup_span = _startup_schedule(dt, max_span=n_sub)
-
-    t = 0.0
-    first = True
-    for k_out in range(1, n_out + 1):
-        j = 0
-        while j < n_sub:
-            if first:
-                for h in startup:
-                    a, c, d = step(h, t, a, c, d)
-                    t += h
-                first = False
-                j += startup_span
-            else:
-                a, c, d = step(dt, t, a, c, d)
-                t += dt
-                j += 1
-        t = k_out * dt_out  # suppress accumulation of float rounding
-        amps[k_out] = a
-        norm = np.sum(np.abs(a) ** 2) + np.sum(np.abs(c) ** 2)
-        if rhs.has_b:
-            norm += np.sum(np.abs(d) ** 2)
-        if abs(norm - 1.0) > RK4_NORM_TOL * max(1.0, t):
-            raise StepSizeError(
-                f"norm drifted to {norm!r} at t={t:g}; reduce dt"
-            )
-
-    return AmplitudeTrajectory(times=times, amps=amps, meta={"engine": "rk4", "dt": dt})
 
 
 def format_field(x) -> str:

@@ -208,7 +208,7 @@ def test_criterion_4_lifetime_ordering():
            f"{asym_dev['fig2b']:.1e}/{asym_dev['fig2c']:.1e} (<=1e-5: {dark_plateau}), "
            f"oracle |dE_N| over [0,200]@1.5 {oracle_dev:.1e} (<=5e-3: {oracle_agrees}, "
            f"horizon {horizon:.0f}), E_N(3000)@10={en_3000:.3g} "
-           f"(>{threshold}: {strong_persists}), wall {wall:.0f}s")
+           f"(>{threshold}: {strong_persists})")
     assert unbounded, (
         "E_N fell below the threshold after its peak, although the "
         "antisymmetric component A1-A3 is exactly dark")
@@ -216,7 +216,7 @@ def test_criterion_4_lifetime_ordering():
         "the late E_N differs from the E_N of the imaginary-axis residues")
     assert oracle_agrees, "the oracle and the analytic engine disagree on E_N"
     assert strong_persists
-    assert wall < 300.0
+    assert wall < 300.0, f"criterion 4 took {wall:.0f}s"
 
 
 def test_criterion_5_deep_gap_ordering():

@@ -17,8 +17,7 @@ from pbgpair.errors import (
 )
 from pbgpair.presets import get_preset, PRESET_NAMES
 from reference_routes import (beta_prime, bound_states, deflated_roots, evaluate_direct,
-                              far_field_walk, integrate_dense, integrate_rk4, mode_probs,
-                              mode_spectrum)
+                              far_field_walk, integrate_dense, mode_probs, mode_spectrum)
 
 PI = math.pi
 FIG2B = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -102,23 +101,6 @@ def test_norm_conservation_default_path():
     assert np.max(np.abs(norms - 1.0)) < 1e-8
 
 
-def test_rk4_agrees_with_unitary_path():
-    init = preset_initial("bright")
-    config = SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6,
-                          omega2c=-1.0, eta=PI)
-    b = bath.build_bath(config, n_modes=600)
-    te = bath.integrate(config, init, b, t_max=4.0, dt_out=0.5)
-    tr = integrate_rk4(config, init, b, t_max=4.0, dt=2e-4, dt_out=0.5)
-    assert np.max(np.abs(te.amps - tr.amps)) < 1e-5
-
-
-def test_rk4_step_size_guard():
-    init = preset_initial("unentangled")
-    b = bath.build_bath(FIG2B, n_modes=300)
-    with pytest.raises(StepSizeError):
-        integrate_rk4(FIG2B, init, b, t_max=4.0, dt=0.1, dt_out=2.0)
-
-
 def test_recurrence_horizon_guard():
     b = bath.build_bath(FIG2B, n_modes=150)
     with pytest.raises(RecurrenceHorizonExceeded):
@@ -190,6 +172,7 @@ SECULAR_CASES = {
     "orthogonal": (SystemConfig(gamma1=6, gamma2=6, omega12=0.4, omega1c=-0.6,
                                 omega2c=-1.0, eta=PI / 2), InitialState(1, 0, 0, 0)),
     "anti-parallel": (FIG2B, preset_initial("unentangled")),
+    "fig4b": (get_preset("fig4b").config, get_preset("fig4b").init),
     "parallel": (SystemConfig(gamma1=3, gamma2=5, omega12=0.4, omega1c=-0.6,
                               omega2c=-1.0, eta=0.0), preset_initial("bright")),
     "h12=0": (SystemConfig(gamma1=5.6, gamma2=6, omega12=0.4, omega1c=0.6,
@@ -207,7 +190,7 @@ def test_secular_spectrum_matches_dense(name):
     config, init = SECULAR_CASES[name]
     b = bath.build_bath(config, n_modes=300)
     tr = bath.integrate(config, init, b, t_max=15.0, dt_out=0.5)
-    ref = integrate_dense(config, init, b, t_max=15.0, dt_out=0.5, store_modes=True)
+    ref = integrate_dense(config, init, b, t_max=15.0, dt_out=0.5)
     assert np.max(np.abs(tr.amps - ref.amps)) <= 1e-5
     probs = mode_probs(config, init, b, tr.times)
     assert np.max(np.abs(probs - ref.meta["mode_probs"])) <= 1e-6
@@ -439,6 +422,15 @@ def test_unconverged_block_raises(monkeypatch):
         bath.integrate(config, init, b, t_max=1.0, dt_out=0.5)
 
 
+def test_outer_root_without_sign_change_raises():
+    # mu = -1 - e^{-z} rises, but towards -1: above the outer pole the sum
+    # is positive, F stays below -1 and has no root there
+    d, w = bath_poles(0.6, 150)
+    value = lambda z: (-1.0 - np.exp(-z), np.exp(-z))  # noqa: E731
+    with pytest.raises(StepSizeError, match="no sign change beyond the outer poles"):
+        bath._secular_roots(d, w, value, bath._far_field(d, w))
+
+
 def test_lost_root_fails_completeness(monkeypatch):
     # a root dropped from an arrowhead leaves its atomic weight unresolved
     arrowhead = bath._arrowhead
@@ -459,7 +451,7 @@ def test_mode_spectrum_matches_dense():
     b = bath.build_bath(config, n_modes=800)
     tr = bath.integrate(config, init, b, t_max=20.0, dt_out=1.0)
     probs = mode_probs(config, init, b, tr.times)
-    ref = integrate_dense(config, init, b, t_max=20.0, dt_out=1.0, store_modes=True)
+    ref = integrate_dense(config, init, b, t_max=20.0, dt_out=1.0)
     for t in (5.0, 20.0):
         nu, p = mode_spectrum(probs, tr.times, b, t)
         nu_ref, p_ref = mode_spectrum(ref.meta["mode_probs"], ref.times, b, t)

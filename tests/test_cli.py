@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -773,11 +774,13 @@ def test_modes_reaches_the_oracle_through_every_verb(tmp_path, monkeypatch, capl
     monkeypatch.setenv("THREADS", "1")
     oracle = ["--engine", "oracle", "--tmax", "15"]
 
-    def call(argv, modes="300"):
+    def call(argv, modes="300", label=""):
+        # a sweep's lines start with their value's label
         caplog.clear()
         with caplog.at_level("INFO", logger="pbgpair"):
             assert main([*argv, *oracle, "--modes", modes]) == 0
-        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle:")]
+        return [r.getMessage().removeprefix(label) for r in caplog.records
+                if r.getMessage().startswith(label + "oracle:")]
 
     cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
     single, bigger = tmp_path / "run.csv", tmp_path / "run400.csv"
@@ -786,13 +789,28 @@ def test_modes_reaches_the_oracle_through_every_verb(tmp_path, monkeypatch, capl
     assert single.read_bytes() != bigger.read_bytes()
     outdir = tmp_path / "sweep"
     assert call(["sweep", cfgfile, "--param", "gamma", "--values", "3",
-                 "-o", str(outdir)]) == logged
+                 "-o", str(outdir)], label="3: ") == logged
     assert len(logged) == 1 and "horizon 18.9" in logged[0]
     assert (outdir / "gamma_3.csv").read_bytes() == single.read_bytes()
     by_file, by_name = tmp_path / "fig2b_file.csv", tmp_path / "fig2b_name.csv"
     call(["run", _preset_run_file(tmp_path, "fig2b"), "-o", str(by_file)])
     call(["preset", "fig2b", "-o", str(by_name)])
     assert by_file.read_bytes() == by_name.read_bytes()
+
+
+def test_sweep_log_lines_name_their_value(tmp_path, monkeypatch, caplog):
+    # the values' lines interleave at THREADS=2; each starts with its label
+    monkeypatch.setenv("THREADS", "1")
+    cfgfile = _write(tmp_path, "s.cfg", SHORT_FILE)
+    with caplog.at_level("INFO", logger="pbgpair"):
+        assert main(["sweep", cfgfile, "--param", "eta", "--values", "30,120",
+                     "--engine", "both", "--tmax", "5", "--modes", "200",
+                     "-o", str(tmp_path / "sweep")]) == 0
+    lines = [r.getMessage() for r in caplog.records
+             if "secular roots" in r.getMessage() or "engine=both" in r.getMessage()]
+    assert len(lines) == 4
+    assert [m.split(": ")[0] for m in lines] == ["30", "30", "120", "120"]
+    assert not logging.getLogger("pbgpair").filters
 
 
 def test_bad_threads_value_exit_code(tmp_path, monkeypatch, capsys):

@@ -414,6 +414,36 @@ def test_near_double_root_on_the_sheet_still_raises():
         inversion.amplitudes_analytic(np.array([0.0, 1.0]), config, preset_initial("bright"))
 
 
+@pytest.mark.xfail(strict=True, raises=DegeneratePole,
+                   reason="the closed form solves the sextic, not its two cubics, at cos eta = 0")
+def test_orthogonal_factored_sextic_runs():
+    # the second level d = 1e-5 above the first: at cos eta = 0 the sextic is
+    # (S^3 + a1 S - 2)(S^3 + (a1 + d) S - 2), with pairs of roots about d
+    # apart, but u1 = -i S u10 / P1 has simple poles only, and a bright start
+    # leaves the second transition empty: (A1, A3) do not depend on d.
+    # d = 0 takes the cubics and runs; d = 1e-2, 1e-3 and 1e-4 run off
+    # by 1.9e-13, 1.2e-12 and 6.5e-10; d = 1e-5 to 1e-9 exit 4
+    config = SystemConfig(gamma1=5, gamma2=5, omega12=-1e-5, omega1c=0.6,
+                          omega2c=0.6 + 1e-5, eta=PI / 2)
+    times, init = time_grid(50.0, 0.5), preset_initial("bright")
+    ref = inversion.amplitudes_analytic(
+        times, dataclasses.replace(config, omega12=0.0, omega2c=0.6), init)
+    traj = inversion.amplitudes_analytic(times, config, init)
+    assert np.max(np.abs(traj.amps - ref.amps)) <= 1e-12
+
+
+def test_growing_sheet_pole_is_refused():
+    # x = a^2 with Re x = 0.99 on the sheet: e^{x t} stays below e^EXP_MAX to
+    # t = 700 / 0.99 and is refused beyond
+    terms = inversion.Terms(a=np.array([1.0 + 0.1j]), rows=np.ones((1, 4), dtype=complex),
+                            pair_t=np.zeros((0, 4), dtype=complex),
+                            pair_sqrt=np.zeros(4, dtype=complex),
+                            xs=np.zeros(0, dtype=complex), exps=np.zeros((0, 4), dtype=complex))
+    assert np.all(np.isfinite(inversion.closed_form(np.array([1.0, 700.0]), FIG2B, terms)))
+    with pytest.raises(NumericalError, match="grows: Re x = 0.99 > 0"):
+        inversion.closed_form(np.array([1.0, 1000.0]), FIG2B, terms)
+
+
 # --- the closed form against a 40-digit evaluation of itself ----------------
 
 def reference_deviation(times, config, init, da=0.0):
